@@ -13,7 +13,7 @@ submodules.
 from . import audio, autodiff, dataset, model, objective, roomsim, stft, trainer
 from .audio import WaveBuffer, read_wav, write_wav
 from .autodiff import NumericError, Tensor
-from .dataset import MixtureExample, NormState, denormalize, mix_pair, normalize
+from .dataset import MixtureExample, NormState, mix_pair, normalize
 from .model import ModelConfig, NarrowBandModel, SeparatedSpectra
 from .objective import PermutationAssignment, evaluate, fpit, si_sdr
 from .roomsim import Rir, SceneConfig, sample_scene, simulate_rir, spatialize
@@ -26,7 +26,7 @@ __all__ = [
     "audio", "autodiff", "dataset", "model", "objective", "roomsim", "stft", "trainer",
     "WaveBuffer", "read_wav", "write_wav",
     "NumericError", "Tensor",
-    "MixtureExample", "NormState", "mix_pair", "normalize", "denormalize",
+    "MixtureExample", "NormState", "mix_pair", "normalize",
     "ModelConfig", "NarrowBandModel", "SeparatedSpectra",
     "PermutationAssignment", "evaluate", "fpit", "si_sdr",
     "Rir", "SceneConfig", "sample_scene", "simulate_rir", "spatialize",

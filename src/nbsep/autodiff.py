@@ -87,55 +87,8 @@ class Tensor:
     def numpy(self):
         return np.array(self.data)
 
-    def is_leaf(self):
-        return self._vjp is None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def backward(self):
-        backward(self)
-
-
-def _as_tensor(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def zero_grad(tensors) -> None:

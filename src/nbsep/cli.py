@@ -44,6 +44,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nbsep", description="Narrow-band multichannel speech separation")
     parser.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--mics", type=int, default=None, help="input channels M")
@@ -123,15 +124,14 @@ def _apply_config_file(parser, argv, args):
         raise UsageError(f"config file {args.config}: {e}")
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object of flag values")
-    unknown = [k for k in overrides if not hasattr(args, k.replace("-", "_"))]
+    overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
+    # the keys must be flags of the chosen subcommand, not `command` or `config`
+    unknown = set(overrides) - (set(vars(args)) - {"command", "config"})
     if unknown:
         raise UsageError(f"config file keys not recognized: {', '.join(sorted(unknown))}")
-    for key, value in overrides.items():
-        flag = "--" + key.replace("_", "-")
-        explicit = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not explicit:  # explicit flags win over the config file
-            setattr(args, key.replace("-", "_"), value)
-    return args
+    # as sub-parser defaults, the config loses to every flag given, however spelled
+    parser.subcommands[args.command].set_defaults(**overrides)
+    return parser.parse_args(argv)
 
 
 def _stft_config(args) -> stft.StftConfig:

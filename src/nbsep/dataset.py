@@ -151,11 +151,6 @@ def normalize(
     return seq / scale, scale
 
 
-def denormalize(pred: np.ndarray, scale: float) -> np.ndarray:
-    """Undo `normalize` on a (2N, T) prediction."""
-    return np.asarray(pred) * float(scale)
-
-
 def normalize_spectrogram(
     spec: stft.ComplexSpectrogram, ref_channel: int = REFERENCE_CHANNEL
 ) -> tuple[np.ndarray, NormState]:

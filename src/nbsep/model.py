@@ -166,8 +166,7 @@ class NarrowBandModel:
 
     # -- forward ----------------------------------------------------------------
 
-    def forward(self, x, train: bool = False, rng=None, collect_attention: bool = False,
-                checked: bool = False):
+    def forward(self, x, train: bool = False, rng=None, collect_attention: bool = False):
         """Run the network on (2M, T) or batched (B, 2M, T) sequences.
 
         Returns the (.., 2N, T) output Tensor, or (output, attention) with
@@ -186,13 +185,7 @@ class NarrowBandModel:
         drop = cfg.dropout if train else 0.0
         attn_maps = []
 
-        def check(name, t):
-            if checked and not np.all(np.isfinite(t.data)):
-                raise ad.NumericError(f"non-finite activation after {name}")
-            return t
-
-        h = check("in_conv", ad.conv1d(x, p["in_conv.w"], p["in_conv.b"],
-                                       padding=(cfg.io_kernel - 1, 0)))
+        h = ad.conv1d(x, p["in_conv.w"], p["in_conv.b"], padding=(cfg.io_kernel - 1, 0))
         rel_table = Tensor(relative_encoding_table(t_len, cfg.width, self.dtype))
 
         for i in range(cfg.blocks):
@@ -201,7 +194,7 @@ class NarrowBandModel:
             a = self._rpsa(a, i, rel_table,
                            attn_maps if collect_attention else None)
             a = ad.dropout(a, drop, rng, train)
-            h = check(f"{b}.attn", ad.add(h, a))
+            h = ad.add(h, a)
 
             f = ad.layer_norm(h, p[f"{b}.ff_norm.gamma"], p[f"{b}.ff_norm.beta"])
             f = ad.silu(ad.add(ad.matmul(p[f"{b}.ff_in.w"], f),
@@ -212,16 +205,15 @@ class NarrowBandModel:
                               groups=cfg.groups)
                 f = ad.group_norm(f, p[f"{b}.conv{j}.norm.gamma"],
                                   p[f"{b}.conv{j}.norm.beta"], cfg.groups)
-                f = check(f"{b}.conv{j}", ad.silu(f))
+                f = ad.silu(f)
             f = ad.dropout(f, drop, rng, train)
             f = ad.add(ad.matmul(p[f"{b}.ff_out.w"], f),
                        ad.reshape(p[f"{b}.ff_out.b"], (-1, 1)))
             f = ad.dropout(f, drop, rng, train)
-            h = check(f"{b}.ff", ad.add(f, h) if cfg.ff_residual else f)
+            h = ad.add(f, h) if cfg.ff_residual else f
 
         out = ad.conv_transpose1d(h, p["out_conv.w"], p["out_conv.b"])
         out = ad.narrow(out, -1, 0, t_len)  # crop the trailing kernel tail
-        out = check("out_conv", out)
         if collect_attention:
             return out, attn_maps
         return out
@@ -267,14 +259,9 @@ class NarrowBandModel:
     def bind(self, outputs: np.ndarray, norm: dataset.NormState) -> SeparatedSpectra:
         """Denormalize per-frequency outputs and stack them into full spectra.
 
-        `outputs` is (F, 2N, T) (a list of per-frequency (2N, T) arrays is
-        also accepted); rows 2n / 2n+1 become the real/imaginary parts of
-        speaker n.
+        `outputs` is (F, 2N, T); rows 2n / 2n+1 become the real/imaginary
+        parts of speaker n.
         """
-        if not isinstance(outputs, np.ndarray):
-            if any(o is None for o in outputs):
-                raise ValueError("missing frequency output")
-            outputs = np.stack(outputs)
         if outputs.shape[0] != norm.scale.shape[0]:
             raise ValueError(
                 f"{outputs.shape[0]} frequency outputs but {norm.scale.shape[0]} scales"

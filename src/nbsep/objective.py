@@ -11,6 +11,7 @@ finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,33 +38,20 @@ class PermutationAssignment:
 
 
 def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB, clamped to +/-60.
-
-    Projects the reference onto the estimate direction with
-    ``alpha = (estimate . reference) / ||reference||^2`` and returns
-    ``10 log10(||alpha ref||^2 / ||alpha ref - estimate||^2)``.
-    """
+    """SI-SDR in dB, clamped to +/-60: `si_sdr_loss` negated, in float64."""
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape or reference.ndim != 1:
         raise ValueError(f"length mismatch: {reference.shape} vs {estimate.shape}")
-    ref_energy = float(reference @ reference)
-    if ref_energy == 0.0:
-        raise ValueError("silent reference")
-    alpha = float(estimate @ reference) / ref_energy
-    target = alpha * reference
-    num = float(target @ target)
-    err = target - estimate
-    den = float(err @ err)
-    if den == 0.0:
-        return SDR_CLAMP_DB
-    if num == 0.0:
-        return -SDR_CLAMP_DB
-    return float(np.clip(10.0 * np.log10(num / den), -SDR_CLAMP_DB, SDR_CLAMP_DB))
+    return -si_sdr_loss(reference, Tensor(estimate)).item()
 
 
 def si_sdr_loss(reference: np.ndarray, estimate: Tensor) -> Tensor:
-    """Differentiable negative SI-SDR of a Tensor estimate vs a fixed reference."""
+    """Differentiable negative SI-SDR of a Tensor estimate vs a fixed reference.
+
+    With ``alpha = (estimate . reference) / ||reference||^2``, SI-SDR is
+    ``10 log10(||alpha ref||^2 / ||alpha ref - estimate||^2)``, clamped to +/-60 dB.
+    """
     ref = Tensor(np.asarray(reference, dtype=estimate.dtype))
     ref_energy = float(ref.data @ ref.data)
     if ref_energy == 0.0:
@@ -176,14 +164,23 @@ def fpit(predictions, targets, cfg: stft.StftConfig, out_len: int):
         raise ValueError("exhaustive PIT limit: more than 6 speakers")
 
     pair = [[si_sdr_loss(references[i], estimates[j]) for j in range(n)] for i in range(n)]
-    best_perm, best_loss, best_value = None, None, np.inf
+    perm, value = best_permutation(np.array([[t.data for t in row] for row in pair]))
+    loss = functools.reduce(ad.add, [pair[i][perm[i]] for i in range(n)])
+    return loss, PermutationAssignment(perm, value)
+
+
+def best_permutation(cost: np.ndarray):
+    """Lexicographically smallest minimizer of ``sum_i cost[i, perm[i]]``.
+
+    `cost` is an (n, n) float table, summed in its dtype; returns (perm, total).
+    """
+    n = cost.shape[0]
+    best_perm, best_total = None, np.inf
     for perm in itertools.permutations(range(n)):
-        total = pair[0][perm[0]]
-        for i in range(1, n):
-            total = ad.add(total, pair[i][perm[i]])
-        if total.item() < best_value:
-            best_perm, best_loss, best_value = perm, total, total.item()
-    return best_loss, PermutationAssignment(best_perm, best_value)
+        total = sum((cost[i, perm[i]] for i in range(1, n)), cost[0, perm[0]])
+        if total < best_total:
+            best_perm, best_total = perm, total
+    return best_perm, float(best_total)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -205,20 +202,6 @@ class MetricRecord:
         return row
 
 
-def best_permutation_sdr(references: np.ndarray, estimates: np.ndarray):
-    """Maximize summed SI-SDR over speaker assignments; returns (per-spk, perm)."""
-    n = references.shape[0]
-    if n > MAX_EXHAUSTIVE_SPEAKERS:
-        raise ValueError("exhaustive PIT limit: more than 6 speakers")
-    table = [[si_sdr(references[i], estimates[j]) for j in range(n)] for i in range(n)]
-    best_perm, best_total = None, -np.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(table[i][perm[i]] for i in range(n))
-        if total > best_total:
-            best_perm, best_total = perm, total
-    return [table[i][best_perm[i]] for i in range(n)], best_perm
-
-
 def evaluate(example: dataset.MixtureExample, estimates: np.ndarray,
              processing_seconds: float | None = None) -> MetricRecord:
     """Best-permutation SI-SDR of time-domain estimates against the targets.
@@ -230,9 +213,14 @@ def evaluate(example: dataset.MixtureExample, estimates: np.ndarray,
     estimates = np.asarray(estimates)
     if estimates.shape != refs.shape:
         raise ValueError(f"estimates {estimates.shape} vs targets {refs.shape}")
-    per_spk, _ = best_permutation_sdr(refs, estimates)
+    n = refs.shape[0]
+    if n > MAX_EXHAUSTIVE_SPEAKERS:
+        raise ValueError("exhaustive PIT limit: more than 6 speakers")
+    table = np.array([[si_sdr(refs[i], estimates[j]) for j in range(n)] for i in range(n)])
+    perm, _ = best_permutation(-table)
+    per_spk = [table[i, perm[i]] for i in range(n)]
     mixture_ref = example.mixture_wave.data[dataset.REFERENCE_CHANNEL]
-    baseline = [si_sdr(refs[i], mixture_ref) for i in range(refs.shape[0])]
+    baseline = [si_sdr(refs[i], mixture_ref) for i in range(n)]
     mean_sdr = float(np.mean(per_spk))
     improvement = mean_sdr - float(np.mean(baseline))
     rtf = None

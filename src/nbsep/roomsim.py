@@ -316,8 +316,3 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     for m in range(rir.n_mics):
         out[m] = fftconvolve(x, rir.taps[m, speaker])[: dry.n_samples]
     return WaveBuffer(out, dry.sample_rate)
-
-
-def rir_to_wave(rir: Rir, speaker: int) -> WaveBuffer:
-    """Expose one speaker's RIRs as a multichannel buffer (for WAV export)."""
-    return WaveBuffer(rir.taps[:, speaker, :].copy(), rir.sample_rate)

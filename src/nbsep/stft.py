@@ -35,15 +35,12 @@ class StftConfig:
     window_len: int = 512
     hop: int = 256
     sample_rate: int = 16000
-    window: str = "hann"
 
     def __post_init__(self):
         if self.window_len <= 0 or self.window_len % 2:
             raise ValueError(f"window_len must be positive and even, got {self.window_len}")
         if not 0 < self.hop <= self.window_len:
             raise ValueError(f"hop must be in (0, window_len], got {self.hop}")
-        if self.window != "hann":
-            raise ValueError(f"unsupported analysis window {self.window!r}")
 
     @property
     def n_bins(self) -> int:
@@ -163,13 +160,3 @@ def all_frequency_sequences(spec: ComplexSpectrogram) -> np.ndarray:
     out[:, 0::2, :] = spec.data.real.transpose(0, 2, 1)
     out[:, 1::2, :] = spec.data.imag.transpose(0, 2, 1)
     return out
-
-
-def reassemble_sequences(seqs: np.ndarray) -> ComplexSpectrogram:
-    """Inverse of `all_frequency_sequences`: (F, 2M, T) real -> (F, T, M) complex."""
-    seqs = np.asarray(seqs)
-    if seqs.ndim != 3 or seqs.shape[1] % 2:
-        raise ValueError(f"expected (F, 2M, T) sequences, got {seqs.shape}")
-    real = seqs[:, 0::2, :].transpose(0, 2, 1)
-    imag = seqs[:, 1::2, :].transpose(0, 2, 1)
-    return ComplexSpectrogram(real + 1j * imag)

@@ -180,6 +180,25 @@ def test_config_file_merging(tmp_path):
     del out
 
 
+def test_config_file_loses_to_abbreviated_flag(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": 3}))
+    src = make_sources(tmp_path)
+    rc = main(["--config", str(cfgfile), "simulate", "--sources", str(src),
+               "--out", str(tmp_path / "c"), "--n", "1", "--mics", "2", "--see", "5",
+               "--duration", "1.024", "--max-order", "1", *CFG8K_ARGS])
+    assert rc == 0
+    assert dataset.read_manifest(tmp_path / "c" / "manifest.jsonl")[0]["seed"] == [5, 0]
+
+
+def test_config_file_cannot_choose_the_subcommand(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"command": "rtf"}))
+    rc = main(["--config", str(cfgfile), "grad-check"])
+    assert rc == 1
+    assert "not recognized: command" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"frob": 1}))

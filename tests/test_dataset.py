@@ -121,16 +121,6 @@ def test_normalize_matches_direct_mean_of_moduli():
     assert abs(scale - direct) < 1e-12
 
 
-def test_denormalize_inverse_and_scalar_multiply():
-    rng = np.random.default_rng(3)
-    seq = rng.standard_normal((4, 12))
-    out, scale = dataset.normalize(seq)
-    np.testing.assert_allclose(dataset.denormalize(out, scale), seq, atol=1e-12)
-    pred = rng.standard_normal((4, 12))
-    np.testing.assert_array_equal(dataset.denormalize(pred, 3.5), 3.5 * pred)
-    np.testing.assert_array_equal(dataset.denormalize(pred, 1.0), pred)
-
-
 def test_normalize_spectrogram_matches_per_bin(example):
     seqs, norm = dataset.normalize_spectrogram(example.mixture)
     f = 17

@@ -174,9 +174,6 @@ def test_bind_matches_index_arithmetic_oracle():
 
 def test_bind_missing_frequency_errors():
     net = NarrowBandModel(TINY)
-    outs = [np.zeros((4, 6))] * 3 + [None]
-    with pytest.raises(ValueError, match="missing frequency"):
-        net.bind(outs, dataset.NormState(np.ones(4)))
     with pytest.raises(ValueError, match="scales"):
         net.bind(np.zeros((3, 4, 6)), dataset.NormState(np.ones(4)))
 

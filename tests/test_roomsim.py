@@ -253,17 +253,3 @@ def test_spatialize_errors():
         spatialize(WaveBuffer(np.zeros(100), 8000), rir, 0)
     with pytest.raises(ValueError, match="mono"):
         spatialize(WaveBuffer(np.zeros((2, 100)), 16000), rir, 0)
-
-
-def test_rir_exportable_as_wave(tmp_path):
-    from nbsep.audio import read_wav, write_wav
-    from nbsep.roomsim import rir_to_wave
-
-    scene = sample_scene(4, n_mics=3)
-    scene.rt60 = 0.15
-    rir = simulate_rir(scene, max_order=1, n_taps=400, sample_rate=16000)
-    wave = rir_to_wave(rir, 1)
-    assert wave.n_channels == 3
-    write_wav(tmp_path / "rir.wav", wave)
-    back = read_wav(tmp_path / "rir.wav", expect_rate=16000)
-    np.testing.assert_allclose(back.data, rir.taps[:, 1, :], atol=1e-7)

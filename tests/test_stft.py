@@ -9,7 +9,6 @@ from nbsep.stft import (
     frequency_sequence,
     hann_window,
     istft,
-    reassemble_sequences,
     stft,
     synthesis_envelope,
 )
@@ -170,8 +169,6 @@ def test_reassemble_is_exact_inverse():
     spec = ComplexSpectrogram(data)
     seqs = np.stack([frequency_sequence(spec, f) for f in range(33)])
     np.testing.assert_array_equal(seqs, all_frequency_sequences(spec))
-    back = reassemble_sequences(seqs)
-    np.testing.assert_array_equal(back.data, data)
 
 
 def test_istft_pads_beyond_synthesized_span():
