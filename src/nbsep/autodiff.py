@@ -6,11 +6,21 @@ leading batch dimensions so a whole stack of narrow-band sequences can be
 pushed through one graph.  Graphs are plain closures over saved forward
 values; `backward` walks the graph once in reverse topological order.
 
+Inside ``with no_graph():`` ops build no graph: every output is a constant
+(no parents, no backward closure, ``requires_grad=False``) even when an
+input requires grad, so inference keeps only the values still referenced.
+Values that only a backward rule needs (silu's derivative, clip's mask,
+log10's reciprocal) are computed inside that rule, so a forward pass
+computes only what its output needs.  The mode is per thread.
+
 A graph must stay on one thread between construction and backward; distinct
 graphs are independent.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,6 +36,24 @@ def set_check_finite(enabled: bool) -> None:
     """Globally enable per-op finiteness checks (slow, for tests/debugging)."""
     global _CHECK_FINITE
     _CHECK_FINITE = bool(enabled)
+
+
+class _GraphMode(threading.local):
+    record = True
+
+
+_GRAPH_MODE = _GraphMode()
+
+
+@contextmanager
+def no_graph():
+    """Run the enclosed ops as inference: their outputs record no graph."""
+    prev = _GRAPH_MODE.record
+    _GRAPH_MODE.record = False
+    try:
+        yield
+    finally:
+        _GRAPH_MODE.record = prev
 
 
 class Tensor:
@@ -53,7 +81,7 @@ class Tensor:
     def _from_op(data, parents, vjp):
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAPH_MODE.record and any(p.requires_grad for p in parents)
         out.grad = None
         if out.requires_grad:
             out._parents = parents
@@ -216,22 +244,37 @@ def power(a: Tensor, p: float) -> Tensor:
 def log10(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log10(a.data)
-        inv = 1.0 / (a.data * np.log(10.0))
-    return Tensor._from_op(out, (a,), lambda g: (g * inv,))
+
+    def vjp(g):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            inv = 1.0 / (a.data * np.log(10.0))
+        return (g * inv,)
+
+    return Tensor._from_op(out, (a,), vjp)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
-    return Tensor._from_op(out, (a,), lambda g: (g * mask,))
+
+    def vjp(g):
+        mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
+        return (g * mask,)
+
+    return Tensor._from_op(out, (a,), vjp)
 
 
 def silu(a: Tensor) -> Tensor:
-    # x * sigmoid(x); d/dx = s + x*s*(1-s) = s + out*(1-s), precomputed while hot
+    # x * sigmoid(x); d/dx = s + x*s*(1-s) = s + out*(1-s)
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = a.data * s
-    deriv = s + out * (1.0 - s)
-    return Tensor._from_op(out, (a,), lambda g: (g * deriv,))
+
+    def vjp(g):
+        # a named operand: numpy would multiply into an unnamed temporary in
+        # place, and the gradient's memory layout (hence later sums) would change
+        deriv = s + out * (1.0 - s)
+        return (g * deriv,)
+
+    return Tensor._from_op(out, (a,), vjp)
 
 
 # -- reductions ----------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -317,7 +318,9 @@ def _cmd_rtf(args) -> int:
     t0 = time.perf_counter()
     net.separate(mixture, cfg)
     elapsed = time.perf_counter() - t0
-    print(f"RTF {elapsed / args.duration:.3f} ({elapsed:.2f} s for {args.duration:.1f} s audio)")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"RTF {elapsed / args.duration:.3f} ({elapsed:.2f} s for {args.duration:.1f} s audio), "
+          f"peak RSS {peak_mb:.0f} MB")
     return 0
 
 

@@ -19,8 +19,11 @@ Transformer-XL style relative positional encoding: learned content/position
 bias vectors per head and a shared learned projection of sinusoidal
 relative-distance encodings.
 
-All sequences may carry a leading batch axis, so a whole utterance's
-frequencies (or several utterances) run through one graph.
+All sequences may carry a leading batch axis of frequencies (or of several
+utterances' frequencies).  Inference (`separate`, `attention_maps`) runs
+graph-free in chunks of `FREQUENCY_CHUNK` bins: since every frequency is
+processed on its own, chunking changes the outputs by round-off only, and
+memory is set by the chunk size instead of by F x T.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from . import autodiff as ad
 from . import dataset, stft
 from .audio import WaveBuffer
 from .autodiff import Tensor
+
+FREQUENCY_CHUNK = 32  # bins per graph-free inference forward pass
 
 
 @dataclass
@@ -279,8 +284,9 @@ class NarrowBandModel:
         t0 = time.perf_counter()
         spec = stft.stft(mixture, stft_cfg)
         seqs, norm = dataset.normalize_spectrogram(spec)
-        out = self.forward(Tensor(seqs.astype(self.dtype)))
-        spectra = self.bind(out.numpy().astype(np.float64), norm)
+        with ad.no_graph():
+            out = np.concatenate([self.forward(x).data for x in self._bin_chunks(seqs)])
+        spectra = self.bind(out.astype(np.float64), norm)
         waves = np.stack(
             [
                 stft.istft(
@@ -294,8 +300,17 @@ class NarrowBandModel:
     def attention_maps(self, example: dataset.MixtureExample) -> np.ndarray:
         """Frequency-averaged attention, shape (blocks, heads, T, T)."""
         seqs, _ = dataset.normalize_spectrogram(example.mixture)
-        _, maps = self.forward(Tensor(seqs.astype(self.dtype)), collect_attention=True)
-        return np.stack([m.mean(axis=0) for m in maps])
+        total = 0.0
+        with ad.no_graph():
+            for x in self._bin_chunks(seqs):
+                _, maps = self.forward(x, collect_attention=True)
+                total = total + np.stack([m.sum(axis=0) for m in maps])
+        return total / seqs.shape[0]
+
+    def _bin_chunks(self, seqs: np.ndarray):
+        """Consecutive `FREQUENCY_CHUNK`-bin slices of (F, 2M, T) sequences."""
+        for start in range(0, seqs.shape[0], FREQUENCY_CHUNK):
+            yield Tensor(seqs[start : start + FREQUENCY_CHUNK].astype(self.dtype))
 
 
 # -- checkpoints ---------------------------------------------------------------

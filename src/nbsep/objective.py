@@ -38,12 +38,17 @@ class PermutationAssignment:
 
 
 def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """SI-SDR in dB, clamped to +/-60: `si_sdr_loss` negated, in float64."""
+    """SI-SDR in dB, clamped to +/-60: `si_sdr_loss` negated, in float64.
+
+    A zero-energy estimate scores the -60 dB floor, below every estimate
+    that carries any signal (the loss's eps/eps would give it 0 dB).
+    """
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape or reference.ndim != 1:
         raise ValueError(f"length mismatch: {reference.shape} vs {estimate.shape}")
-    return -si_sdr_loss(reference, Tensor(estimate)).item()
+    sdr = -si_sdr_loss(reference, Tensor(estimate)).item()  # checks the reference
+    return -SDR_CLAMP_DB if estimate @ estimate == 0.0 else sdr
 
 
 def si_sdr_loss(reference: np.ndarray, estimate: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ runs bit-reproducible for a given seed in single-threaded mode.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,7 +240,8 @@ def batch_loss(model, batch: Batch, cfg_stft, train=False, rng=None,
     """Mean loss over a batch; optionally backprops and returns summed grads.
 
     Utterances are processed in fixed-order chunks of `graph_chunk`; with
-    `accumulate_grads` the (batch-mean) gradients are gathered into a dict.
+    `accumulate_grads` the (batch-mean) gradients are gathered into a dict,
+    without it the loss is computed graph-free.
     """
     utts = batch.utterances
     n = len(utts)
@@ -248,7 +250,8 @@ def batch_loss(model, batch: Batch, cfg_stft, train=False, rng=None,
     assignments = []
     for start in range(0, n, graph_chunk):
         chunk = utts[start : start + graph_chunk]
-        loss, assign = _chunk_loss(model, chunk, cfg_stft, train, rng)
+        with contextlib.nullcontext() if accumulate_grads else ad.no_graph():
+            loss, assign = _chunk_loss(model, chunk, cfg_stft, train, rng)
         assignments.extend(assign)
         total += loss.item() * len(chunk)
         if accumulate_grads:

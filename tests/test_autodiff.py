@@ -192,3 +192,59 @@ def test_relative_shift_gradient_matches_gather_gradient():
     np.testing.assert_allclose(a.grad, b.grad, atol=1e-12)
     assert ad.grad_check(lambda t: ad.tsum(ad.power(ad.relative_shift(t), 2.0)),
                          Tensor(x.copy(), requires_grad=True)) < 1e-7
+
+
+def test_no_graph_outputs_of_grad_params_are_constants():
+    rng = np.random.default_rng(20)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 4)))
+    with ad.no_graph():
+        h = ad.matmul(w, x)
+        outs = [h, ad.silu(h), ad.clip(h, -0.5, 0.5), ad.log10(ad.power(h, 2.0))]
+    for out in outs:
+        assert out._parents == () and out._vjp is None
+        assert out.requires_grad is False
+    # the same ops outside the mode build a graph and give identical values
+    h_graph = ad.matmul(w, x)
+    assert h_graph.requires_grad and h_graph._parents == (w, x)
+    graph_outs = [h_graph, ad.silu(h_graph), ad.clip(h_graph, -0.5, 0.5),
+                  ad.log10(ad.power(h_graph, 2.0))]
+    for free, built in zip(outs, graph_outs):
+        np.testing.assert_array_equal(free.data, built.data)
+
+
+def test_no_graph_restored_after_exception_and_nesting():
+    w = Tensor(np.ones(2), requires_grad=True)
+
+    def records():
+        return ad.mul(w, w).requires_grad
+
+    with pytest.raises(ValueError, match="boom"):
+        with ad.no_graph():
+            assert not records()
+            raise ValueError("boom")
+    assert records()
+    with ad.no_graph():
+        with ad.no_graph():
+            assert not records()
+        assert not records()  # leaving the inner block keeps the outer mode
+    assert records()
+
+
+def test_pointwise_gradients_equal_saved_value_formulas_bit_for_bit():
+    # large, non-contiguous operands: numpy may then reuse temporaries in
+    # place, which changes a gradient's layout and so later summation orders
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((96, 64, 40)).transpose(1, 0, 2), requires_grad=True)
+    g = rng.standard_normal(x.shape)
+    s = 1.0 / (1.0 + np.exp(-x.data))
+    deriv = s + x.data * s * (1.0 - s)
+    mask = ((x.data >= -0.5) & (x.data <= 0.5)).astype(x.dtype)
+    inv = 1.0 / (np.abs(x.data) * np.log(10.0))
+    cases = [(ad.silu(x), deriv), (ad.clip(x, -0.5, 0.5), mask),
+             (ad.log10(Tensor(np.abs(x.data), requires_grad=True)), inv)]
+    for out, factor in cases:
+        (grad,) = out._vjp(g)
+        want = g * factor
+        np.testing.assert_array_equal(grad, want)
+        assert grad.strides == want.strides

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,8 @@ def test_rtf_reports(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "RTF" in out
+    peak = re.search(r"peak RSS (\d+) MB", out)
+    assert peak and int(peak.group(1)) > 0
 
 
 def test_exit_codes(tmp_path, capsys):

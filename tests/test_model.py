@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nbsep.model as model_mod
 from nbsep import dataset, stft
 from nbsep.audio import WaveBuffer
 from nbsep.autodiff import Tensor
@@ -256,3 +257,54 @@ def test_input_row_mismatch_errors():
     net = NarrowBandModel(TINY)
     with pytest.raises(ValueError, match="input rows"):
         net.forward(np.zeros((6, 8)))
+
+
+def _eight_k_example(n_samples, seed):
+    # 32-sample frames: 17 frequency bins
+    cfg8k = stft.StftConfig(window_len=32, hop=16, sample_rate=8000)
+    rng = np.random.default_rng(seed)
+    wave = WaveBuffer(rng.standard_normal((2, n_samples)), 8000)
+    spec = stft.stft(wave, cfg8k)
+    example = dataset.MixtureExample(
+        mixture=spec, targets=[], mixture_wave=wave,
+        target_waves=WaveBuffer(np.zeros((1, wave.n_samples)), 8000),
+        scene=None, overlap_ratio=1.0,
+    )
+    return cfg8k, wave, example
+
+
+def test_separate_in_ragged_chunks_matches_per_bin_forward(monkeypatch):
+    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)  # 17 bins: 5 + 5 + 5 + 2
+    cfg8k, wave, _ = _eight_k_example(80, seed=30)
+    net = rand_params_model(TINY, seed=31)
+    calls = []
+    forward = net.forward
+
+    def counting_forward(x, **kwargs):
+        out = forward(x, **kwargs)
+        calls.append((x.shape[0], out.requires_grad))
+        return out
+
+    monkeypatch.setattr(net, "forward", counting_forward)
+    _, spectra, _ = net.separate(wave, cfg8k)
+    assert calls == [(5, False), (5, False), (5, False), (2, False)]
+    seqs, norm = dataset.normalize_spectrogram(stft.stft(wave, cfg8k))
+    assert seqs.shape[0] == 17
+    for f in range(seqs.shape[0]):
+        single = forward(Tensor(seqs[f]))  # graph-building path
+        assert single.requires_grad
+        row = spectra.data[:, f, :] / norm.scale[f]
+        np.testing.assert_allclose(row.real, single.data[0::2], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(row.imag, single.data[1::2], rtol=0, atol=1e-9)
+
+
+def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
+    _, _, example = _eight_k_example(96, seed=32)
+    net = rand_params_model(TINY, seed=33)
+    seqs, _ = dataset.normalize_spectrogram(example.mixture)
+    _, raw = net.forward(Tensor(seqs), collect_attention=True)
+    want = np.stack([m.mean(axis=0) for m in raw])
+    # several chunks with a ragged last one; one full chunk; one partial chunk
+    for chunk in (4, 6, 17, 32):
+        monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", chunk)
+        np.testing.assert_allclose(net.attention_maps(example), want, rtol=0, atol=1e-12)

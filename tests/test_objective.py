@@ -69,6 +69,16 @@ def test_si_sdr_errors():
         si_sdr(np.ones(10), np.ones(11))
 
 
+def test_silent_estimate_ranks_below_poor_estimate():
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(200)
+    poor = 0.05 * y + rng.standard_normal(200)
+    assert si_sdr(y, np.zeros(200)) == -60.0
+    assert -60.0 < si_sdr(y, poor) < -10.0
+    # the training loss keeps its eps/eps value for silence
+    assert si_sdr_loss(y, Tensor(np.zeros(200))).item() == 0.0
+
+
 def test_si_sdr_loss_matches_metric():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(100)

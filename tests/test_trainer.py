@@ -244,3 +244,20 @@ def test_train_determinism(tmp_path, probe_examples):
         train(net, probe_examples, probe_examples[:1], cfg, CFG8K, tmp_path / run)
         logs.append((tmp_path / run / "train_log.csv").read_text())
     assert logs[0] == logs[1]
+
+
+def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeypatch):
+    net = NarrowBandModel(PROBE_MODEL, seed=3, dtype=np.float64)
+    batch = assemble_batch(probe_examples)
+    graph_loss, _, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    recorded = []
+    forward = net.forward
+
+    def recording_forward(*args, **kwargs):
+        recorded.append(forward(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(net, "forward", recording_forward)
+    free_loss, _ = batch_loss(net, batch, CFG8K, graph_chunk=1)
+    assert len(recorded) == 2 and not any(out.requires_grad for out in recorded)
+    assert free_loss == graph_loss
