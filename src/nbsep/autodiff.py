@@ -4,7 +4,9 @@ Every operation the separation network and its loss need is provided as a
 primitive with a hand-written backward rule.  Tensors carry arbitrary
 leading batch dimensions so a whole stack of narrow-band sequences can be
 pushed through one graph.  Graphs are plain closures over saved forward
-values; `backward` walks the graph once in reverse topological order.
+values; `backward` runs them in reverse topological order and frees each
+node once its gradient has flowed, so a graph supports one backward and
+memory falls as gradients are produced.
 
 Inside ``with no_graph():`` ops build no graph: every output is a constant
 (no parents, no backward closure, ``requires_grad=False``) even when an
@@ -147,25 +149,38 @@ def _topo_order(root):
     return order
 
 
+def _spent(g):
+    raise RuntimeError("graph was already used by backward")
+
+
 def backward(loss: Tensor) -> None:
     """Populate `grad` on every requires_grad leaf reachable from `loss`.
 
     `loss` must be scalar.  Leaf grads accumulate additively across calls.
+    Each interior node drops its parents and backward closure as soon as its
+    gradient has been passed on, so the graph is gone when this returns;
+    a second backward through any of its nodes raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
+    if any(node._vjp is _spent for node in order):
+        raise RuntimeError("graph was already used by backward; build it again")
     gmap = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = gmap.pop(id(node), None)
+        if node._vjp is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        parents, vjp = node._parents, node._vjp
+        node._parents, node._vjp = (), _spent
         if g is None:
             continue
-        if node._vjp is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             if _CHECK_FINITE and not np.all(np.isfinite(pg)):
@@ -367,38 +382,41 @@ def pad_last(a: Tensor, left: int, right: int) -> Tensor:
     return Tensor._from_op(np.pad(a.data, width), (a,), vjp)
 
 
+def _pair_view(per_offset):
+    """(..., T, T) view of C-contiguous per-offset scores (..., T, 2T-1).
+
+    ``view[..., q, k] = per_offset[..., q, (k - q) + (T - 1)]``: offset entry
+    k-q of row q.  In the row-major flattening of the last two axes, row q
+    of the view is the window of length T starting at ``q*(2T-2) + (T-1)``;
+    windows of distinct rows never overlap, so writing through the view is
+    safe.
+    """
+    t, s = per_offset.shape[-2], per_offset.shape[-1]
+    if s != 2 * t - 1:
+        raise ValueError(f"per-offset scores must be (..., T, 2T-1), got {per_offset.shape}")
+    lead = per_offset.shape[:-2]
+    flat = per_offset.reshape(lead + (t * s,))
+    it = flat.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        flat[..., t - 1 :],
+        shape=lead + (t, t),
+        strides=flat.strides[:-1] + ((2 * t - 2) * it, it),
+    )
+
+
 def relative_shift(a: Tensor) -> Tensor:
     """Turn per-offset scores (..., T, 2T-1) into per-pair scores (..., T, T).
 
-    ``out[..., q, k] = a[..., q, (k - q) + (T - 1)]``: offset entry k-q of
-    row q.  In the row-major flattening of the last two axes, row q of the
-    output is the window of length T starting at ``q*(2T-2) + (T-1)``;
-    windows of distinct rows never overlap, so both directions are plain
-    strided copies.
+    ``out[..., q, k] = a[..., q, (k - q) + (T - 1)]`` (see `_pair_view`);
+    both directions are plain strided copies.
     """
-    from numpy.lib.stride_tricks import as_strided
-
-    xd = a.data
-    t, s = xd.shape[-2], xd.shape[-1]
-    if s != 2 * t - 1:
-        raise ValueError(f"relative_shift expects (..., T, 2T-1), got {xd.shape}")
-    lead = xd.shape[:-2]
-
-    def windows(flat):
-        it = flat.strides[-1]
-        return as_strided(
-            flat[..., t - 1 :],
-            shape=lead + (t, t),
-            strides=flat.strides[:-1] + ((2 * t - 2) * it, it),
-        )
-
-    flat = np.ascontiguousarray(xd).reshape(lead + (t * s,))
-    out = np.ascontiguousarray(windows(flat))
+    xd = np.ascontiguousarray(a.data)
+    out = np.ascontiguousarray(_pair_view(xd))
 
     def vjp(g):
-        gflat = np.zeros(lead + (t * s,), dtype=xd.dtype)
-        windows(gflat)[...] = g
-        return (gflat.reshape(xd.shape),)
+        gx = np.zeros_like(xd)
+        _pair_view(gx)[...] = g
+        return (gx,)
 
     return Tensor._from_op(out, (a,), vjp)
 
@@ -467,6 +485,51 @@ def softmax(a: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return Tensor._from_op(y, (a,), vjp)
+
+
+def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: Tensor,
+                  scale: float, probs_sink: list | None = None) -> Tensor:
+    """Attention with Transformer-XL relative positions, as one op.
+
+    ``softmax(scale * ((q + u) k + shift((q + vb) rel))) v`` per head, with
+    q, v of shape (..., H, T, dh), keys as columns k (..., H, dh, T), biases
+    u, vb broadcastable to q (e.g. (H, 1, dh)), and the projected encodings
+    of offsets -(T-1)..(T-1) as rel (H, dh, 2T-1); `shift` is
+    `relative_shift`.  The scale is folded into the (T, dh) queries, the
+    position scores are added through a strided view and the softmax runs
+    in place, so no other (T, T) array is made.  Backward keeps only the
+    probabilities P.  With `probs_sink`, P (read-only) is appended to it.
+    """
+    s = float(scale)  # a numpy scalar would promote float32 inputs to float64
+    probs = np.matmul((q.data + u.data) * s, k.data)
+    probs += _pair_view(np.matmul((q.data + vb.data) * s, rel.data))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.matmul(probs, v.data)
+    if probs_sink is not None:
+        probs.flags.writeable = False
+        probs_sink.append(probs)
+
+    def vjp(g):
+        kd, vd, reld = k.data, v.data, rel.data
+        dv = _reduce_to(np.matmul(probs.swapaxes(-1, -2), g), vd.shape)
+        # d logits = P * (dP - rowsum(dP * P)), and rowsum(dP * P) = rowsum(g * out)
+        dlogits = np.matmul(g, vd.swapaxes(-1, -2))
+        dlogits -= (g * out).sum(axis=-1, keepdims=True)
+        dlogits *= probs
+        dk = _reduce_to(np.matmul(((q.data + u.data) * s).swapaxes(-1, -2), dlogits), kd.shape)
+        dqu = np.matmul(dlogits, kd.swapaxes(-1, -2)) * s
+        dpos = np.zeros(dlogits.shape[:-1] + (reld.shape[-1],), dtype=dlogits.dtype)
+        _pair_view(dpos)[...] = dlogits
+        del dlogits
+        dqv = np.matmul(dpos, reld.swapaxes(-1, -2)) * s
+        qv = (q.data + vb.data) * s
+        drel = _reduce_to(np.matmul(qv.swapaxes(-1, -2), dpos), reld.shape)
+        return (_reduce_to(dqu + dqv, q.data.shape), dk, dv,
+                _reduce_to(dqu, u.data.shape), _reduce_to(dqv, vb.data.shape), drel)
+
+    return Tensor._from_op(out, (q, k, v, u, vb, rel), vjp)
 
 
 # -- normalization ----------------------------------------------------------------

@@ -95,6 +95,11 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
          _t(rng, 2, 3, 5), _t(rng, 3, 4, 4), _t(rng, 4))
     head_o = linear_head((3, 9))
     case("overlap_add", lambda x: head_o(ad.overlap_add(x, 2, 9)), _t(rng, 3, 4, 4))
+    head_a = linear_head((2, 2, 4, 3))
+    case("rel_attention",
+         lambda q, k, v, u, vb, r: head_a(ad.rel_attention(q, k, v, u, vb, r, 0.7)),
+         _t(rng, 2, 2, 4, 3), _t(rng, 2, 2, 3, 4), _t(rng, 2, 2, 4, 3),
+         _t(rng, 2, 1, 3), _t(rng, 2, 1, 3), _t(rng, 2, 3, 7))
     return checks
 
 

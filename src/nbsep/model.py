@@ -17,7 +17,9 @@ with that wiring still load and run as they were trained, since every
 manifest records the flag.  RPSA is multi-head self-attention with
 Transformer-XL style relative positional encoding: learned content/position
 bias vectors per head and a shared learned projection of sinusoidal
-relative-distance encodings.
+relative-distance encodings.  Scores, softmax and the weighted sum of
+values are one fused op, `autodiff.rel_attention`, whose graph keeps only
+the attention probabilities.
 
 All sequences may carry a leading batch axis of frequencies (or of several
 utterances' frequencies).  Inference (`separate`, `attention_maps`) runs
@@ -176,7 +178,7 @@ class NarrowBandModel:
 
         Returns the (.., 2N, T) output Tensor, or (output, attention) with
         `collect_attention`, where attention is a list per block of
-        (..., heads, T, T) softmax matrices (ndarray, detached).
+        (..., heads, T, T) softmax matrices (read-only ndarray, no graph).
         """
         cfg = self.cfg
         p = self.params
@@ -243,18 +245,10 @@ class NarrowBandModel:
 
         u = ad.reshape(p[f"{b}.attn.u"], (heads, 1, dh))
         vb = ad.reshape(p[f"{b}.attn.v"], (heads, 1, dh))
-        content = ad.matmul(ad.add(q, u), k)  # (..., heads, T, T)
-
         rel = ad.matmul(p[f"{b}.attn.wr"], ad.transpose(rel_table, (1, 0)))
         rel = ad.reshape(rel, (heads, dh, 2 * t_len - 1))
-        position = ad.relative_shift(ad.matmul(ad.add(q, vb), rel))
-
-        logits = ad.scale(ad.add(content, position), 1.0 / np.sqrt(dh))
-        probs = ad.softmax(logits)
-        if attn_sink is not None:
-            attn_sink.append(probs.numpy())
-
-        o = ad.matmul(probs, v)  # (..., heads, T, dh)
+        o = ad.rel_attention(q, k, v, u, vb, rel, 1.0 / np.sqrt(dh),
+                             probs_sink=attn_sink)  # (..., heads, T, dh)
         perm = tuple(range(len(batch))) + (len(batch), len(batch) + 2, len(batch) + 1)
         o = ad.reshape(ad.transpose(o, perm), batch + (cfg.width, t_len))
         return ad.matmul(p[f"{b}.attn.wo"], o)

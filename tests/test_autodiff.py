@@ -106,6 +106,39 @@ def test_double_backward_accumulates_exactly_twice():
     np.testing.assert_array_equal(w.grad, 2.0 * once)
 
 
+def test_backward_frees_the_graph_as_it_goes_and_refuses_a_second_pass():
+    import weakref
+
+    rng = np.random.default_rng(22)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    h1 = ad.silu(ad.matmul(w, Tensor(rng.standard_normal((3, 4)))))
+    h2 = ad.silu(h1)
+    loss = ad.tsum(h2)
+    h2_value = weakref.ref(h2.data)
+    seen = []
+    h1_vjp = h1._vjp
+
+    def watching_vjp(g):
+        seen.append(h2_value() is None)  # h2 was done before h1's turn
+        return h1_vjp(g)
+
+    h1._vjp = watching_vjp
+    del h1, h2
+    ad.backward(loss)
+    assert seen == [True]
+    assert loss._parents == ()
+    once = w.grad.copy()
+    with pytest.raises(RuntimeError, match="already used by backward"):
+        ad.backward(loss)
+    np.testing.assert_array_equal(w.grad, once)
+    assert loss.grad is None
+    # a new graph over a node of a consumed one cannot reach the leaves either
+    h = ad.mul(w, w)
+    ad.backward(ad.tsum(h))
+    with pytest.raises(RuntimeError, match="already used by backward"):
+        ad.backward(ad.tsum(ad.mul(h, h)))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
@@ -248,3 +281,46 @@ def test_pointwise_gradients_equal_saved_value_formulas_bit_for_bit():
         want = g * factor
         np.testing.assert_array_equal(grad, want)
         assert grad.strides == want.strides
+
+
+def _unfused_rel_attention(q, k, v, u, vb, rel, scale):
+    content = ad.matmul(ad.add(q, u), k)
+    position = ad.relative_shift(ad.matmul(ad.add(q, vb), rel))
+    return ad.matmul(ad.softmax(ad.scale(ad.add(content, position), scale)), v)
+
+
+def _rel_attention_inputs(rng, lead, heads, t_len, dh, dtype):
+    shapes = [lead + (heads, t_len, dh), lead + (heads, dh, t_len), lead + (heads, t_len, dh),
+              (heads, 1, dh), (heads, 1, dh), (heads, dh, 2 * t_len - 1)]
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("lead,t_len", [((3,), 7), ((2, 3), 7), ((3,), 1), ((), 7)])
+def test_rel_attention_matches_unfused_composition(lead, t_len):
+    rng = np.random.default_rng(30 + t_len + len(lead))
+    heads, dh = 2, 3
+    scale = 1.0 / np.sqrt(dh)  # a numpy float64, as the model passes it
+    head = rng.standard_normal(lead + (heads, t_len, dh))
+    results = []
+    for op in (ad.rel_attention, _unfused_rel_attention):
+        ins = _rel_attention_inputs(np.random.default_rng(t_len), lead, heads, t_len, dh,
+                                    np.float64)
+        out = op(*ins, scale)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(head))))
+        results.append([out.data] + [t.grad for t in ins])
+    for fused, unfused in zip(*results):
+        assert fused.shape == unfused.shape
+        # at T = 1 the probabilities are constant, so the gradients of q, k,
+        # u, vb and rel vanish exactly in the unfused form and to round-off
+        # of O(1) terms in the fused one: measure those against 1
+        rel_err = np.max(np.abs(fused - unfused)) / max(np.max(np.abs(unfused)), 1.0)
+        assert rel_err <= 1e-12
+
+    # float32 in, float32 out: neither the output nor a gradient is promoted
+    ins = _rel_attention_inputs(rng, lead, heads, t_len, dh, np.float32)
+    sink = []
+    out = ad.rel_attention(*ins, scale, probs_sink=sink)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(head.astype(np.float32)))))
+    assert out.dtype == np.float32 and sink[0].dtype == np.float32
+    assert all(t.grad.dtype == np.float32 for t in ins)
+    np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-6)

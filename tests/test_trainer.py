@@ -175,6 +175,41 @@ def test_chunking_does_not_change_gradients(probe_examples):
         np.testing.assert_allclose(g1[name], g2[name], atol=1e-10)
 
 
+def _largest_interior_value(root):
+    """The largest array held by a non-leaf node of root's graph."""
+    seen, stack, best = set(), [root], None
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents and (best is None or node.data.nbytes > best.nbytes):
+            best = node.data
+        stack.extend(node._parents)
+    return best
+
+
+def test_batch_loss_frees_a_chunk_graph_before_the_next_forward(probe_examples, monkeypatch):
+    import weakref
+
+    from nbsep import trainer
+
+    net = NarrowBandModel(PROBE_MODEL, seed=6, dtype=np.float64)
+    batch = assemble_batch(probe_examples)
+    chunk_loss = trainer._chunk_loss
+    held, alive_at_start = [], []
+
+    def watching_chunk_loss(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in held])
+        loss, assignments = chunk_loss(*args, **kwargs)
+        held.append(weakref.ref(_largest_interior_value(loss)))
+        return loss, assignments
+
+    monkeypatch.setattr(trainer, "_chunk_loss", watching_chunk_loss)
+    batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    assert alive_at_start == [[], [False]]
+
+
 # -- probe ------------------------------------------------------------------------
 
 
