@@ -165,11 +165,17 @@ def _cmd_simulate(args) -> int:
         raise FileNotFoundError(f"need at least two WAV files in {src_dir}")
     cfg = _stft_config(args)
     out_len = int(round(args.duration * cfg.sample_rate))
+    t0 = time.perf_counter()
     manifest = dataset.generate_dataset(
         wavs, args.out, args.n, args.seed, stft_cfg=cfg, out_len=out_len,
         n_mics=args.mics, max_order=args.max_order, workers=worker_count(),
     )
-    print(f"wrote {args.n} examples, manifest {manifest}")
+    wall = time.perf_counter() - t0
+    images = sum(
+        e["images"] * args.mics * len(e["targets"]) for e in dataset.read_manifest(manifest)
+    )
+    print(f"wrote {args.n} examples, manifest {manifest}, {wall:.3f} s, "
+          f"{images / wall:.4g} images/s")
     return 0
 
 

@@ -179,8 +179,11 @@ def generate_dataset(
     """Simulate a mixture corpus from a pool of mono WAV files.
 
     Every example derives its own rng stream from (seed, index), so the
-    corpus is bit-identical no matter how work is distributed. Returns the
-    manifest path.
+    corpus is bit-identical no matter how work is distributed. Manifest
+    lines are appended to ``manifest.jsonl.partial`` in index order as the
+    examples finish, and the file becomes ``manifest.jsonl`` only once all
+    of them are written; a stopped run leaves the entries it finished.
+    Returns the manifest path.
     """
     cfg = stft_cfg or stft.StftConfig()
     source_paths = sorted(str(p) for p in source_paths)
@@ -194,18 +197,24 @@ def generate_dataset(
             index, source_paths, out_dir, seed, cfg, out_len, n_mics, max_order, rt60_range
         )
 
+    manifest = out_dir / "manifest.jsonl"
+    partial = out_dir / "manifest.jsonl.partial"
+    manifest.unlink(missing_ok=True)
+
+    def write(entries) -> None:
+        with partial.open("w") as fh:
+            for entry in entries:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                fh.flush()
+
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(build, range(n_examples)))
+            write(pool.map(build, range(n_examples)))
     else:
-        entries = [build(i) for i in range(n_examples)]
-
-    manifest = out_dir / "manifest.jsonl"
-    with manifest.open("w") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        write(map(build, range(n_examples)))
+    partial.replace(manifest)
     return manifest
 
 
@@ -246,6 +255,7 @@ def _generate_one(
         target_paths.append(tp.name)
     return {
         "id": ex_id,
+        "images": roomsim.image_count(scene, max_order),
         "sources": [source_paths[i], source_paths[j]],
         "seed": [int(seed), int(index)],
         "overlap_ratio": overlap,

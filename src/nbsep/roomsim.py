@@ -10,6 +10,12 @@ the array center) drawn uniformly from [0, 180] degrees.
 The simulator converts RT60 to one uniform wall reflection coefficient via
 Sabine's formula and sums image sources with amplitude ``1 / (4 pi d)`` at
 fractional delay ``d / c``, realized with an 81-tap Hann-windowed sinc.
+The sinc and the window are evaluated exactly, not from a table: at
+``u = r - f`` (tap offset r from the image's integer delay, fractional part
+f), ``sin(pi u) = (-1)**(r + 1) sin(pi f)`` and ``cos(pi u / W)`` expands
+into ``cos(pi r / W)``, ``cos(pi f / W)``, ``sin(pi r / W)`` and
+``sin(pi f / W)``, so each image costs three transcendentals and each of
+the 80 tap offsets only products, a division and one `bincount`.
 """
 
 from __future__ import annotations
@@ -215,7 +221,14 @@ def _axis_image_coords(pos: float, length: float, order: int):
 
 
 def default_image_order(scene: SceneConfig) -> tuple[int, int, int]:
-    """Per-axis image counts that cover the RT60 decay path length."""
+    """Per-axis image orders ``ceil(c T60 / 2d) + 1`` for room dimensions d.
+
+    Along each axis the outermost image lies about ``c T60 / 2 + d`` away:
+    half the RT60 decay path, not all of it.  Arrivals later than about
+    T60 / 2 therefore come only from off-axis images (the corners of the
+    order box reach up to sqrt(3) times as far), and the latest part of the
+    decay is thinned out.
+    """
     path = scene.sound_speed * max(scene.rt60, 1e-3)
     return tuple(int(np.ceil(path / (2.0 * d))) + 1 for d in scene.room_dims)
 
@@ -229,6 +242,30 @@ def default_rir_length(scene: SceneConfig, sample_rate: int) -> int:
     return int(np.ceil((scene.rt60 + margin) * sample_rate)) + 2 * SINC_HALF_WIDTH + 2
 
 
+def image_orders(
+    scene: SceneConfig, max_order: int | tuple[int, int, int] | None = None
+) -> tuple[int, int, int]:
+    """Per-axis image orders `simulate_rir` uses for `max_order`.
+
+    None derives them from the RT60 (`default_image_order`); an int applies
+    to all three axes.
+    """
+    if max_order is None:
+        return default_image_order(scene)
+    if np.isscalar(max_order):
+        if max_order < 0:
+            raise ValueError("max_order must be >= 0")
+        return (int(max_order),) * 3
+    return tuple(int(o) for o in max_order)
+
+
+def image_count(
+    scene: SceneConfig, max_order: int | tuple[int, int, int] | None = None
+) -> int:
+    """Image sources `simulate_rir` sums per mic-speaker pair."""
+    return int(np.prod([2 * o + 1 for o in image_orders(scene, max_order)]))
+
+
 def simulate_rir(
     scene: SceneConfig,
     max_order: int | tuple[int, int, int] | None = None,
@@ -239,18 +276,11 @@ def simulate_rir(
 
     Each image source of distance d contributes ``beta**hits / (4 pi d)``
     through an 81-tap Hann-windowed sinc centered on the fractional delay
-    ``d / c * sample_rate``.  `max_order` bounds the per-axis image index;
-    None derives it from the RT60 decay path.
+    ``d / c * sample_rate``.  `max_order` bounds the per-axis image index
+    (see `image_orders`); None derives it from the RT60.
     """
     scene.validate()
-    if max_order is None:
-        orders = default_image_order(scene)
-    elif np.isscalar(max_order):
-        if max_order < 0:
-            raise ValueError("max_order must be >= 0")
-        orders = (int(max_order),) * 3
-    else:
-        orders = tuple(int(o) for o in max_order)
+    orders = image_orders(scene, max_order)
     if n_taps is None:
         n_taps = default_rir_length(scene, sample_rate)
 
@@ -275,27 +305,77 @@ def simulate_rir(
             amp = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]) / (
                 4.0 * np.pi * dist
             )
-            _scatter_sinc(
-                taps[m, n],
-                dist.ravel() * (sample_rate / scene.sound_speed),
-                amp.ravel(),
-            )
+            dist *= sample_rate / scene.sound_speed  # delay in samples, in place
+            _scatter_sinc(taps[m, n], dist.ravel(), amp.ravel())
+            del dist, amp
     return Rir(taps, sample_rate)
 
 
 def _scatter_sinc(out: np.ndarray, centers: np.ndarray, amps: np.ndarray) -> None:
-    """Accumulate Hann-windowed sincs at fractional sample positions."""
+    """Accumulate Hann-windowed sincs at fractional sample positions.
+
+    Tap k receives ``amp * sinc(u) * 0.5 * (1 + cos(pi u / W))`` with
+    ``u = k - c`` for every ``|u| <= W``.  With ``c = b + f`` (``b =
+    floor(c)``, ``0 <= f < 1``) and tap offset ``r = k - b``:
+
+        sin(pi u)     = (-1)**(r + 1) * sin(pi f)
+        cos(pi u / W) = cos(pi r / W) cos(pi f / W) + sin(pi r / W) sin(pi f / W)
+
+    so the three transcendentals ``sin(pi f)``, ``cos(pi f / W)`` and
+    ``sin(pi f / W)`` are taken once per image, and each offset costs only
+    products, one division and one `bincount`.  Every offset in
+    ``[-W + 1, W]`` lies inside the kernel; ``r = -W`` does only when
+    ``f = 0``, where the window is exactly 0, and ``r = W + 1`` never does.
+    The one removable singularity, ``u = 0`` (``r = 0``, ``f = 0``), gets
+    sinc = 1.  Taps are accumulated into a buffer that reaches W taps before
+    tap 0 and 2W past the last tap, so kernels that straddle either end of
+    `out` need no masks; images whose kernel starts past the last tap are
+    dropped first, which also bounds that buffer.
+    """
+    width = SINC_HALF_WIDTH
     n_taps = out.shape[0]
-    base = np.floor(centers).astype(np.int64)
-    for r in range(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 2):
-        k = base + r
-        u = k - centers
-        valid = (np.abs(u) <= SINC_HALF_WIDTH) & (k >= 0) & (k < n_taps)
-        if not np.any(valid):
-            continue
-        uu = u[valid]
-        vals = amps[valid] * np.sinc(uu) * (0.5 * (1.0 + np.cos(np.pi * uu / SINC_HALF_WIDTH)))
-        out += np.bincount(k[valid], weights=vals, minlength=n_taps)
+    n_base = n_taps + width  # an image reaches a tap only if floor(c) < n_base
+    keep = centers < n_base
+    if not keep.all():
+        centers, amps = centers[keep], amps[keep]
+    base = np.floor(centers)
+    frac = centers - base
+    base = base.astype(np.intp)
+    on_grid = np.flatnonzero(frac == 0.0)
+    on_grid_amps = amps[on_grid]
+
+    # amp * sin(pi f) / (2 pi), and that times cos(pi f / W) and sin(pi f / W)
+    cos_f = frac * (np.pi / width)
+    sin_f = np.sin(cos_f)
+    np.cos(cos_f, out=cos_f)
+    scale = frac * np.pi
+    np.sin(scale, out=scale)
+    scale *= amps
+    scale *= 0.5 / np.pi
+    cos_f *= scale
+    sin_f *= scale
+
+    padded = np.zeros(n_base + 2 * width)  # tap k sits at index k + width
+    vals = np.empty_like(frac)
+    tmp = np.empty_like(frac)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(-width + 1, width + 1):
+            # (-1)**(r + 1) * 0.5 * (1 + cos(pi u / W)) * amp * sin(pi f) / (pi u)
+            np.multiply(cos_f, np.cos(np.pi * r / width), out=vals)
+            np.multiply(sin_f, np.sin(np.pi * r / width), out=tmp)
+            vals += tmp
+            vals += scale
+            if r % 2:
+                np.subtract(r, frac, out=tmp)
+            else:
+                np.subtract(frac, r, out=tmp)
+            vals /= tmp
+            if r == 0:
+                vals[on_grid] = on_grid_amps
+            padded[width + r : width + r + n_base] += np.bincount(
+                base, weights=vals, minlength=n_base
+            )
+    out += padded[width : width + n_taps]
 
 
 def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:

@@ -46,9 +46,17 @@ def simulate(tmp_path, out_name="data", n=2, seed=7):
     return out
 
 
-def test_simulate_idempotent(tmp_path):
+def test_simulate_idempotent(tmp_path, capsys):
     out1 = simulate(tmp_path, "a")
     out2 = simulate(tmp_path, "b")
+    # 2 examples x 27 order-1 images x 2 mics x 2 speakers = 216 images
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    m = re.fullmatch(r"wrote 2 examples, manifest .*manifest\.jsonl, (\S+) s, (\S+) images/s",
+                     summary)
+    assert m, summary
+    wall, rate = float(m.group(1)), float(m.group(2))
+    # the wall time is printed to the millisecond, the rate to 4 digits
+    assert abs(rate * wall - 216) <= rate * 0.0005 + 216 * 1e-3
     files1 = sorted(out1.iterdir())
     files2 = sorted(out2.iterdir())
     assert [f.name for f in files1] == [f.name for f in files2]

@@ -159,6 +159,7 @@ def test_generate_dataset_reproducible(tmp_path):
         assert f1.read_bytes() == f2.read_bytes(), f1.name
     entries = dataset.read_manifest(m1)
     assert len(entries) == 2
+    assert [e["images"] for e in entries] == [27, 27]  # order 1: 3 images per axis
     ex = dataset.load_example(entries[0], tmp_path / "a", cfg)
     assert ex.mixture.n_channels == 2
     assert ex.n_speakers == 2
@@ -179,6 +180,32 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
                              out_len=7936, n_mics=2, max_order=1, workers=3)
     for f1, f2 in zip(sorted((tmp_path / "serial").iterdir()), sorted((tmp_path / "par").iterdir())):
         assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_example_keeps_earlier_manifest_entries(tmp_path, monkeypatch, workers):
+    cfg = stft.StftConfig(sample_rate=8000)
+    rng = np.random.default_rng(10)
+    paths = []
+    for i in range(3):
+        p = tmp_path / f"s{i}.wav"
+        write_wav(p, speechish(rng, 16000, 8000))
+        paths.append(p)
+    real = dataset._generate_one
+
+    def fail_at_two(index, *args):
+        if index == 2:
+            raise RuntimeError("example 2 failed")
+        return real(index, *args)
+
+    monkeypatch.setattr(dataset, "_generate_one", fail_at_two)
+    out = tmp_path / "corpus"
+    with pytest.raises(RuntimeError, match="example 2 failed"):
+        dataset.generate_dataset(paths, out, 3, seed=1, stft_cfg=cfg, out_len=7936,
+                                 n_mics=2, max_order=1, workers=workers)
+    assert not (out / "manifest.jsonl").exists()
+    entries = dataset.read_manifest(out / "manifest.jsonl.partial")
+    assert [e["id"] for e in entries] == ["ex000000", "ex000001"]
 
 
 def test_wav_round_trip(tmp_path):

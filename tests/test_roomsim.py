@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nbsep import roomsim
 from nbsep.audio import WaveBuffer
 from nbsep.roomsim import (
     SINC_HALF_WIDTH,
+    SPEED_OF_SOUND,
     Rir,
     SceneConfig,
     sabine_reflection,
@@ -63,6 +65,27 @@ def brute_force_rir(scene, order, n_taps, sample_rate):
                             taps[m, n], d / scene.sound_speed * sample_rate, amp
                         )
     return taps
+
+
+# -- reference scatter -------------------------------------------------------------
+# The straight-line form of the image scatter: one masked pass per tap offset,
+# with np.sinc and the Hann cosine evaluated for every image on every pass.
+# `roomsim._scatter_sinc` factors the trigonometry out of the passes, so the
+# two agree up to round-off.
+
+
+def reference_scatter_sinc(out, centers, amps):
+    n_taps = out.shape[0]
+    base = np.floor(centers).astype(np.int64)
+    for r in range(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 2):
+        k = base + r
+        u = k - centers
+        valid = (np.abs(u) <= SINC_HALF_WIDTH) & (k >= 0) & (k < n_taps)
+        if not np.any(valid):
+            continue
+        uu = u[valid]
+        vals = amps[valid] * np.sinc(uu) * (0.5 * (1.0 + np.cos(np.pi * uu / SINC_HALF_WIDTH)))
+        out += np.bincount(k[valid], weights=vals, minlength=n_taps)
 
 
 def random_scene(rng, n_mics=2, n_speakers=1):
@@ -157,6 +180,65 @@ def test_matches_brute_force_enumeration(order):
         rir = simulate_rir(scene, max_order=order, n_taps=1500, sample_rate=16000)
         want = brute_force_rir(scene, order, 1500, 16000)
         np.testing.assert_allclose(rir.taps, want, atol=1e-10)
+
+
+def _one_pair(mic, spk, rt60=0.5, room=(5.0, 4.0, 3.0), sound_speed=SPEED_OF_SOUND):
+    return SceneConfig(list(room), rt60, [mic], [spk], sound_speed=sound_speed)
+
+
+SCATTER_CASES = {
+    # recipe scenes with 2 mics; seed 12 has 12,375 images per pair
+    "scene0": (lambda: sample_scene(0, n_mics=2), {}),
+    "scene2": (lambda: sample_scene(2, n_mics=2), {}),
+    "scene12": (lambda: sample_scene(12, n_mics=2), {}),
+    # direct path 2 m at 16000 / 320 samples per metre: centre exactly 100.0
+    "on_grid": (
+        lambda: _one_pair([1.0, 2.0, 1.5], [3.0, 2.0, 1.5], sound_speed=320.0),
+        {"max_order": 1, "n_taps": 600},
+    ),
+    # direct arrival 14 samples in: its kernel straddles tap 0
+    "near_mic": (lambda: _one_pair([2.0, 2.0, 1.5], [2.3, 2.0, 1.5]), {"max_order": 2}),
+    # the RIR ends inside the kernels of late arrivals
+    "cut_tail": (lambda: sample_scene(2, n_mics=2), {"n_taps": 1003}),
+    # 50 taps end before the direct path's kernel starts: all zero
+    "before_direct": (
+        lambda: _one_pair([1.0, 2.0, 1.5], [4.0, 2.0, 1.5]), {"max_order": 1, "n_taps": 50}
+    ),
+    # order-20 images in a 5 m room lie up to 100 m (4,700 taps) out, far beyond 2,000 taps
+    "far_images": (
+        lambda: _one_pair([1.0, 2.0, 1.5], [3.5, 1.0, 2.0], rt60=0.8),
+        {"max_order": 20, "n_taps": 2000},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_scatter_matches_reference(case, monkeypatch):
+    make, kwargs = SCATTER_CASES[case]
+    got = simulate_rir(make(), **kwargs).taps
+    monkeypatch.setattr(roomsim, "_scatter_sinc", reference_scatter_sinc)
+    want = simulate_rir(make(), **kwargs).taps
+    peak = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * peak
+    if case == "before_direct":
+        assert peak == 0.0 and not np.any(got)
+    else:
+        assert peak > 0.0
+
+
+@pytest.mark.parametrize("max_order", [None, 2, (1, 3, 0)])
+def test_image_count_is_what_simulate_rir_sums(max_order, monkeypatch):
+    scene = sample_scene(4, n_mics=2)
+    sizes = []
+    real = roomsim._scatter_sinc
+
+    def spy(out, centers, amps):
+        sizes.append(centers.size)
+        real(out, centers, amps)
+
+    monkeypatch.setattr(roomsim, "_scatter_sinc", spy)
+    simulate_rir(scene, max_order=max_order)
+    assert sizes == [roomsim.image_count(scene, max_order)] * 4
 
 
 def test_sabine_coefficient_example():
