@@ -34,9 +34,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def worker_count() -> int:
+    """NBC_THREADS clamped to [1, cpu count]: more workers than cores only costs memory."""
     raw = os.environ.get("NBC_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), os.cpu_count() or 1)
     except ValueError:
         raise UsageError(f"NBC_THREADS must be an integer, got {raw!r}")
 
@@ -141,17 +142,8 @@ def _stft_config(args) -> stft.StftConfig:
 
 
 def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
-    kwargs = {}
-    mapping = {
-        "speakers": "speakers", "width": "width", "inner_width": "inner_width",
-        "blocks": "blocks", "conv_blocks": "conv_blocks", "heads": "heads",
-    }
-    for flag, fieldname in mapping.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            kwargs[fieldname] = val
-    if getattr(args, "dropout", None) is not None:
-        kwargs["dropout"] = args.dropout
+    fields = ("speakers", "width", "inner_width", "blocks", "conv_blocks", "heads", "dropout")
+    kwargs = {f: v for f in fields if (v := getattr(args, f, None)) is not None}
     return model_mod.ModelConfig(in_channels=args.mics or n_mics, **kwargs)
 
 
@@ -286,13 +278,7 @@ def _cmd_attn_export(args) -> int:
     net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     cfg = _stft_config(args)
     mixture = read_wav(args.input, expect_rate=cfg.sample_rate)
-    spec = stft.stft(mixture, cfg)
-    example = dataset.MixtureExample(
-        mixture=spec, targets=[], mixture_wave=mixture,
-        target_waves=WaveBuffer(np.zeros((1, mixture.n_samples)), cfg.sample_rate),
-        scene=None, overlap_ratio=1.0,
-    )
-    maps = net.attention_maps(example)
+    maps = net.attention_maps(stft.stft(mixture, cfg))
     export_attention_maps(maps, args.out)
     print(f"exported {maps.shape[0] * maps.shape[1]} attention maps "
           f"({maps.shape[0]} blocks x {maps.shape[1]} heads, {maps.shape[2]} frames) -> {args.out}")

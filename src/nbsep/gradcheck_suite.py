@@ -12,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from . import objective, stft
+from .audio import WaveBuffer
 from .autodiff import Tensor
 
 TINY_STFT = stft.StftConfig(window_len=8, hop=4, sample_rate=16000)
@@ -170,7 +171,7 @@ def full_pipeline_check(seed: int = 0, step: float = 1e-5,
     scales = rng.uniform(0.5, 2.0, size=n_frequencies)
     target_waves = rng.standard_normal((cfg.speakers, out_len))
     targets = np.stack([
-        stft.stft(_wave(target_waves[n], scfg.sample_rate), scfg).data[:, :, 0]
+        stft.stft(WaveBuffer(target_waves[n], scfg.sample_rate), scfg).data[:, :, 0]
         for n in range(cfg.speakers)
     ])
 
@@ -195,12 +196,6 @@ def full_pipeline_check(seed: int = 0, step: float = 1e-5,
             t.requires_grad = True
     n_coords = int(sum(t.size for t in tensors))
     return err, n_coords
-
-
-def _wave(x, rate):
-    from .audio import WaveBuffer
-
-    return WaveBuffer(x, rate)
 
 
 def run_battery(seed: int = 0, step: float = 1e-5):

@@ -88,10 +88,6 @@ class SeparatedSpectra:
         if self.data.ndim != 3:
             raise ValueError(f"expected (N, F, T), got {self.data.shape}")
 
-    @property
-    def n_speakers(self) -> int:
-        return self.data.shape[0]
-
 
 def _uniform(rng, fan_in, shape, dtype):
     bound = 1.0 / np.sqrt(fan_in)
@@ -281,19 +277,13 @@ class NarrowBandModel:
         with ad.no_graph():
             out = np.concatenate([self.forward(x).data for x in self._bin_chunks(seqs)])
         spectra = self.bind(out.astype(np.float64), norm)
-        waves = np.stack(
-            [
-                stft.istft(
-                    stft.ComplexSpectrogram(spectra.data[n]), stft_cfg, mixture.n_samples
-                ).data[0]
-                for n in range(spectra.n_speakers)
-            ]
-        )
+        waves = stft.istft(stft.ComplexSpectrogram(spectra.data.transpose(1, 2, 0)),
+                           stft_cfg, mixture.n_samples).data
         return waves, spectra, time.perf_counter() - t0
 
-    def attention_maps(self, example: dataset.MixtureExample) -> np.ndarray:
-        """Frequency-averaged attention, shape (blocks, heads, T, T)."""
-        seqs, _ = dataset.normalize_spectrogram(example.mixture)
+    def attention_maps(self, mixture: stft.ComplexSpectrogram) -> np.ndarray:
+        """Frequency-averaged attention of a mixture, shape (blocks, heads, T, T)."""
+        seqs, _ = dataset.normalize_spectrogram(mixture)
         total = 0.0
         with ad.no_graph():
             for x in self._bin_chunks(seqs):

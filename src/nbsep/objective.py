@@ -1,8 +1,8 @@
 """SI-SDR loss, full-band permutation-invariant training, and metrics.
 
 The training loss compares time-domain signals: predicted full-band spectra
-are inverse-transformed inside the graph (a dense inverse-DFT basis matmul
-followed by windowed overlap-add), negated SI-SDR is computed per
+are inverse-transformed inside the graph by one node that runs `stft.istft`
+forward and `stft.stft` as its adjoint, negated SI-SDR is computed per
 speaker pair, and one permutation is chosen jointly for all frequencies by
 minimizing the summed loss over all N! assignments.  The chosen branch
 stays differentiable; the clamp at +/-60 dB keeps exact reconstructions
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataset, stft
+from .audio import WaveBuffer
 from .autodiff import Tensor
 
 SDR_CLAMP_DB = 60.0
@@ -74,100 +75,57 @@ def si_sdr_loss(reference: np.ndarray, estimate: Tensor) -> Tensor:
 # -- differentiable inverse STFT --------------------------------------------------
 
 
-def inverse_dft_basis(cfg: stft.StftConfig, dtype=np.float64):
-    """Real matrices (W, F) mapping one-sided Re/Im bins to a time frame.
+def istft_graph(pred: Tensor, cfg: stft.StftConfig, out_len: int) -> Tensor:
+    """`stft.istft` of every speaker as one graph node: (F, 2N, T) -> (N, out_len).
 
-    ``frame = Cr @ real + Ci @ imag`` equals ``irfft`` of the complex bins;
-    the imaginary parts of the DC and Nyquist bins have zero weight.
+    Rows 2n / 2n+1 of `pred` are the real / imaginary bins of speaker n.
+    The backward rule is the exact adjoint of the synthesis: the output
+    gradient is padded or cropped to the synthesized span, divided by the
+    floored envelope, analysed with `stft.stft` (whose framing and window
+    are those of the synthesis) and scaled by the inverse real DFT's bin
+    weights, 1/W at DC and Nyquist and 2/W elsewhere.
     """
-    w, f = cfg.window_len, cfg.n_bins
-    l = np.arange(w)[:, None]
-    k = np.arange(f)[None, :]
-    weight = np.full(f, 2.0)
-    weight[0] = 1.0
-    weight[-1] = 1.0
-    angle = 2.0 * np.pi * l * k / w
-    cr = (weight * np.cos(angle)) / w
-    ci = (-weight * np.sin(angle)) / w
-    ci[:, 0] = 0.0
-    ci[:, -1] = 0.0
-    return cr.astype(dtype), ci.astype(dtype)
+    dtype, n_frames, data = pred.dtype, pred.shape[-1], pred.data
+    spec = stft.ComplexSpectrogram((data[:, 0::2] + 1j * data[:, 1::2]).transpose(0, 2, 1))
+    out = stft.istft(spec, cfg, out_len).data.astype(dtype)
 
+    def vjp(g):
+        if not np.all(np.isfinite(g)):  # stft rejects it; let adam_step report it
+            return (np.full(pred.shape, np.nan, dtype=dtype),)
+        synth = cfg.covered_len(n_frames)
+        g = np.pad(g[:, :synth], [(0, 0), (0, max(synth - out_len, 0))])
+        g = g / np.maximum(stft.synthesis_envelope(cfg, n_frames), stft.ENVELOPE_FLOOR)
+        grad = stft.stft(WaveBuffer(g, cfg.sample_rate), cfg)
+        weight = np.full(cfg.n_bins, 2.0 / cfg.window_len)
+        weight[[0, -1]] = 1.0 / cfg.window_len
+        grad.data *= weight[:, None, None]
+        return (stft.all_frequency_sequences(grad).astype(dtype),)
 
-def istft_graph(real: Tensor, imag: Tensor, cfg: stft.StftConfig, out_len: int,
-                basis=None) -> Tensor:
-    """Differentiable weighted-overlap-add synthesis of (F, T) bin tensors."""
-    dtype = real.dtype
-    if basis is None:
-        basis = inverse_dft_basis(cfg, dtype)
-    cr, ci = basis
-    frames = ad.add(ad.matmul(Tensor(cr), real), ad.matmul(Tensor(ci), imag))
-    window = stft.hann_window(cfg.window_len).astype(dtype)
-    frames = ad.mul(frames, Tensor(window[:, None]))
-    n_frames = real.shape[-1]
-    sig = ad.overlap_add(frames, cfg.hop, out_len)
-    env = stft.synthesis_envelope(cfg, n_frames)[:out_len]
-    if env.shape[0] < out_len:
-        env = np.pad(env, (0, out_len - env.shape[0]))
-    inv_env = (1.0 / np.maximum(env, stft.ENVELOPE_FLOOR)).astype(dtype)
-    return ad.mul(sig, Tensor(inv_env))
+    return Tensor._from_op(out, (pred,), vjp)
 
 
 # -- full-band PIT -----------------------------------------------------------------
 
 
-def _spectra_array(x) -> np.ndarray:
-    data = getattr(x, "data", x)  # SeparatedSpectra or plain complex array
-    return np.asarray(data)
-
-
-def _squeeze_row(t: Tensor) -> Tensor:
-    # (F, 1, T) -> (F, T)
-    return ad.reshape(t, (t.shape[0], t.shape[-1]))
-
-
-def _estimate_signals(predictions, cfg, out_len):
-    """Inverse-transform predictions into per-speaker time-domain Tensors."""
-    if isinstance(predictions, Tensor):
-        n = predictions.shape[-2] // 2
-        basis = inverse_dft_basis(cfg, predictions.dtype)
-        signals = []
-        for spk in range(n):
-            real = _squeeze_row(ad.narrow(predictions, -2, 2 * spk, 1))
-            imag = _squeeze_row(ad.narrow(predictions, -2, 2 * spk + 1, 1))
-            signals.append(istft_graph(real, imag, cfg, out_len, basis))
-        return signals
-    data = _spectra_array(predictions)
-    return [
-        Tensor(stft.istft(stft.ComplexSpectrogram(data[n]), cfg, out_len).data[0])
-        for n in range(data.shape[0])
-    ]
-
-
-def _target_signals(targets, cfg, out_len):
-    data = _spectra_array(targets)
-    return [stft.istft(stft.ComplexSpectrogram(data[n]), cfg, out_len).data[0]
-            for n in range(data.shape[0])]
-
-
-def fpit(predictions, targets, cfg: stft.StftConfig, out_len: int):
+def fpit(predictions: Tensor, targets: np.ndarray, cfg: stft.StftConfig, out_len: int):
     """Permutation-invariant loss over full-band bindings.
 
-    `predictions` is either a Tensor of denormalized per-frequency outputs
-    (F, 2N, T) — the differentiable training path — or complex spectra
-    (SeparatedSpectra / (N, F, T) array).  `targets` are complex spectra.
+    `predictions` is the Tensor of denormalized per-frequency outputs
+    (F, 2N, T); `targets` are the complex target spectra (N, F, T).
     Returns (loss Tensor, PermutationAssignment); the assignment maps
     ground-truth speaker n to prediction mapping[n], chosen as the
     lexicographically smallest minimizer.
     """
-    estimates = _estimate_signals(predictions, cfg, out_len)
-    references = _target_signals(targets, cfg, out_len)
-    n = len(references)
-    if len(estimates) != n:
-        raise ValueError(f"{len(estimates)} estimates vs {n} targets")
+    signals = istft_graph(predictions, cfg, out_len)
+    references = stft.istft(stft.ComplexSpectrogram(targets.transpose(1, 2, 0)),
+                            cfg, out_len).data
+    n = references.shape[0]
+    if signals.shape[0] != n:
+        raise ValueError(f"{signals.shape[0]} estimates vs {n} targets")
     if n > MAX_EXHAUSTIVE_SPEAKERS:
         raise ValueError("exhaustive PIT limit: more than 6 speakers")
 
+    estimates = [ad.reshape(ad.narrow(signals, 0, j, 1), (out_len,)) for j in range(n)]
     pair = [[si_sdr_loss(references[i], estimates[j]) for j in range(n)] for i in range(n)]
     perm, value = best_permutation(np.array([[t.data for t in row] for row in pair]))
     loss = functools.reduce(ad.add, [pair[i][perm[i]] for i in range(n)])

@@ -143,7 +143,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     return norm
 
 
-def schedule_lr(history, current_lr: float, lr_init: float = 1e-3,
+def schedule_lr(history, lr_init: float = 1e-3,
                 patience: int = 3, factor: float = 0.5, lr_min: float = 1e-4) -> float:
     """Halve the LR when the best validation loss stalls for `patience` epochs.
 
@@ -164,7 +164,6 @@ def schedule_lr(history, current_lr: float, lr_init: float = 1e-3,
         if wait >= patience:
             lr = max(lr * factor, lr_min)
             wait = 0
-    del current_lr  # derivable from the history; kept for call-site symmetry
     return lr
 
 
@@ -323,7 +322,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
                 val_loss, _ = batch_loss(model, val_batch, stft_cfg, train=False,
                                          graph_chunk=cfg.graph_chunk)
                 history.append(val_loss)
-                lr = schedule_lr(history, lr, lr_init=cfg.lr_init,
+                lr = schedule_lr(history, lr_init=cfg.lr_init,
                                  patience=cfg.plateau_epochs, lr_min=cfg.lr_min)
             log.writerow([step, epoch, "", f"{val_loss:.6f}", f"{lr:.6g}", ""])
             fh.flush()

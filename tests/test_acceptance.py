@@ -19,7 +19,7 @@ from nbsep.cli import export_attention_maps
 from nbsep.gradcheck_suite import full_pipeline_check, primitive_checks
 from nbsep.model import ModelConfig, NarrowBandModel, init_parameters, parameter_count
 from nbsep.roomsim import SceneConfig, sabine_reflection, simulate_rir
-from nbsep.stft import ComplexSpectrogram, StftConfig
+from nbsep.stft import ComplexSpectrogram, StftConfig, all_frequency_sequences
 
 from reference_forward import forward_ref
 from test_roomsim import brute_force_rir, random_scene
@@ -88,7 +88,8 @@ def test_criterion_3_fpit_oracle():
                                for t in targets])
             e_spec = np.stack([stft.stft(WaveBuffer(e, 16000), cfg).data[:, :, 0]
                                for e in ests])
-            loss, assignment = objective.fpit(e_spec, t_spec, cfg, out_len)
+            pred = all_frequency_sequences(ComplexSpectrogram(e_spec.transpose(1, 2, 0)))
+            loss, assignment = objective.fpit(Tensor(pred), t_spec, cfg, out_len)
 
             ys = [stft.istft(ComplexSpectrogram(s), cfg, out_len).data[0] for s in t_spec]
             es = [stft.istft(ComplexSpectrogram(s), cfg, out_len).data[0] for s in e_spec]
@@ -174,7 +175,7 @@ def test_criterion_8_scheduler_and_clipping():
     seen = [lr]
     for _ in range(16):
         history.append(3.0)
-        lr = trainer.schedule_lr(history, lr)
+        lr = trainer.schedule_lr(history)
         seen.append(lr)
     distinct = [v for i, v in enumerate(seen) if i == 0 or v != seen[i - 1]]
     grads = {"g": np.array([6.0, 8.0])}  # global norm 10
@@ -187,7 +188,7 @@ def test_criterion_8_scheduler_and_clipping():
 
 def test_criterion_9_attention_maps(probe_result, tmp_path):
     net, _, _, examples = probe_result
-    maps = net.attention_maps(examples[0])
+    maps = net.attention_maps(examples[0].mixture)
     t_frames = examples[0].mixture.n_frames
     shape_ok = maps.shape == (PROBE_CFG.blocks, PROBE_CFG.heads, t_frames, t_frames)
     row_err = float(np.max(np.abs(maps.sum(axis=-1) - 1.0)))

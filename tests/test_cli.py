@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -235,8 +236,11 @@ def test_export_attention_maps_paths(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same checkout whether or not nbsep is installed
+    src = str(Path(dataset.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "nbsep.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 
@@ -246,8 +250,10 @@ def test_worker_count_env(monkeypatch):
 
     monkeypatch.delenv("NBC_THREADS", raising=False)
     assert worker_count() == 1
-    monkeypatch.setenv("NBC_THREADS", "4")
-    assert worker_count() == 4
+    monkeypatch.setenv("NBC_THREADS", "2")
+    assert worker_count() == min(2, os.cpu_count())
+    monkeypatch.setenv("NBC_THREADS", "100000")  # clamped, so no thread per example
+    assert worker_count() == os.cpu_count()
     monkeypatch.setenv("NBC_THREADS", "zero")
     with pytest.raises(UsageError):
         worker_count()

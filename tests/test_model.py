@@ -184,25 +184,15 @@ def test_attention_maps_shape_and_averaging():
     rng = np.random.default_rng(23)
     wave = WaveBuffer(rng.standard_normal((2, 32 + 16 * 5)), 8000)
     spec = stft.stft(wave, cfg8k)
-    example = dataset.MixtureExample(
-        mixture=spec, targets=[], mixture_wave=wave,
-        target_waves=WaveBuffer(np.zeros((1, wave.n_samples)), 8000),
-        scene=None, overlap_ratio=1.0,
-    )
     net = rand_params_model(TINY, seed=24)
-    maps = net.attention_maps(example)
+    maps = net.attention_maps(spec)
     assert maps.shape == (TINY.blocks, TINY.heads, spec.n_frames, spec.n_frames)
     np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-6)
     # single-frequency average equals that frequency's own map
     single = stft.ComplexSpectrogram(spec.data[:1])
     seqs, _ = dataset.normalize_spectrogram(single)
     _, raw = net.forward(Tensor(seqs), collect_attention=True)
-    ex1 = dataset.MixtureExample(
-        mixture=single, targets=[], mixture_wave=wave,
-        target_waves=WaveBuffer(np.zeros((1, wave.n_samples)), 8000),
-        scene=None, overlap_ratio=1.0,
-    )
-    np.testing.assert_allclose(net.attention_maps(ex1)[0], raw[0][0], atol=1e-12)
+    np.testing.assert_allclose(net.attention_maps(single)[0], raw[0][0], atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -259,23 +249,17 @@ def test_input_row_mismatch_errors():
         net.forward(np.zeros((6, 8)))
 
 
-def _eight_k_example(n_samples, seed):
+def _eight_k_mixture(n_samples, seed):
     # 32-sample frames: 17 frequency bins
     cfg8k = stft.StftConfig(window_len=32, hop=16, sample_rate=8000)
     rng = np.random.default_rng(seed)
     wave = WaveBuffer(rng.standard_normal((2, n_samples)), 8000)
-    spec = stft.stft(wave, cfg8k)
-    example = dataset.MixtureExample(
-        mixture=spec, targets=[], mixture_wave=wave,
-        target_waves=WaveBuffer(np.zeros((1, wave.n_samples)), 8000),
-        scene=None, overlap_ratio=1.0,
-    )
-    return cfg8k, wave, example
+    return cfg8k, wave, stft.stft(wave, cfg8k)
 
 
 def test_separate_in_ragged_chunks_matches_per_bin_forward(monkeypatch):
     monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)  # 17 bins: 5 + 5 + 5 + 2
-    cfg8k, wave, _ = _eight_k_example(80, seed=30)
+    cfg8k, wave, _ = _eight_k_mixture(80, seed=30)
     net = rand_params_model(TINY, seed=31)
     calls = []
     forward = net.forward
@@ -299,12 +283,12 @@ def test_separate_in_ragged_chunks_matches_per_bin_forward(monkeypatch):
 
 
 def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
-    _, _, example = _eight_k_example(96, seed=32)
+    _, _, spec = _eight_k_mixture(96, seed=32)
     net = rand_params_model(TINY, seed=33)
-    seqs, _ = dataset.normalize_spectrogram(example.mixture)
+    seqs, _ = dataset.normalize_spectrogram(spec)
     _, raw = net.forward(Tensor(seqs), collect_attention=True)
     want = np.stack([m.mean(axis=0) for m in raw])
     # several chunks with a ragged last one; one full chunk; one partial chunk
     for chunk in (4, 6, 17, 32):
         monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", chunk)
-        np.testing.assert_allclose(net.attention_maps(example), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(net.attention_maps(spec), want, rtol=0, atol=1e-12)

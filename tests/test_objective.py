@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -6,16 +7,16 @@ import pytest
 import nbsep.autodiff as ad
 from nbsep import dataset, stft
 from nbsep.audio import WaveBuffer
-from nbsep.autodiff import Tensor
+from nbsep.autodiff import NumericError, Tensor
 from nbsep.objective import (
     MetricRecord,
     evaluate,
     fpit,
-    inverse_dft_basis,
     istft_graph,
     si_sdr,
     si_sdr_loss,
 )
+from nbsep.trainer import AdamState, adam_step
 
 CFG = stft.StftConfig(window_len=16, hop=8, sample_rate=16000)
 
@@ -97,33 +98,111 @@ def test_si_sdr_loss_gradient():
 # -- differentiable iSTFT ---------------------------------------------------------
 
 
+def interleaved(spectra):
+    """Complex (N, F, T) spectra as the network's (F, 2N, T) Re/Im rows."""
+    spec = stft.ComplexSpectrogram(np.asarray(spectra).transpose(1, 2, 0))
+    return Tensor(stft.all_frequency_sequences(spec))
+
+
+def dense_istft_reference(pred, cfg, out_len):
+    """Straight-line in-graph synthesis: a dense inverse-DFT matmul per speaker,
+    the synthesis window, `overlap_add`, then the floored envelope.
+
+    Returns one (out_len,) Tensor per speaker.
+    """
+    w, f, n_frames = cfg.window_len, cfg.n_bins, pred.shape[-1]
+    angle = 2.0 * np.pi * np.arange(w)[:, None] * np.arange(f)[None, :] / w
+    weight = np.full(f, 2.0)
+    weight[[0, -1]] = 1.0
+    cr = Tensor(weight * np.cos(angle) / w)
+    ci_data = -weight * np.sin(angle) / w
+    ci_data[:, [0, -1]] = 0.0
+    ci = Tensor(ci_data)
+    window = Tensor(stft.hann_window(w)[:, None])
+    env = stft.synthesis_envelope(cfg, n_frames)[:out_len]
+    env = np.pad(env, (0, out_len - env.shape[0]))
+    inv_env = Tensor(1.0 / np.maximum(env, stft.ENVELOPE_FLOOR))
+    signals = []
+    for spk in range(pred.shape[1] // 2):
+        real = ad.reshape(ad.narrow(pred, 1, 2 * spk, 1), (f, n_frames))
+        imag = ad.reshape(ad.narrow(pred, 1, 2 * spk + 1, 1), (f, n_frames))
+        frames = ad.mul(ad.add(ad.matmul(cr, real), ad.matmul(ci, imag)), window)
+        signals.append(ad.mul(ad.overlap_add(frames, cfg.hop, out_len), inv_env))
+    return signals
+
+
+def _istft_cases():
+    for w in (8, 512):
+        for n_frames in (1, 124):
+            synth = (n_frames - 1) * (w // 2) + w
+            for out_len in (synth - min(37, synth // 2), synth, synth + 55):
+                for n in (1, 2, 3):
+                    yield pytest.param(w, n_frames, out_len, n,
+                                       id=f"W{w}-T{n_frames}-L{out_len}-N{n}")
+
+
+@pytest.mark.parametrize("w, n_frames, out_len, n", _istft_cases())
+def test_istft_graph_matches_dense_reference(w, n_frames, out_len, n):
+    cfg = stft.StftConfig(window_len=w, hop=w // 2)
+    rng = np.random.default_rng(w + n_frames + out_len + n)
+    x = rng.standard_normal((cfg.n_bins, 2 * n, n_frames))
+    seed = rng.standard_normal((n, out_len))
+
+    pred = Tensor(x, requires_grad=True)
+    got = istft_graph(pred, cfg, out_len)
+    ad.backward(ad.tsum(ad.mul(got, Tensor(seed))))
+
+    ref_pred = Tensor(x, requires_grad=True)
+    ref = dense_istft_reference(ref_pred, cfg, out_len)
+    ad.backward(functools.reduce(ad.add, [ad.tsum(ad.mul(r, Tensor(seed[i])))
+                                          for i, r in enumerate(ref)]))
+    want = np.stack([r.data for r in ref])
+    assert got.shape == (n, out_len)
+    assert np.max(np.abs(got.data - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(pred.grad - ref_pred.grad)) <= 1e-12 * np.max(np.abs(ref_pred.grad))
+
+
 def test_istft_graph_matches_numpy_istft():
+    # one multichannel synthesis is bit-identical to one stft.istft per speaker
     rng = np.random.default_rng(6)
-    data = rng.standard_normal((CFG.n_bins, 7)) + 1j * rng.standard_normal((CFG.n_bins, 7))
+    data = rng.standard_normal((2, CFG.n_bins, 7)) + 1j * rng.standard_normal((2, CFG.n_bins, 7))
     out_len = CFG.covered_len(7)
-    want = stft.istft(stft.ComplexSpectrogram(data), CFG, out_len).data[0]
-    got = istft_graph(Tensor(data.real.copy()), Tensor(data.imag.copy()), CFG, out_len)
-    np.testing.assert_allclose(got.numpy(), want, atol=1e-10)
-
-
-def test_inverse_dft_basis_matches_irfft():
-    rng = np.random.default_rng(7)
-    cr, ci = inverse_dft_basis(CFG)
-    bins = rng.standard_normal(CFG.n_bins) + 1j * rng.standard_normal(CFG.n_bins)
-    frame = cr @ bins.real + ci @ bins.imag
-    np.testing.assert_allclose(frame, np.fft.irfft(bins, n=CFG.window_len), atol=1e-12)
+    want = [stft.istft(stft.ComplexSpectrogram(d), CFG, out_len).data[0] for d in data]
+    np.testing.assert_array_equal(istft_graph(interleaved(data), CFG, out_len).data, want)
 
 
 def test_istft_graph_gradient():
     rng = np.random.default_rng(8)
-    real = Tensor(rng.standard_normal((CFG.n_bins, 3)), requires_grad=True)
-    imag = Tensor(rng.standard_normal((CFG.n_bins, 3)), requires_grad=True)
+    pred = Tensor(rng.standard_normal((CFG.n_bins, 4, 3)), requires_grad=True)
     out_len = CFG.covered_len(3)
 
-    def f(r, i):
-        return ad.tsum(ad.power(istft_graph(r, i, CFG, out_len), 2.0))
+    def f(p):
+        return ad.tsum(ad.power(istft_graph(p, CFG, out_len), 2.0))
 
-    assert ad.grad_check(f, [real, imag]) < 1e-6
+    assert ad.grad_check(f, pred) < 1e-6
+
+
+def test_istft_graph_keeps_float32():
+    rng = np.random.default_rng(9)
+    pred = Tensor(rng.standard_normal((CFG.n_bins, 4, 5)).astype(np.float32),
+                  requires_grad=True)
+    out = istft_graph(pred, CFG, CFG.covered_len(5))
+    ad.backward(ad.tsum(ad.power(out, 2.0)))
+    assert out.dtype == np.float32 and pred.grad.dtype == np.float32
+
+
+def test_non_finite_gradient_reaches_adam_not_stft():
+    # a NaN in the loss gradient must surface as the optimizer's NumericError
+    # (CLI exit 3), not as stft's "invalid signal" ValueError (a data error)
+    rng = np.random.default_rng(10)
+    pred = Tensor(rng.standard_normal((CFG.n_bins, 4, 3)), requires_grad=True)
+    seed = np.ones((2, CFG.covered_len(3)))
+    seed[1, 5] = np.nan
+    ad.backward(ad.tsum(ad.mul(istft_graph(pred, CFG, seed.shape[1]), Tensor(seed))))
+    assert not np.all(np.isfinite(pred.grad))
+    params = {"p": pred}
+    with pytest.raises(NumericError):
+        adam_step(params, {"p": pred.grad}, AdamState.init(params), 1e-3)
 
 
 # -- fPIT ------------------------------------------------------------------------
@@ -140,7 +219,7 @@ def test_single_speaker_identity_permutation():
     out_len = CFG.covered_len(5)
     target = rng.standard_normal((1, out_len))
     est = rng.standard_normal((1, out_len))
-    loss, assignment = fpit(spectra_of(est), spectra_of(target), CFG, out_len)
+    loss, assignment = fpit(interleaved(spectra_of(est)), spectra_of(target), CFG, out_len)
     assert assignment.mapping == (0,)
     y = stft.istft(stft.ComplexSpectrogram(spectra_of(target)[0]), CFG, out_len).data[0]
     e = stft.istft(stft.ComplexSpectrogram(spectra_of(est)[0]), CFG, out_len).data[0]
@@ -152,8 +231,9 @@ def test_swap_symmetry():
     out_len = CFG.covered_len(4)
     targets = rng.standard_normal((2, out_len))
     ests = rng.standard_normal((2, out_len))
-    loss_a, assign_a = fpit(spectra_of(ests), spectra_of(targets), CFG, out_len)
-    loss_b, assign_b = fpit(spectra_of(ests[::-1]), spectra_of(targets), CFG, out_len)
+    loss_a, assign_a = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
+    loss_b, assign_b = fpit(interleaved(spectra_of(ests[::-1])), spectra_of(targets), CFG,
+                            out_len)
     assert loss_a.item() == pytest.approx(loss_b.item(), abs=1e-12)
     assert assign_b.mapping == tuple(1 - p for p in assign_a.mapping)
 
@@ -164,7 +244,7 @@ def test_matches_brute_force_enumeration(n):
     out_len = CFG.covered_len(3)
     targets = rng.standard_normal((n, out_len))
     ests = rng.standard_normal((n, out_len))
-    loss, assignment = fpit(spectra_of(ests), spectra_of(targets), CFG, out_len)
+    loss, assignment = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
 
     ys = [stft.istft(stft.ComplexSpectrogram(s), CFG, out_len).data[0]
           for s in spectra_of(targets)]
@@ -183,16 +263,16 @@ def test_permutation_of_predictions_keeps_min_loss():
     out_len = CFG.covered_len(4)
     targets = rng.standard_normal((3, out_len))
     ests = rng.standard_normal((3, out_len))
-    base, _ = fpit(spectra_of(ests), spectra_of(targets), CFG, out_len)
+    base, _ = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
     for p in itertools.permutations(range(3)):
-        shuffled = spectra_of(ests)[list(p)]
+        shuffled = interleaved(spectra_of(ests)[list(p)])
         loss, _ = fpit(shuffled, spectra_of(targets), CFG, out_len)
         assert loss.item() == pytest.approx(base.item(), abs=1e-12)
 
 
 def test_speaker_limit():
     with pytest.raises(ValueError, match="exhaustive PIT limit"):
-        fpit(np.zeros((7, CFG.n_bins, 3), dtype=complex),
+        fpit(Tensor(np.zeros((CFG.n_bins, 14, 3))),
              np.ones((7, CFG.n_bins, 3), dtype=complex), CFG, CFG.covered_len(3))
 
 
@@ -264,5 +344,6 @@ def test_tie_breaks_toward_lexicographically_smallest():
     out_len = CFG.covered_len(3)
     targets = rng.standard_normal((2, out_len))
     est = rng.standard_normal(out_len)
-    _, assignment = fpit(spectra_of([est, est]), spectra_of(targets), CFG, out_len)
+    _, assignment = fpit(interleaved(spectra_of([est, est])), spectra_of(targets), CFG,
+                         out_len)
     assert assignment.mapping == (0, 1)

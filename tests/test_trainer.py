@@ -95,11 +95,11 @@ def test_adam_hand_arithmetic_known_moments():
 
 
 def test_plateau_of_four_halves_once():
-    assert schedule_lr([5.0, 5.1, 5.2, 5.3], 1e-3) == 5e-4
+    assert schedule_lr([5.0, 5.1, 5.2, 5.3]) == 5e-4
 
 
 def test_strictly_decreasing_keeps_lr():
-    assert schedule_lr([5.0, 4.0, 3.0, 2.0, 1.0], 1e-3) == 1e-3
+    assert schedule_lr([5.0, 4.0, 3.0, 2.0, 1.0]) == 1e-3
 
 
 def test_sustained_plateau_sequence_to_floor():
@@ -109,7 +109,7 @@ def test_sustained_plateau_sequence_to_floor():
     history = []
     for _ in range(16):
         history.append(7.0)
-        lr = schedule_lr(history, lr)
+        lr = schedule_lr(history)
         seen.append(lr)
     distinct = [v for i, v in enumerate(seen) if i == 0 or v != seen[i - 1]]
     assert distinct == [1e-3, 5e-4, 2.5e-4, 1.25e-4, 1e-4]
@@ -119,9 +119,9 @@ def test_sustained_plateau_sequence_to_floor():
 
 def test_improvement_resets_patience():
     history = [5.0, 5.2, 5.1, 4.9, 5.0, 5.05]  # new best at epoch 4 resets the wait
-    assert schedule_lr(history, 1e-3) == 1e-3
-    assert schedule_lr(history + [4.8], 1e-3) == 1e-3  # best again, still no halving
-    assert schedule_lr(history + [5.01], 1e-3) == 5e-4  # third stall since epoch 4
+    assert schedule_lr(history) == 1e-3
+    assert schedule_lr(history + [4.8]) == 1e-3  # best again, still no halving
+    assert schedule_lr(history + [5.01]) == 5e-4  # third stall since epoch 4
 
 
 # -- batches ---------------------------------------------------------------------
