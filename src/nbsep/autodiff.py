@@ -462,10 +462,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             axes = list(range(g.ndim - 2)) + [g.ndim - 1]
             ga = np.tensordot(g, bd, axes=(axes, axes))
             gb = np.matmul(ad.T, g)
-        elif bd.ndim == 2 and ad.ndim > 2:
-            axes = list(range(g.ndim - 2)) + [g.ndim - 2]
-            gb = np.tensordot(g, ad, axes=(axes, axes)).T
-            ga = np.matmul(g, bd.T)
         else:
             ga = _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
             gb = _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
@@ -538,7 +534,6 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the feature axis (-2) independently per time step."""
     xd = x.data
-    c = xd.shape[-2]
     mu = xd.mean(axis=-2, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-2, keepdims=True)
@@ -557,7 +552,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dx = inv * (dxh - m1 - xh * m2)
         return dx, dgamma, dbeta
 
-    del c
     return Tensor._from_op(out, (x, gamma, beta), vjp)
 
 

@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=16, help="utterances per mini-batch")
-    p.add_argument("--graph-chunk", type=int, default=4)
+    p.add_argument("--graph-chunk", type=int, default=1,
+                   help="utterances that share one backward; more costs memory only")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dropout", type=float, default=0.1)
@@ -174,6 +175,8 @@ def _cmd_simulate(args) -> int:
 def _load_examples(manifest_path, cfg):
     base = Path(manifest_path).parent
     entries = dataset.read_manifest(manifest_path)
+    if not entries:
+        raise ValueError(f"manifest {manifest_path} has no entries")
     return [dataset.load_example(e, base, cfg) for e in entries]
 
 

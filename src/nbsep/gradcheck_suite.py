@@ -104,40 +104,6 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
     return checks
 
 
-def random_primitive_sweep(trials: int = 100, seed: int = 0, step: float = 1e-5) -> float:
-    """Max grad-check error over `trials` random (op, shape) draws."""
-    rng = np.random.default_rng(seed)
-    ops = []
-
-    def reg(name, make):
-        ops.append((name, make))
-
-    def _add_case(r):
-        rows, cols = int(r.integers(1, 4)), int(r.integers(1, 5))
-        return (lambda x, y: ad.tsum(ad.power(ad.add(x, y), 2.0)),
-                [_t(r, rows, cols), _t(r, 1, cols)])
-
-    reg("add", _add_case)
-    reg("mul", lambda r: (lambda x, y: ad.tsum(ad.mul(x, y)),
-                          [_t(r, 2, r.integers(1, 5)), _t(r, 2, 1)]))
-    reg("matmul", lambda r: ((lambda x, y: ad.tsum(ad.power(ad.matmul(x, y), 2.0))),
-                             [_t(r, r.integers(1, 4), 3), _t(r, 3, r.integers(1, 4))]))
-    reg("softmax", lambda r: ((lambda x: ad.tsum(ad.power(ad.softmax(x), 2.0))),
-                              [_t(r, r.integers(1, 4), r.integers(2, 6))]))
-    reg("silu", lambda r: ((lambda x: ad.tsum(ad.silu(x))), [_t(r, r.integers(1, 6))]))
-    reg("layer_norm", lambda r: ((lambda x, g, b: ad.tsum(ad.power(ad.layer_norm(x, g, b), 2.0))),
-                                 [_t(r, 4, r.integers(1, 4)), _t(r, 4), _t(r, 4)]))
-    reg("conv1d", lambda r: ((lambda x, w: ad.tsum(ad.power(
-        ad.conv1d(x, w, padding=(1, 1)), 2.0))),
-        [_t(r, 2, r.integers(4, 8)), _t(r, 3, 2, 3)]))
-    worst = 0.0
-    for i in range(trials):
-        name, make = ops[int(rng.integers(0, len(ops)))]
-        f, tensors = make(rng)
-        worst = max(worst, ad.grad_check(f, tensors, step=step))
-    return worst
-
-
 def full_pipeline_check(seed: int = 0, step: float = 1e-5,
                         n_frequencies: int = 5, n_frames: int = 8,
                         wrt: str = "input"):

@@ -3,14 +3,15 @@
 A mini-batch is a set of utterances; every utterance contributes all F of
 its normalized narrow-band sequences.  The per-utterance loss couples the
 frequencies (binding + inverse STFT + permutation-invariant SI-SDR), so all
-frequencies of one utterance live in one graph; utterances are stacked into
-shared graphs in fixed-size chunks and their losses averaged, which keeps
-runs bit-reproducible for a given seed in single-threaded mode.
+frequencies of one utterance live in one graph.  Nothing couples two
+utterances, so each runs its own forward and utterances of a batch may
+differ in length; the parameters' `.grad` sum the scaled losses' gradients
+into the batch-mean gradient, in a fixed order, which keeps runs
+bit-reproducible for a given seed in single-threaded mode.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,7 @@ class TrainConfig:
     max_epochs: int = 10
     seed: int = 0
     precision: str = "float32"  # float32 for speed, float64 for verification
-    graph_chunk: int = 4  # utterances stacked into one graph
+    graph_chunk: int = 1  # utterances sharing one backward; costs memory only
 
     def __post_init__(self):
         if self.lr_min > self.lr_init:
@@ -178,7 +179,6 @@ class Utterance:
     norm: dataset.NormState
     target_spectra: np.ndarray  # complex (N, F, T)
     out_len: int
-    example_id: str = ""
 
     @property
     def n_frequencies(self) -> int:
@@ -202,73 +202,51 @@ def prepare_utterance(example: dataset.MixtureExample) -> Utterance:
         norm=norm,
         target_spectra=targets,
         out_len=example.mixture_wave.n_samples,
-        example_id=example.example_id,
     )
 
 
 def assemble_batch(examples) -> Batch:
     """Expand utterances into their narrow-band sequences, grouped by utterance."""
-    utterances = [prepare_utterance(ex) for ex in examples]
-    frames = {u.sequences.shape[-1] for u in utterances}
-    if len(frames) > 1:
-        raise ValueError(f"inconsistent frame counts in batch: {sorted(frames)}")
-    return Batch(utterances)
+    return Batch([prepare_utterance(ex) for ex in examples])
 
 
-def _chunk_loss(model, utterances, cfg_stft, train, rng):
-    """Mean fPIT loss of several utterances stacked into one graph."""
+def _utterance_loss(model, u: Utterance, cfg_stft, train, rng) -> Tensor:
+    """fPIT loss of one utterance: its own forward, denormalization and loss."""
     dtype = model.dtype
-    stacked = np.concatenate([u.sequences for u in utterances]).astype(dtype)
-    out = model.forward(Tensor(stacked), train=train, rng=rng)
-    total = None
-    assignments = []
-    offset = 0
-    for u in utterances:
-        pred = ad.narrow(out, 0, offset, u.n_frequencies)
-        offset += u.n_frequencies
-        scales = u.norm.scale.astype(dtype)
-        pred = ad.mul(pred, Tensor(scales[:, None, None]))
-        loss, assignment = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
-        assignments.append(assignment)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(utterances)), assignments
+    out = model.forward(Tensor(u.sequences.astype(dtype)), train=train, rng=rng)
+    pred = ad.mul(out, Tensor(u.norm.scale.astype(dtype)[:, None, None]))
+    loss, _ = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
+    return loss
 
 
 def batch_loss(model, batch: Batch, cfg_stft, train=False, rng=None,
-               graph_chunk: int = 4, accumulate_grads: bool = False):
-    """Mean loss over a batch; optionally backprops and returns summed grads.
+               graph_chunk: int = 1, accumulate_grads: bool = False):
+    """Mean loss over a batch and, with `accumulate_grads`, its gradients.
 
-    Utterances are processed in fixed-order chunks of `graph_chunk`; with
-    `accumulate_grads` the (batch-mean) gradients are gathered into a dict,
-    without it the loss is computed graph-free.
+    Returns (mean, grads).  With `accumulate_grads` the losses of each
+    `graph_chunk` utterances, scaled by 1/len(batch), share one backward and
+    the parameters' `.grad` add up the batch-mean gradient; without it the
+    loss is computed graph-free and `grads` is empty.
     """
     utts = batch.utterances
     n = len(utts)
-    grads: dict = {}
     total = 0.0
-    assignments = []
+    if not accumulate_grads:
+        with ad.no_graph():
+            for u in utts:
+                total += _utterance_loss(model, u, cfg_stft, train, rng).item()
+        return total / n, {}
+    ad.zero_grad(model.params)
     for start in range(0, n, graph_chunk):
-        chunk = utts[start : start + graph_chunk]
-        with contextlib.nullcontext() if accumulate_grads else ad.no_graph():
-            loss, assign = _chunk_loss(model, chunk, cfg_stft, train, rng)
-        assignments.extend(assign)
-        total += loss.item() * len(chunk)
-        if accumulate_grads:
-            ad.zero_grad(model.params)
-            ad.backward(loss)
-            w = len(chunk) / n
-            for name, t in model.params.items():
-                if t.grad is None:
-                    continue
-                if name in grads:
-                    grads[name] += w * t.grad
-                else:
-                    grads[name] = w * t.grad
-    mean = total / n
-    if accumulate_grads:
-        ad.zero_grad(model.params)
-        return mean, grads, assignments
-    return mean, assignments
+        chunk_loss = None
+        for u in utts[start : start + graph_chunk]:
+            loss = _utterance_loss(model, u, cfg_stft, train, rng)
+            total += loss.item()
+            chunk_loss = loss if chunk_loss is None else ad.add(chunk_loss, loss)
+        ad.backward(ad.scale(chunk_loss, 1.0 / n))
+    grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+    ad.zero_grad(model.params)
+    return total / n, grads
 
 
 # -- training loop ------------------------------------------------------------------
@@ -308,7 +286,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
             for b0 in range(0, len(order), cfg.utterances_per_batch):
                 idx = order[b0 : b0 + cfg.utterances_per_batch]
                 batch = Batch([train_batchable[i] for i in idx])
-                loss, grads, _ = batch_loss(
+                loss, grads = batch_loss(
                     model, batch, stft_cfg, train=True, rng=rng,
                     graph_chunk=cfg.graph_chunk, accumulate_grads=True,
                 )
@@ -319,8 +297,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
 
             val_loss = np.nan
             if val_batch is not None:
-                val_loss, _ = batch_loss(model, val_batch, stft_cfg, train=False,
-                                         graph_chunk=cfg.graph_chunk)
+                val_loss, _ = batch_loss(model, val_batch, stft_cfg, train=False)
                 history.append(val_loss)
                 lr = schedule_lr(history, lr_init=cfg.lr_init,
                                  patience=cfg.plateau_epochs, lr_min=cfg.lr_min)
@@ -387,8 +364,8 @@ def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
     (model, curve) where curve lists (step, mean improvement in dB) pairs
     including step 0.  Raises NumericError if the loss diverges.
     """
-    dtype = np.float32 if precision == "float32" else np.float64
-    model = model_mod.NarrowBandModel(model_cfg, seed=seed, dtype=dtype)
+    model = model_mod.NarrowBandModel(model_cfg, seed=seed,
+                                      dtype=TrainConfig(precision=precision).dtype)
     state = AdamState.init(model.params)
     utterances = [prepare_utterance(ex) for ex in examples]
 
@@ -406,8 +383,7 @@ def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
                  for i in range(examples_per_step)]
         cursor = (cursor + examples_per_step) % len(utterances)
         batch = Batch(chunk)
-        loss, grads, _ = batch_loss(model, batch, stft_cfg, train=False,
-                                    graph_chunk=len(chunk), accumulate_grads=True)
+        loss, grads = batch_loss(model, batch, stft_cfg, train=False, accumulate_grads=True)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}")
         adam_step(model.params, grads, state, lr, clip_norm)

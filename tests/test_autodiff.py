@@ -3,7 +3,7 @@ import pytest
 
 import nbsep.autodiff as ad
 from nbsep.autodiff import NumericError, Tensor
-from nbsep.gradcheck_suite import primitive_checks, random_primitive_sweep
+from nbsep.gradcheck_suite import primitive_checks
 
 
 def test_silu_values():
@@ -73,6 +73,40 @@ def test_grad_check_layer_norm_chain():
 def test_every_primitive_grad_checks():
     for name, err in primitive_checks(seed=0):
         assert err < 1e-6, f"{name}: {err}"
+
+
+def _randn(rng, *shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def random_primitive_sweep(trials: int = 100, seed: int = 0, step: float = 1e-5) -> float:
+    """Max grad-check error over `trials` random (op, shape) draws."""
+    rng = np.random.default_rng(seed)
+
+    def add_case(r):
+        rows, cols = int(r.integers(1, 4)), int(r.integers(1, 5))
+        return (lambda x, y: ad.tsum(ad.power(ad.add(x, y), 2.0)),
+                [_randn(r, rows, cols), _randn(r, 1, cols)])
+
+    cases = [
+        add_case,
+        lambda r: (lambda x, y: ad.tsum(ad.mul(x, y)),
+                   [_randn(r, 2, r.integers(1, 5)), _randn(r, 2, 1)]),
+        lambda r: (lambda x, y: ad.tsum(ad.power(ad.matmul(x, y), 2.0)),
+                   [_randn(r, r.integers(1, 4), 3), _randn(r, 3, r.integers(1, 4))]),
+        lambda r: (lambda x: ad.tsum(ad.power(ad.softmax(x), 2.0)),
+                   [_randn(r, r.integers(1, 4), r.integers(2, 6))]),
+        lambda r: (lambda x: ad.tsum(ad.silu(x)), [_randn(r, r.integers(1, 6))]),
+        lambda r: (lambda x, g, b: ad.tsum(ad.power(ad.layer_norm(x, g, b), 2.0)),
+                   [_randn(r, 4, r.integers(1, 4)), _randn(r, 4), _randn(r, 4)]),
+        lambda r: (lambda x, w: ad.tsum(ad.power(ad.conv1d(x, w, padding=(1, 1)), 2.0)),
+                   [_randn(r, 2, r.integers(4, 8)), _randn(r, 3, 2, 3)]),
+    ]
+    worst = 0.0
+    for _ in range(trials):
+        f, tensors = cases[int(rng.integers(0, len(cases)))](rng)
+        worst = max(worst, ad.grad_check(f, tensors, step=step))
+    return worst
 
 
 def test_random_primitive_sweep_100_trials():

@@ -1,28 +1,35 @@
-"""Every nbsep name that the benchmark's tracer wraps must still exist.
+"""The nbsep surface that the benchmark relies on must keep working.
 
-`perfbench/bench_trace.py` instruments nbsep by attribute name, so deleting
-or renaming one of those functions breaks every traced benchmark run.  This
-test makes such a change fail here instead.
+`perfbench/bench_trace.py` instruments nbsep by attribute name, and
+`perfbench/workloads.step_clock` times training steps by patching
+`trainer.batch_loss` and `trainer.adam_step`; a change that breaks either
+breaks every benchmark run.  These tests make such a change fail here
+instead.
 """
 
+import csv
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-from nbsep import autodiff, model
+import numpy as np
 
-BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+from nbsep import autodiff, model, stft, trainer
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_bench_trace():
-    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look up their module here
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    bt = load_bench_trace()
+    bt = load_perfbench("bench_trace")
     layers = {layer: importlib.import_module(f"nbsep.{layer}") for layer in bt.LAYERS}
     missing = [f"{layer}.{attr}" for layer, attr in bt.FUNCTIONS
                if not callable(getattr(layers[layer], attr, None))]
@@ -31,3 +38,20 @@ def test_every_traced_name_resolves():
     missing += [f"NarrowBandModel.{m}" for m in bt.MODEL_METHODS
                 if not callable(getattr(model.NarrowBandModel, m, None))]
     assert not missing, f"names wrapped by perfbench/bench_trace.py are gone: {missing}"
+
+
+def test_step_clock_marks_one_start_and_one_end_per_logged_step(tmp_path):
+    workloads = load_perfbench("workloads")
+    cfg8k = stft.StftConfig(sample_rate=8000)
+    examples = trainer.build_probe_examples(3, cfg8k, seed=0, n_mics=2)
+    net = model.NarrowBandModel(
+        model.ModelConfig(in_channels=2, speakers=2, width=16, inner_width=32, blocks=1,
+                          conv_blocks=1, heads=2, dropout=0.0), seed=0, dtype=np.float32)
+    cfg = trainer.TrainConfig(utterances_per_batch=1, max_epochs=1, seed=0)
+    marks: list = []
+    with workloads.step_clock(marks):
+        result = trainer.train(net, examples[:2], examples[2:], cfg, cfg8k, tmp_path)
+    with result.log_path.open(newline="") as fh:
+        logged = sum(1 for row in csv.DictReader(fh) if row["train_loss"])
+    assert logged == result.steps == 2
+    assert [kind for kind, _ in marks] == ["start", "end"] * logged

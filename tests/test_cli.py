@@ -176,6 +176,16 @@ def test_exit_codes(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["train"], ["eval", "--estimates-from-targets"]])
+def test_empty_manifest_is_a_data_error(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("")
+    assert main([*command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"manifest {manifest} has no entries" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_merging(tmp_path):
     out = simulate(tmp_path)
     cfgfile = tmp_path / "cfg.json"

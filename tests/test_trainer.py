@@ -139,15 +139,6 @@ def test_batch_sequence_count(probe_examples):
     assert single.n_sequences == 257
 
 
-def test_batch_rejects_inconsistent_frames(probe_examples):
-    import copy
-
-    bad = copy.copy(probe_examples[0])
-    bad.mixture = stft.ComplexSpectrogram(probe_examples[0].mixture.data[:, :-3, :])
-    with pytest.raises(ValueError, match="inconsistent frame counts"):
-        assemble_batch([probe_examples[1], bad])
-
-
 def test_duplicated_utterance_loss_equals_single(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=0, dtype=np.float64)
     one = assemble_batch([probe_examples[0]])
@@ -160,8 +151,8 @@ def test_duplicated_utterance_loss_equals_single(probe_examples):
 def test_batch_loss_gradients_deterministic(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=1, dtype=np.float64)
     batch = assemble_batch(probe_examples)
-    _, g1, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
-    _, g2, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    _, g1 = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    _, g2 = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
     for name in g1:
         np.testing.assert_array_equal(g1[name], g2[name])
 
@@ -169,8 +160,8 @@ def test_batch_loss_gradients_deterministic(probe_examples):
 def test_chunking_does_not_change_gradients(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=2, dtype=np.float64)
     batch = assemble_batch(probe_examples)
-    _, g1, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
-    _, g2, _ = batch_loss(net, batch, CFG8K, graph_chunk=2, accumulate_grads=True)
+    _, g1 = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    _, g2 = batch_loss(net, batch, CFG8K, graph_chunk=2, accumulate_grads=True)
     for name in g1:
         np.testing.assert_allclose(g1[name], g2[name], atol=1e-10)
 
@@ -196,18 +187,40 @@ def test_batch_loss_frees_a_chunk_graph_before_the_next_forward(probe_examples, 
 
     net = NarrowBandModel(PROBE_MODEL, seed=6, dtype=np.float64)
     batch = assemble_batch(probe_examples)
-    chunk_loss = trainer._chunk_loss
+    utterance_loss = trainer._utterance_loss
     held, alive_at_start = [], []
 
-    def watching_chunk_loss(*args, **kwargs):
+    def watching_utterance_loss(*args, **kwargs):
         alive_at_start.append([ref() is not None for ref in held])
-        loss, assignments = chunk_loss(*args, **kwargs)
+        loss = utterance_loss(*args, **kwargs)
         held.append(weakref.ref(_largest_interior_value(loss)))
-        return loss, assignments
+        return loss
 
-    monkeypatch.setattr(trainer, "_chunk_loss", watching_chunk_loss)
+    monkeypatch.setattr(trainer, "_utterance_loss", watching_utterance_loss)
     batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
     assert alive_at_start == [[], [False]]
+
+
+def test_mixed_length_batch_loss_is_the_mean_of_its_utterances(probe_examples):
+    short = build_probe_examples(1, CFG8K, seed=1, n_mics=2, duration_samples=4000)[0]
+    mixed = [probe_examples[0], short]
+    assert len({ex.mixture.n_frames for ex in mixed}) == 2
+    net = NarrowBandModel(PROBE_MODEL, seed=8, dtype=np.float64)
+    loss, grads = batch_loss(net, assemble_batch(mixed), CFG8K, graph_chunk=2,
+                             accumulate_grads=True)
+    singles = [batch_loss(net, assemble_batch([ex]), CFG8K)[0] for ex in mixed]
+    assert loss == pytest.approx(np.mean(singles), rel=1e-12)
+    assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def test_train_runs_on_utterances_of_different_lengths(tmp_path, probe_examples):
+    short = build_probe_examples(2, CFG8K, seed=1, n_mics=2, duration_samples=4000)
+    cfg = TrainConfig(utterances_per_batch=2, max_epochs=1, seed=0, graph_chunk=2)
+    net = NarrowBandModel(PROBE_MODEL, seed=9, dtype=cfg.dtype)
+    examples = [probe_examples[0], short[0]]
+    result = train(net, examples, [probe_examples[1], short[1]], cfg, CFG8K, tmp_path)
+    assert result.steps == 1
+    assert np.isfinite(result.best_val)
 
 
 # -- probe ------------------------------------------------------------------------
@@ -242,6 +255,12 @@ def test_probe_duplicated_example_matches_single(probe_examples):
     for (s1, v1), (s2, v2) in zip(c1, c2):
         assert s1 == s2
         assert v1 == pytest.approx(v2, abs=1e-4)  # float32 accumulation order
+
+
+def test_probe_rejects_unknown_precision(probe_examples):
+    with pytest.raises(ValueError, match="unknown precision"):
+        overfit_probe(PROBE_MODEL, probe_examples[:1], steps=0, stft_cfg=CFG8K,
+                      precision="float16")
 
 
 def test_probe_loss_decreases_quickly(probe_examples):
@@ -284,7 +303,7 @@ def test_train_determinism(tmp_path, probe_examples):
 def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeypatch):
     net = NarrowBandModel(PROBE_MODEL, seed=3, dtype=np.float64)
     batch = assemble_batch(probe_examples)
-    graph_loss, _, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    graph_loss, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
     recorded = []
     forward = net.forward
 
