@@ -1,9 +1,11 @@
 """Minimal dense-tensor reverse-mode autodiff engine on numpy arrays.
 
 Every operation the separation network and its loss need is provided as a
-primitive with a hand-written backward rule.  Tensors carry arbitrary
-leading batch dimensions so a whole stack of narrow-band sequences can be
-pushed through one graph.  Graphs are plain closures over saved forward
+primitive with a hand-written backward rule.  The network's layers
+(`conv1d`, `conv_transpose1d`, `layer_norm`, `group_norm`) take
+channel-major activations (C, B, T): a whole stack of narrow-band
+sequences is one C x B·T matrix, so a shared weight meets every sequence
+in one GEMM.  Graphs are plain closures over saved forward
 values; `backward` runs them in reverse topological order and frees each
 node once its gradient has flowed, so a graph supports one backward and
 memory falls as gradients are produced.
@@ -457,14 +459,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 2 and bd.ndim > 2:
-            # shared weight applied across a batch: contract batch + column axes
-            axes = list(range(g.ndim - 2)) + [g.ndim - 1]
-            ga = np.tensordot(g, bd, axes=(axes, axes))
-            gb = np.matmul(ad.T, g)
-        else:
-            ga = _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
-            gb = _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
+        ga = _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
+        gb = _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
         return ga, gb
 
     return Tensor._from_op(out, (a, b), vjp)
@@ -528,27 +524,30 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     return Tensor._from_op(out, (q, k, v, u, vb, rel), vjp)
 
 
-# -- normalization ----------------------------------------------------------------
+# -- channel-major layers --------------------------------------------------------
+#
+# (C, B, T) input: B sequences side by side, read as a C x B·T matrix.  A 2-D
+# (C, T) input is one sequence and gives a 2-D output.
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the feature axis (-2) independently per time step."""
+    """Normalize channel-major x (C, ...) over its channel axis 0, per column."""
     xd = x.data
-    mu = xd.mean(axis=-2, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
-    gcol = gamma.data.reshape(-1, 1)
-    out = gcol * xh + beta.data.reshape(-1, 1)
+    xh = xd - xd.mean(axis=0)
+    inv = 1.0 / np.sqrt((xh * xh).mean(axis=0) + eps)
+    xh *= inv
+    col = (-1,) + (1,) * (xd.ndim - 1)
+    gcol = gamma.data.reshape(col)
+    out = xh * gcol
+    out += beta.data.reshape(col)
 
     def vjp(g):
-        red = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
+        red = tuple(range(1, g.ndim))
         dgamma = (g * xh).sum(axis=red)
         dbeta = g.sum(axis=red)
         dxh = g * gcol
-        m1 = dxh.mean(axis=-2, keepdims=True)
-        m2 = (dxh * xh).mean(axis=-2, keepdims=True)
+        m1 = dxh.mean(axis=0)
+        m2 = (dxh * xh).mean(axis=0)
         dx = inv * (dxh - m1 - xh * m2)
         return dx, dgamma, dbeta
 
@@ -556,168 +555,133 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float = 1e-5) -> Tensor:
-    """Normalize per channel group over (channels-in-group, time)."""
+    """Normalize channel-major x (C, B, T) per channel group and sequence.
+
+    The statistics of group g of sequence b run over the group's channels
+    and all T frames; a 2-D (C, T) input is one sequence.
+    """
     xd = x.data
-    c, t = xd.shape[-2], xd.shape[-1]
+    c = xd.shape[0]
     if c % groups:
         raise ValueError(f"groups={groups} does not divide {c} channels")
-    gshape = xd.shape[:-2] + (groups, c // groups, t)
+    gshape = (groups, c // groups) + xd.shape[1:]
+    n = gshape[1] * gshape[-1]
+
+    def group_mean(z):
+        # channels of a group, then frames: both sums run over long contiguous rows
+        return z.sum(axis=1, keepdims=True).sum(axis=-1, keepdims=True) / n
+
     xr = xd.reshape(gshape)
-    mu = xr.mean(axis=(-2, -1), keepdims=True)
-    xc = xr - mu
-    var = (xc * xc).mean(axis=(-2, -1), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
-    gcol = gamma.data.reshape(-1, 1)
-    out = gcol * xh.reshape(xd.shape) + beta.data.reshape(-1, 1)
+    xc = xr - group_mean(xr)
+    inv = 1.0 / np.sqrt(group_mean(xc * xc) + eps)  # (groups, 1, B, 1)
+    gcol = gamma.data.reshape(gshape[:2] + (1,) * (len(gshape) - 2))
+    out = xc * (gcol * inv)  # gamma and 1/sigma as one (groups, C/groups, B, 1) factor
+    out += beta.data.reshape(gcol.shape)
 
     def vjp(g):
-        red = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
-        xh_flat = xh.reshape(xd.shape)
-        dgamma = (g * xh_flat).sum(axis=red)
-        dbeta = g.sum(axis=red)
-        dxh = (g * gcol).reshape(gshape)
-        m1 = dxh.mean(axis=(-2, -1), keepdims=True)
-        m2 = (dxh * xh).mean(axis=(-2, -1), keepdims=True)
-        dx = (inv * (dxh - m1 - xh * m2)).reshape(xd.shape)
-        return dx, dgamma, dbeta
+        xh = xc * inv
+        gr = g.reshape(gshape)
+        red = tuple(range(2, gr.ndim))
+        dgamma = (gr * xh).sum(axis=red).reshape(c)
+        dbeta = gr.sum(axis=red).reshape(c)
+        dxh = gr * gcol
+        dx = inv * (dxh - group_mean(dxh) - xh * group_mean(dxh * xh))
+        return dx.reshape(xd.shape), dgamma, dbeta
 
-    return Tensor._from_op(out, (x, gamma, beta), vjp)
-
-
-# -- convolutions -------------------------------------------------------------------
+    return Tensor._from_op(out.reshape(xd.shape), (x, gamma, beta), vjp)
 
 
 def conv1d(
     x: Tensor,
     w: Tensor,
     b: Tensor | None = None,
-    stride: int = 1,
     padding: tuple[int, int] = (0, 0),
     groups: int = 1,
 ) -> Tensor:
-    """1-D convolution along the last axis.
+    """1-D convolution along the last axis of channel-major input.
 
-    `x` is (C_in, T) or batched (B, C_in, T), `w` is (C_out, C_in/groups, K),
-    `b` is (C_out,).  Padding is explicit (left, right); output length is
-    ``(T + pad_l + pad_r - K) // stride + 1``.  The batch folds into the
-    gemm columns so the kernel/group loops stay tiny.
+    `x` is (C_in, B, T) or one sequence (C_in, T), `w` is
+    (C_out, C_in/groups, K) and `b` is (C_out,).  Padding is explicit
+    (left, right); the output is (C_out, B, T + pad_l + pad_r - K + 1).
+
+    The padded sequences lie end to end in one (C_in, B·Tp) matrix, and
+    tap k is one GEMM per group over all its columns, shifted by k: output
+    column b·Tp + t sums input columns b·Tp + t + k.  Of each sequence's Tp
+    output columns the last K-1 read into the next sequence and are dropped.
+    There is no im2col copy.
     """
-    xd = x.data
-    squeeze = xd.ndim == 2
-    if squeeze:
-        xd = xd[None]
+    xd = x.data[:, None] if x.data.ndim == 2 else x.data
     if xd.ndim != 3:
-        raise ValueError(f"conv1d expects (B, C, T) input, got {x.data.shape}")
+        raise ValueError(f"conv1d expects channel-major (C, B, T) input, got {x.data.shape}")
     wd = w.data
     c_out, c_in_g, k = wd.shape
-    n_batch, c_in, _ = xd.shape
+    c_in, n_batch, t_in = xd.shape
     if c_in_g * groups != c_in or c_out % groups:
         raise ValueError(
             f"conv1d shape mismatch: input {c_in} channels, weight {wd.shape}, groups {groups}"
         )
     pl, pr = padding
-    # channel-first im2col: one fat gemm per group instead of tiny stacked ones
-    xpt = np.pad(xd.transpose(1, 0, 2), [(0, 0), (0, 0), (pl, pr)])  # (C_in, B, Tp)
-    tp = xpt.shape[-1]
-    t_out = (tp - k) // stride + 1
+    tp = t_in + pl + pr
+    t_out = tp - k + 1
     if t_out < 1:
         raise ValueError("conv1d input shorter than kernel")
-    og = c_out // groups
-    span = (t_out - 1) * stride + 1
-    cols = n_batch * t_out
-    # windows: (C_in, B, T_out, K) view over the padded input
-    win = np.lib.stride_tricks.sliding_window_view(xpt, k, axis=2)[:, :, ::stride, :]
+    og, cols = c_out // groups, n_batch * tp
+    # taps as (K, groups, C_out/groups, C_in/groups) GEMM operands
+    taps = np.ascontiguousarray(wd.reshape(groups, og, c_in_g, k).transpose(3, 0, 1, 2))
+    # one zero sequence after the last: the K-1 columns the last taps read past it
+    xp = np.zeros((c_in, n_batch + 1, tp), dtype=xd.dtype)
+    xp[:, :n_batch, pl : pl + t_in] = xd
+    xf = xp.reshape(groups, c_in_g, -1)
 
-    y2 = np.empty((c_out, cols), dtype=xd.dtype)
-    for g_i in range(groups):
-        ci, co = g_i * c_in_g, g_i * og
-        xg = win[ci : ci + c_in_g].transpose(0, 3, 1, 2).reshape(c_in_g * k, cols)
-        y2[co : co + og] = wd[co : co + og].reshape(og, c_in_g * k) @ xg
-    y = y2.reshape(c_out, n_batch, t_out).transpose(1, 0, 2)
-    if b is not None:
-        y = y + b.data.reshape(-1, 1)
+    yf = np.matmul(taps[0], xf[:, :, :cols])
+    for kk in range(1, k):
+        yf += np.matmul(taps[kk], xf[:, :, kk : kk + cols])
+    y = yf.reshape(c_out, n_batch, tp)[:, :, :t_out]
+    y = np.ascontiguousarray(y) if b is None else y + b.data.reshape(-1, 1, 1)
 
     def vjp(g):
-        if squeeze:
-            g = g[None]
-        gyt = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, cols)
-        gxpt = np.zeros_like(xpt)
-        gw = np.empty_like(wd)
-        for g_i in range(groups):
-            ci, co = g_i * c_in_g, g_i * og
-            xg = win[ci : ci + c_in_g].transpose(0, 3, 1, 2).reshape(c_in_g * k, cols)
-            gy_g = gyt[co : co + og]
-            gw[co : co + og] = (gy_g @ xg.T).reshape(og, c_in_g, k)
-            gcol = (wd[co : co + og].reshape(og, c_in_g * k).T @ gy_g).reshape(
-                c_in_g, k, n_batch, t_out
-            )
-            for kk in range(k):  # col2im scatter
-                gxpt[ci : ci + c_in_g, :, kk : kk + span : stride] += gcol[:, kk]
-        gx = gxpt[:, :, pl : tp - pr] if (pl or pr) else gxpt
-        gx = np.ascontiguousarray(gx.transpose(1, 0, 2))
-        if squeeze:
-            gx = gx[0]
-        gb = None if b is None else gyt.sum(axis=1)
-        return (gx, gw, gb) if b is not None else (gx, gw)
+        # g in sequence slots 1..B of a zero buffer, zero in the dropped
+        # columns: gradient column tp + c belongs to forward column c
+        gp = np.zeros((c_out, n_batch + 1, tp), dtype=xd.dtype)
+        gp[:, 1:, :t_out] = g.reshape(c_out, n_batch, t_out)
+        gf = gp.reshape(groups, og, -1)
+        gy = gf[:, :, tp:]
+        gxf = np.matmul(taps[0].swapaxes(-1, -2), gy)
+        gw = np.empty((k, groups, og, c_in_g), dtype=xd.dtype)
+        gw[0] = np.matmul(gy, xf[:, :, :cols].swapaxes(-1, -2))
+        for kk in range(1, k):
+            gxf += np.matmul(taps[kk].swapaxes(-1, -2), gf[:, :, tp - kk : tp - kk + cols])
+            gw[kk] = np.matmul(gy, xf[:, :, kk : kk + cols].swapaxes(-1, -2))
+        gx = np.ascontiguousarray(gxf.reshape(c_in, n_batch, tp)[:, :, pl : pl + t_in])
+        gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
+        if x.data.ndim == 2:
+            gx = gx[:, 0]
+        if b is None:
+            return gx, gw
+        return gx, gw, gp.sum(axis=(1, 2))
 
     parents = (x, w, b) if b is not None else (x, w)
-    if squeeze:
-        y = y[0]
+    if x.data.ndim == 2:
+        y = y[:, 0]
     return Tensor._from_op(y, parents, vjp)
 
 
-def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
-    """1-D transposed convolution along the last axis.
+def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """1-D transposed convolution along the last axis of channel-major input.
 
-    `x` is (..., C_in, T), `w` is (C_in, C_out, K); output length is
-    ``(T - 1) * stride + K``.
+    `x` is (C_in, B, T) or one sequence (C_in, T), `w` is (C_in, C_out, K);
+    the output is (C_out, B, T + K - 1).  It is `conv1d` with K-1 zero
+    frames on both sides and the kernel transposed and reversed in time.
     """
-    xd = x.data
-    squeeze = xd.ndim == 2
-    if squeeze:
-        xd = xd[None]
-    if xd.ndim != 3:
-        raise ValueError(f"conv_transpose1d expects (B, C, T) input, got {x.data.shape}")
-    wd = w.data
-    c_in, c_out, k = wd.shape
-    if xd.shape[-2] != c_in:
-        raise ValueError(f"conv_transpose1d: input has {xd.shape[-2]} channels, weight expects {c_in}")
-    n_batch, _, t_in = xd.shape
-    t_out = (t_in - 1) * stride + k
-    span = (t_in - 1) * stride + 1
-    cols = n_batch * t_in
-
-    xt = np.ascontiguousarray(xd.transpose(1, 0, 2)).reshape(c_in, cols)
-    yt = np.zeros((c_out, n_batch, t_out), dtype=xd.dtype)
-    for kk in range(k):
-        yt[:, :, kk : kk + span : stride] += (wd[:, :, kk].T @ xt).reshape(
-            c_out, n_batch, t_in
-        )
-    y = yt.transpose(1, 0, 2)
-    if b is not None:
-        y = y + b.data.reshape(-1, 1)
-
-    def vjp(g):
-        if squeeze:
-            g = g[None]
-        gt = np.ascontiguousarray(g.transpose(1, 0, 2))  # (C_out, B, T_out)
-        gxt = np.zeros((c_in, cols), dtype=xd.dtype)
-        gw = np.empty_like(wd)
-        for kk in range(k):
-            gs = np.ascontiguousarray(gt[:, :, kk : kk + span : stride]).reshape(c_out, cols)
-            gxt += wd[:, :, kk] @ gs
-            gw[:, :, kk] = xt @ gs.T
-        gx = gxt.reshape(c_in, n_batch, t_in).transpose(1, 0, 2)
-        if squeeze:
-            gx = gx[0]
-        gb = None if b is None else gt.sum(axis=(1, 2))
-        return (gx, gw, gb) if b is not None else (gx, gw)
-
-    parents = (x, w, b) if b is not None else (x, w)
-    if squeeze:
-        y = y[0]
-    return Tensor._from_op(y, parents, vjp)
+    c_in, _, k = w.data.shape
+    if x.data.shape[0] != c_in:
+        raise ValueError(f"conv_transpose1d: input has {x.data.shape[0]} channels, weight expects {c_in}")
+    flipped = Tensor._from_op(
+        np.ascontiguousarray(w.data.transpose(1, 0, 2)[:, :, ::-1]),
+        (w,),
+        lambda g: (np.ascontiguousarray(g[:, :, ::-1].transpose(1, 0, 2)),),
+    )
+    return conv1d(x, flipped, b, padding=(k - 1, k - 1))
 
 
 # -- stochastic / signal ops -----------------------------------------------------

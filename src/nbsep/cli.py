@@ -182,14 +182,14 @@ def _load_examples(manifest_path, cfg):
 
 def _cmd_train(args) -> int:
     cfg = _stft_config(args)
-    train_examples = _load_examples(args.manifest, cfg)
-    val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
-    n_mics = train_examples[0].mixture.n_channels
-    mcfg = _model_config(args, n_mics)
     tcfg = trainer.TrainConfig(
         utterances_per_batch=args.batch, lr_init=args.lr, max_epochs=args.epochs,
         seed=args.seed, precision=args.precision, graph_chunk=args.graph_chunk,
     )
+    train_examples = _load_examples(args.manifest, cfg)
+    val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
+    n_mics = train_examples[0].mixture.n_channels
+    mcfg = _model_config(args, n_mics)
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
     print(f"model parameters: {model_mod.parameter_count(net.params)}")
     result = trainer.train(net, train_examples, val_examples, tcfg, cfg, args.out)
@@ -310,12 +310,14 @@ def _cmd_rtf(args) -> int:
     n_samples = int(args.duration * cfg.sample_rate)
     mixture = WaveBuffer(rng.standard_normal((net.cfg.in_channels, n_samples)) * 0.1,
                          cfg.sample_rate)
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     net.separate(mixture, cfg)
     elapsed = time.perf_counter() - t0
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
     print(f"RTF {elapsed / args.duration:.3f} ({elapsed:.2f} s for {args.duration:.1f} s audio), "
-          f"peak RSS {peak_mb:.0f} MB")
+          f"peak RSS {peak_mb:.0f} MB, minor page faults {usage.ru_minflt - faults0}")
     return 0
 
 

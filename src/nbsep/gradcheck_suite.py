@@ -70,13 +70,14 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
     case("relative_shift",
          lambda x: ad.tsum(ad.power(ad.relative_shift(x), 2.0)), _t(rng, 2, 4, 7))
 
+    # the network's layers take channel-major (C, B, T) input
     g, bb = _t(rng, 5), _t(rng, 5)
     case("layer_norm", lambda x, gg, b2: ad.tsum(ad.power(ad.layer_norm(x, gg, b2), 2.0)),
-         _t(rng, 2, 5, 3), g, bb)
+         _t(rng, 5, 2, 3), g, bb)
     g2, b2 = _t(rng, 6), _t(rng, 6)
     case("group_norm",
          lambda x, gg, b3: ad.tsum(ad.power(ad.group_norm(x, gg, b3, 2), 2.0)),
-         _t(rng, 2, 6, 3), g2, b2)
+         _t(rng, 6, 2, 3), g2, b2)
 
     # linear ops get a random linear head: gradients stay O(1) in every
     # coordinate, so the comparison is not finite-difference-noise-bound
@@ -84,16 +85,16 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
         r = Tensor(rng.standard_normal(shape))
         return lambda y: ad.tsum(ad.mul(y, r))
 
-    head = linear_head((2, 4, 7))
+    head = linear_head((4, 2, 7))
     case("conv1d", lambda x, w, b3: head(ad.conv1d(x, w, b3, padding=(2, 1))),
-         _t(rng, 2, 3, 6), _t(rng, 4, 3, 3), _t(rng, 4))
-    head_gs = linear_head((2, 6, 4))
-    case("conv1d grouped stride",
-         lambda x, w, b3: head_gs(ad.conv1d(x, w, b3, stride=2, padding=(1, 1), groups=2)),
-         _t(rng, 2, 4, 7), _t(rng, 6, 2, 3), _t(rng, 6))
-    head_t = linear_head((2, 4, 8))
+         _t(rng, 3, 2, 6), _t(rng, 4, 3, 3), _t(rng, 4))
+    head_ga = linear_head((6, 2, 8))
+    case("conv1d grouped asymmetric padding",
+         lambda x, w, b3: head_ga(ad.conv1d(x, w, b3, padding=(3, 0), groups=2)),
+         _t(rng, 4, 2, 7), _t(rng, 6, 2, 3), _t(rng, 6))
+    head_t = linear_head((4, 2, 8))
     case("conv_transpose1d", lambda x, w, b3: head_t(ad.conv_transpose1d(x, w, b3)),
-         _t(rng, 2, 3, 5), _t(rng, 3, 4, 4), _t(rng, 4))
+         _t(rng, 3, 2, 5), _t(rng, 3, 4, 4), _t(rng, 4))
     head_o = linear_head((3, 9))
     case("overlap_add", lambda x: head_o(ad.overlap_add(x, 2, 9)), _t(rng, 3, 4, 4))
     head_a = linear_head((2, 2, 4, 3))

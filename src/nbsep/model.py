@@ -21,16 +21,25 @@ relative-distance encodings.  Scores, softmax and the weighted sum of
 values are one fused op, `autodiff.rel_attention`, whose graph keeps only
 the attention probabilities.
 
-All sequences may carry a leading batch axis of frequencies (or of several
-utterances' frequencies).  Inference (`separate`, `attention_maps`) runs
-graph-free in chunks of `FREQUENCY_CHUNK` bins: since every frequency is
-processed on its own, chunking changes the outputs by round-off only, and
-memory is set by the chunk size instead of by F x T.
+`forward` takes (2M, T) or a batch (B, 2M, T) of frequencies and returns
+(2N, T) or (B, 2N, T).  Between its input and output convolutions the
+activations are channel-major, (C, B, T) read as a C x B·T matrix: every
+projection (wq, wk, wv, wo, ff_in, ff_out) is one 2-D GEMM over all B·T
+columns, each conv tap one GEMM per group, and layer and group norms
+reduce over axis 0 and over (group channels, T) per sequence.  Only the
+attention op sees a (B, heads, T, head_dim) layout.
+
+Inference (`separate`, `attention_maps`) runs graph-free in chunks of
+`FREQUENCY_CHUNK` bins: since every frequency is processed on its own,
+chunking changes the outputs by round-off only, and memory is set by the
+chunk size instead of by F x T.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -149,6 +158,14 @@ def relative_index_table(T: int) -> np.ndarray:
     return (q[None, :] - q[:, None]) + (T - 1)
 
 
+def _linear(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
+    """``W @ x (+ b)`` on channel-major x (C, ...) as one 2-D GEMM over all columns."""
+    y = ad.matmul(w, ad.reshape(x, (x.shape[0], -1)))
+    if b is not None:
+        y = ad.add(y, ad.reshape(b, (-1, 1)))
+    return ad.reshape(y, (w.shape[0],) + x.shape[1:])
+
+
 class NarrowBandModel:
     """Configuration plus named parameter tensors, with forward/inference."""
 
@@ -174,7 +191,10 @@ class NarrowBandModel:
 
         Returns the (.., 2N, T) output Tensor, or (output, attention) with
         `collect_attention`, where attention is a list per block of
-        (..., heads, T, T) softmax matrices (read-only ndarray, no graph).
+        (B, heads, T, T) softmax matrices (read-only ndarray, no graph;
+        B = 1 for a 2-D input).  Inside, activations are channel-major
+        (C, B, T): the input is transposed once on entry and the output
+        once on exit.
         """
         cfg = self.cfg
         p = self.params
@@ -184,11 +204,15 @@ class NarrowBandModel:
             raise ValueError(
                 f"expected {2 * cfg.in_channels} input rows, got {x.shape[-2]}"
             )
+        single = x.ndim == 2
+        if single:
+            x = ad.reshape(x, (1,) + x.shape)
         t_len = x.shape[-1]
         drop = cfg.dropout if train else 0.0
         attn_maps = []
 
-        h = ad.conv1d(x, p["in_conv.w"], p["in_conv.b"], padding=(cfg.io_kernel - 1, 0))
+        h = ad.transpose(x, (1, 0, 2))  # (2M, B, T)
+        h = ad.conv1d(h, p["in_conv.w"], p["in_conv.b"], padding=(cfg.io_kernel - 1, 0))
         rel_table = Tensor(relative_encoding_table(t_len, cfg.width, self.dtype))
 
         for i in range(cfg.blocks):
@@ -200,8 +224,7 @@ class NarrowBandModel:
             h = ad.add(h, a)
 
             f = ad.layer_norm(h, p[f"{b}.ff_norm.gamma"], p[f"{b}.ff_norm.beta"])
-            f = ad.silu(ad.add(ad.matmul(p[f"{b}.ff_in.w"], f),
-                               ad.reshape(p[f"{b}.ff_in.b"], (-1, 1))))
+            f = ad.silu(_linear(p[f"{b}.ff_in.w"], f, p[f"{b}.ff_in.b"]))
             for j in range(cfg.conv_blocks):
                 f = ad.conv1d(f, p[f"{b}.conv{j}.w"], p[f"{b}.conv{j}.b"],
                               padding=(cfg.conv_kernel // 2, cfg.conv_kernel // 2),
@@ -210,44 +233,46 @@ class NarrowBandModel:
                                   p[f"{b}.conv{j}.norm.beta"], cfg.groups)
                 f = ad.silu(f)
             f = ad.dropout(f, drop, rng, train)
-            f = ad.add(ad.matmul(p[f"{b}.ff_out.w"], f),
-                       ad.reshape(p[f"{b}.ff_out.b"], (-1, 1)))
+            f = _linear(p[f"{b}.ff_out.w"], f, p[f"{b}.ff_out.b"])
             f = ad.dropout(f, drop, rng, train)
             h = ad.add(f, h) if cfg.ff_residual else f
 
         out = ad.conv_transpose1d(h, p["out_conv.w"], p["out_conv.b"])
         out = ad.narrow(out, -1, 0, t_len)  # crop the trailing kernel tail
+        out = ad.transpose(out, (1, 0, 2))  # (B, 2N, T)
+        if single:
+            out = ad.reshape(out, out.shape[1:])
         if collect_attention:
             return out, attn_maps
         return out
 
     def _rpsa(self, xn: Tensor, block: int, rel_table: Tensor,
               attn_sink: list | None) -> Tensor:
+        """Self-attention of channel-major xn (width, B, T) or (width, T)."""
         cfg = self.cfg
         p = self.params
         b = f"block{block}"
-        heads, dh, t_len = cfg.heads, cfg.head_dim, xn.shape[-1]
-        batch = xn.shape[:-2]
+        heads, dh = cfg.heads, cfg.head_dim
+        cols = xn.shape[1:]  # (B, T), or (T,) for one sequence
+        n = len(cols) - 1  # batch axes
+        batch, t_axis = tuple(range(2, 2 + n)), 2 + n
 
-        def heads_first(z):
-            # (..., H1, T) -> (..., heads, T, dh)
-            z = ad.reshape(z, batch + (heads, dh, t_len))
-            perm = tuple(range(len(batch))) + (len(batch), len(batch) + 2, len(batch) + 1)
-            return ad.transpose(z, perm)
+        def project(name):  # (heads, dh, B, T)
+            return ad.reshape(_linear(p[f"{b}.attn.{name}"], xn), (heads, dh) + cols)
 
-        q = heads_first(ad.matmul(p[f"{b}.attn.wq"], xn))
-        k = ad.reshape(ad.matmul(p[f"{b}.attn.wk"], xn), batch + (heads, dh, t_len))
-        v = heads_first(ad.matmul(p[f"{b}.attn.wv"], xn))
+        q = ad.transpose(project("wq"), batch + (0, t_axis, 1))  # (B, heads, T, dh)
+        k = ad.transpose(project("wk"), batch + (0, 1, t_axis))  # (B, heads, dh, T)
+        v = ad.transpose(project("wv"), batch + (0, t_axis, 1))
 
+        t_len = cols[-1]
         u = ad.reshape(p[f"{b}.attn.u"], (heads, 1, dh))
         vb = ad.reshape(p[f"{b}.attn.v"], (heads, 1, dh))
         rel = ad.matmul(p[f"{b}.attn.wr"], ad.transpose(rel_table, (1, 0)))
         rel = ad.reshape(rel, (heads, dh, 2 * t_len - 1))
         o = ad.rel_attention(q, k, v, u, vb, rel, 1.0 / np.sqrt(dh),
-                             probs_sink=attn_sink)  # (..., heads, T, dh)
-        perm = tuple(range(len(batch))) + (len(batch), len(batch) + 2, len(batch) + 1)
-        o = ad.reshape(ad.transpose(o, perm), batch + (cfg.width, t_len))
-        return ad.matmul(p[f"{b}.attn.wo"], o)
+                             probs_sink=attn_sink)  # (B, heads, T, dh)
+        o = ad.transpose(o, (n, n + 2) + tuple(range(n)) + (n + 1,))  # (heads, dh, B, T)
+        return _linear(p[f"{b}.attn.wo"], ad.reshape(o, (cfg.width,) + cols))
 
     # -- full-band inference ------------------------------------------------------
 
@@ -301,24 +326,41 @@ class NarrowBandModel:
 
 
 def save_checkpoint(path, model: NarrowBandModel, optimizer_state=None, step: int = 0) -> None:
-    """Write a checkpoint directory: JSON manifest + one float32 .bin per tensor."""
+    """Write a checkpoint directory: JSON manifest + one float32 .bin per tensor.
+
+    The files are written to a temporary sibling directory, which is then
+    renamed into place; a failure while writing leaves an earlier
+    checkpoint at `path` as it was.
+    """
     path = Path(path)
-    (path / "params").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, t in model.params.items():
-        (path / "params" / f"{name}.bin").write_bytes(
-            np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        )
-        entries.append({"name": name, "shape": list(t.shape), "dtype": "float32"})
-    manifest = {
-        "model_config": asdict(model.cfg),
-        "training_step": int(step),
-        "params": entries,
-    }
-    if optimizer_state is not None:
-        (path / "opt").mkdir(exist_ok=True)
-        manifest["optimizer"] = optimizer_state.serialize(path / "opt")
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+    try:
+        (tmp / "params").mkdir()
+        entries = []
+        for name, t in model.params.items():
+            (tmp / "params" / f"{name}.bin").write_bytes(
+                np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+            )
+            entries.append({"name": name, "shape": list(t.shape), "dtype": "float32"})
+        manifest = {
+            "model_config": asdict(model.cfg),
+            "training_step": int(step),
+            "params": entries,
+        }
+        if optimizer_state is not None:
+            (tmp / "opt").mkdir()
+            manifest["optimizer"] = optimizer_state.serialize(tmp / "opt")
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    # a directory cannot be renamed over a non-empty one: move the old one aside
+    old = tmp.with_name(tmp.name + ".old")
+    if path.exists():
+        path.rename(old)
+    tmp.rename(path)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path, dtype=np.float64):

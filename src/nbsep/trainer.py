@@ -37,6 +37,9 @@ class TrainConfig:
     graph_chunk: int = 1  # utterances sharing one backward; costs memory only
 
     def __post_init__(self):
+        for name, low in (("utterances_per_batch", 1), ("graph_chunk", 1), ("max_epochs", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.lr_min > self.lr_init:
             raise ValueError("lr_min must not exceed lr_init")
         if self.clip_norm <= 0:

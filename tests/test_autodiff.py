@@ -208,6 +208,8 @@ def test_conv_shape_errors():
         ad.conv1d(x, Tensor(np.ones((4, 2, 3))))
     with pytest.raises(ValueError, match="groups"):
         ad.group_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 2)
+    with pytest.raises(ValueError, match="conv_transpose1d: input has 3 channels"):
+        ad.conv_transpose1d(x, Tensor(np.ones((4, 2, 3))))
 
 
 def test_checked_mode_raises_on_nonfinite():
@@ -358,3 +360,183 @@ def test_rel_attention_matches_unfused_composition(lead, t_len):
     assert out.dtype == np.float32 and sink[0].dtype == np.float32
     assert all(t.grad.dtype == np.float32 for t in ins)
     np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-6)
+
+
+# -- the channel-major layers against the batch-major forms they replaced -------
+#
+# Straight-line numpy forms of the former (B, C, T) ops: im2col conv1d,
+# col2im conv_transpose1d, and the norms over axis -2.  Each returns the
+# output and a function from the output gradient to the input gradients.
+
+
+def _ref_layer_norm(xd, gamma, beta, eps=1e-5):
+    mu = xd.mean(axis=-2, keepdims=True)
+    xc = xd - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-2, keepdims=True) + eps)
+    xh = xc * inv
+    out = gamma.reshape(-1, 1) * xh + beta.reshape(-1, 1)
+
+    def vjp(g):
+        red = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
+        dxh = g * gamma.reshape(-1, 1)
+        m1 = dxh.mean(axis=-2, keepdims=True)
+        m2 = (dxh * xh).mean(axis=-2, keepdims=True)
+        return inv * (dxh - m1 - xh * m2), (g * xh).sum(axis=red), g.sum(axis=red)
+
+    return out, vjp
+
+
+def _ref_group_norm(xd, gamma, beta, groups, eps=1e-5):
+    c, t = xd.shape[-2], xd.shape[-1]
+    gshape = xd.shape[:-2] + (groups, c // groups, t)
+    xr = xd.reshape(gshape)
+    xc = xr - xr.mean(axis=(-2, -1), keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=(-2, -1), keepdims=True) + eps)
+    xh = xc * inv
+    out = gamma.reshape(-1, 1) * xh.reshape(xd.shape) + beta.reshape(-1, 1)
+
+    def vjp(g):
+        red = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
+        dxh = (g * gamma.reshape(-1, 1)).reshape(gshape)
+        m1 = dxh.mean(axis=(-2, -1), keepdims=True)
+        m2 = (dxh * xh).mean(axis=(-2, -1), keepdims=True)
+        dx = (inv * (dxh - m1 - xh * m2)).reshape(xd.shape)
+        return dx, (g * xh.reshape(xd.shape)).sum(axis=red), g.sum(axis=red)
+
+    return out, vjp
+
+
+def _ref_conv1d(xd, wd, bd, padding, groups):
+    # im2col over (B, C_in, T): one gemm per group over (C_in/groups * K) rows
+    c_out, c_in_g, k = wd.shape
+    n_batch = xd.shape[0]
+    pl, pr = padding
+    xpt = np.pad(xd.transpose(1, 0, 2), [(0, 0), (0, 0), (pl, pr)])  # (C_in, B, Tp)
+    tp = xpt.shape[-1]
+    t_out = tp - k + 1
+    og, cols = c_out // groups, n_batch * t_out
+    win = np.lib.stride_tricks.sliding_window_view(xpt, k, axis=2)  # (C_in, B, T_out, K)
+    y2 = np.empty((c_out, cols), dtype=xd.dtype)
+    for g_i in range(groups):
+        ci, co = g_i * c_in_g, g_i * og
+        xg = win[ci : ci + c_in_g].transpose(0, 3, 1, 2).reshape(c_in_g * k, cols)
+        y2[co : co + og] = wd[co : co + og].reshape(og, c_in_g * k) @ xg
+    y = y2.reshape(c_out, n_batch, t_out).transpose(1, 0, 2) + bd.reshape(-1, 1)
+
+    def vjp(g):
+        gyt = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, cols)
+        gxpt = np.zeros_like(xpt)
+        gw = np.empty_like(wd)
+        for g_i in range(groups):
+            ci, co = g_i * c_in_g, g_i * og
+            xg = win[ci : ci + c_in_g].transpose(0, 3, 1, 2).reshape(c_in_g * k, cols)
+            gy_g = gyt[co : co + og]
+            gw[co : co + og] = (gy_g @ xg.T).reshape(og, c_in_g, k)
+            gcol = (wd[co : co + og].reshape(og, c_in_g * k).T @ gy_g).reshape(
+                c_in_g, k, n_batch, t_out)
+            for kk in range(k):  # col2im scatter
+                gxpt[ci : ci + c_in_g, :, kk : kk + t_out] += gcol[:, kk]
+        gx = np.ascontiguousarray(gxpt[:, :, pl : tp - pr].transpose(1, 0, 2))
+        return gx, gw, gyt.sum(axis=1)
+
+    return y, vjp
+
+
+def _ref_conv_transpose1d(xd, wd, bd):
+    c_in, c_out, k = wd.shape
+    n_batch, _, t_in = xd.shape
+    t_out = t_in + k - 1
+    cols = n_batch * t_in
+    xt = np.ascontiguousarray(xd.transpose(1, 0, 2)).reshape(c_in, cols)
+    yt = np.zeros((c_out, n_batch, t_out), dtype=xd.dtype)
+    for kk in range(k):
+        yt[:, :, kk : kk + t_in] += (wd[:, :, kk].T @ xt).reshape(c_out, n_batch, t_in)
+    y = yt.transpose(1, 0, 2) + bd.reshape(-1, 1)
+
+    def vjp(g):
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2))  # (C_out, B, T_out)
+        gxt = np.zeros((c_in, cols), dtype=xd.dtype)
+        gw = np.empty_like(wd)
+        for kk in range(k):
+            gs = np.ascontiguousarray(gt[:, :, kk : kk + t_in]).reshape(c_out, cols)
+            gxt += wd[:, :, kk] @ gs
+            gw[:, :, kk] = xt @ gs.T
+        gx = gxt.reshape(c_in, n_batch, t_in).transpose(1, 0, 2)
+        return gx, gw, gt.sum(axis=(1, 2))
+
+    return y, vjp
+
+
+LEADS = [(), (1,), (4,)]  # () is a 2-D (C, T) input: one sequence, as B = 1
+
+
+def _layer_cases():
+    for lead in LEADS:
+        for t_len in (1, 7):
+            for groups in (1, 3):
+                for padding, k in (((3, 0), 4), ((1, 1), 3)):
+                    yield f"conv1d-g{groups}-p{padding[0]}{padding[1]}-B{lead}-T{t_len}", (
+                        "conv1d", lead, t_len, groups, padding, k)
+                yield f"group_norm-g{groups}-B{lead}-T{t_len}", (
+                    "group_norm", lead, t_len, groups, None, None)
+            yield f"layer_norm-B{lead}-T{t_len}", ("layer_norm", lead, t_len, None, None, None)
+            yield f"conv_transpose1d-B{lead}-T{t_len}", (
+                "conv_transpose1d", lead, t_len, None, None, 4)
+
+
+LAYER_CASES = dict(_layer_cases())
+
+
+def _run_layer(case, dtype, seed):
+    """(new outputs and gradients, reference ones), in batch-major float64 for the reference."""
+    op, lead, t_len, groups, padding, k = case
+    rng = np.random.default_rng(seed)
+    c_in, c_out = 6, 9
+    x = rng.standard_normal((lead[0] if lead else 1, c_in, t_len))
+    if op == "conv1d":
+        params = [rng.standard_normal((c_out, c_in // groups, k)), rng.standard_normal(c_out)]
+        run = lambda xx, w, b: ad.conv1d(xx, w, b, padding=padding, groups=groups)
+        ref = lambda xx, w, b: _ref_conv1d(xx, w, b, padding, groups)
+    elif op == "conv_transpose1d":
+        params = [rng.standard_normal((c_in, c_out, k)), rng.standard_normal(c_out)]
+        run, ref = ad.conv_transpose1d, _ref_conv_transpose1d
+    elif op == "layer_norm":
+        params = [rng.standard_normal(c_in), rng.standard_normal(c_in)]
+        run, ref = ad.layer_norm, _ref_layer_norm
+    else:
+        params = [rng.standard_normal(c_in), rng.standard_normal(c_in)]
+        run = lambda xx, gg, bb: ad.group_norm(xx, gg, bb, groups)
+        ref = lambda xx, gg, bb: _ref_group_norm(xx, gg, bb, groups)
+
+    want, ref_vjp = ref(x, *params)
+    head = rng.standard_normal(want.shape)
+    want_grads = ref_vjp(head)
+
+    xcm = x.transpose(1, 0, 2) if lead else x[0]  # channel-major, or (C, T)
+    ins = [Tensor(np.ascontiguousarray(a).astype(dtype), requires_grad=True)
+           for a in [xcm] + params]
+    out = run(*ins)
+    head_cm = head.transpose(1, 0, 2) if lead else head[0]
+    ad.backward(ad.tsum(ad.mul(out, Tensor(head_cm.astype(dtype)))))
+    gx = ins[0].grad.transpose(1, 0, 2) if lead else ins[0].grad[None]
+    got_out = out.data.transpose(1, 0, 2) if lead else out.data[None]
+    got = [got_out, gx] + [t.grad for t in ins[1:]]
+    return got, [want] + list(want_grads), ins, out
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_channel_major_layer_matches_batch_major_reference(name):
+    got, want, _, _ = _run_layer(LAYER_CASES[name], np.float64, seed=len(name))
+    for label, a, b in zip(("output", "input grad", "weight grad", "bias grad"), got, want):
+        assert a.shape == b.shape, label
+        rel = np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+        assert rel <= 1e-12, f"{label}: relative error {rel:.3g}"
+
+
+@pytest.mark.parametrize("name", ["conv1d-g3-p11-B(4,)-T7", "conv_transpose1d-B(4,)-T7",
+                                  "layer_norm-B(4,)-T7", "group_norm-g3-B(4,)-T7"])
+def test_channel_major_layer_keeps_float32(name):
+    got, want, ins, out = _run_layer(LAYER_CASES[name], np.float32, seed=3)
+    assert out.dtype == np.float32 and all(t.grad.dtype == np.float32 for t in ins)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-5

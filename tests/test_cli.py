@@ -163,8 +163,16 @@ def test_rtf_reports(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "RTF" in out
-    peak = re.search(r"peak RSS (\d+) MB", out)
+    peak = re.search(r"peak RSS (\d+) MB, minor page faults (\d+)", out)
     assert peak and int(peak.group(1)) > 0
+
+
+def test_train_rejects_zero_graph_chunk_before_reading_data(tmp_path, capsys):
+    rc = main(["train", "--manifest", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path),
+               "--graph-chunk", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "graph_chunk must be >= 1, got 0" in err and "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, capsys):

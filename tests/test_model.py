@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,6 +210,36 @@ def test_checkpoint_round_trip(tmp_path):
                                       t.data.astype(np.float64))
 
 
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    old = rand_params_model(TINY, seed=28).astype(np.float32)
+    save_checkpoint(tmp_path / "ckpt", old, step=1)
+    new = rand_params_model(TINY, seed=29).astype(np.float32)
+    write_bytes, writes = Path.write_bytes, []
+
+    def failing_write(self, data):
+        writes.append(self)
+        if len(writes) == 3:
+            raise OSError("disk full")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "ckpt", new, step=2)
+    monkeypatch.undo()
+    assert writes[0].parent.parent != tmp_path / "ckpt"  # written beside it, not into it
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # no temporary left behind
+    loaded, _, step = load_checkpoint(tmp_path / "ckpt")
+    assert step == 1
+    for name, t in old.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+    save_checkpoint(tmp_path / "ckpt", new, step=2)  # a complete write replaces it
+    loaded, _, step = load_checkpoint(tmp_path / "ckpt")
+    assert step == 2 and [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    for name, t in new.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+
 def test_checkpoint_without_ff_residual_keeps_its_wiring(tmp_path):
     # checkpoints trained before the feed-forward residual became the default
     # record "ff_residual": false and must still run through that wiring
@@ -292,3 +325,26 @@ def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
     for chunk in (4, 6, 17, 32):
         monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", chunk)
         np.testing.assert_allclose(net.attention_maps(spec), want, rtol=0, atol=1e-12)
+
+
+def test_repeated_forward_does_not_fault_its_arrays_in_again():
+    # importing nbsep raises glibc's trim and mmap thresholds: a second forward
+    # of the same shapes reuses the heap the first one freed (at glibc's
+    # defaults this pass takes about 30k minor page faults)
+    resource = pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt")
+    net = NarrowBandModel(ModelConfig(blocks=1, conv_blocks=1), seed=0)
+    x = np.random.default_rng(30).standard_normal((32, 16, 30))
+    with model_mod.ad.no_graph():
+        net.forward(x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        net.forward(x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_heap_thresholds_are_left_alone_without_mallopt(monkeypatch):
+    import nbsep
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    nbsep._keep_freed_heap_mapped()

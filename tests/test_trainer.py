@@ -315,3 +315,11 @@ def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeyp
     free_loss, _ = batch_loss(net, batch, CFG8K, graph_chunk=1)
     assert len(recorded) == 2 and not any(out.requires_grad for out in recorded)
     assert free_loss == graph_loss
+
+
+@pytest.mark.parametrize("field,value", [("utterances_per_batch", 0), ("graph_chunk", 0),
+                                         ("graph_chunk", -2), ("max_epochs", -1)])
+def test_train_config_rejects_counts_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        TrainConfig(**{field: value})
+    TrainConfig(max_epochs=0)  # zero epochs is a valid (empty) run
