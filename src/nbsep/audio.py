@@ -36,9 +36,6 @@ class WaveBuffer:
     def duration(self) -> float:
         return self.data.shape[1] / self.sample_rate
 
-    def channel(self, m: int) -> np.ndarray:
-        return self.data[m]
-
 
 def read_wav(path, expect_rate: int | None = None) -> WaveBuffer:
     """Read a 16-bit PCM or 32/64-bit float WAV as float64 in [-1, 1] scale.

@@ -78,8 +78,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=16, help="utterances per mini-batch")
-    p.add_argument("--graph-chunk", type=int, default=1,
-                   help="utterances that share one backward; more costs memory only")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dropout", type=float, default=0.1)
@@ -142,6 +140,15 @@ def _stft_config(args) -> stft.StftConfig:
                            sample_rate=args.sample_rate)
 
 
+def _train_config(args) -> trainer.TrainConfig:
+    # an --lr below the schedule's default floor lowers the floor with it
+    return trainer.TrainConfig(
+        utterances_per_batch=args.batch, lr_init=args.lr,
+        lr_min=min(trainer.TrainConfig.lr_min, args.lr), max_epochs=args.epochs,
+        seed=args.seed, precision=args.precision,
+    )
+
+
 def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
     fields = ("speakers", "width", "inner_width", "blocks", "conv_blocks", "heads", "dropout")
     kwargs = {f: v for f in fields if (v := getattr(args, f, None)) is not None}
@@ -182,10 +189,8 @@ def _load_examples(manifest_path, cfg):
 
 def _cmd_train(args) -> int:
     cfg = _stft_config(args)
-    tcfg = trainer.TrainConfig(
-        utterances_per_batch=args.batch, lr_init=args.lr, max_epochs=args.epochs,
-        seed=args.seed, precision=args.precision, graph_chunk=args.graph_chunk,
-    )
+    tcfg = _train_config(args)
+    _model_config(args, n_mics=1)  # reject bad model flags before any data is read
     train_examples = _load_examples(args.manifest, cfg)
     val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
     n_mics = train_examples[0].mixture.n_channels

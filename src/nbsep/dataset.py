@@ -186,6 +186,8 @@ def generate_dataset(
     Returns the manifest path.
     """
     cfg = stft_cfg or stft.StftConfig()
+    if n_examples < 1:
+        raise ValueError(f"n_examples must be >= 1, got {n_examples}")
     source_paths = sorted(str(p) for p in source_paths)
     if len(source_paths) < 2:
         raise ValueError("need at least two source WAV files")

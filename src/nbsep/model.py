@@ -80,6 +80,8 @@ class ModelConfig:
             raise ValueError("conv_blocks must be >= 0")
         if self.conv_kernel % 2 == 0:
             raise ValueError("conv_kernel must be odd to preserve the frame count")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def head_dim(self) -> int:

@@ -1,18 +1,19 @@
-"""Optimization loop: frequency batching, Adam, plateau LR halving, clipping.
+"""Optimization loop: per-utterance fPIT steps, Adam, plateau LR halving, clipping.
 
-A mini-batch is a set of utterances; every utterance contributes all F of
+A mini-batch is a list of utterances; every utterance contributes all F of
 its normalized narrow-band sequences.  The per-utterance loss couples the
 frequencies (binding + inverse STFT + permutation-invariant SI-SDR), so all
 frequencies of one utterance live in one graph.  Nothing couples two
-utterances, so each runs its own forward and utterances of a batch may
-differ in length; the parameters' `.grad` sum the scaled losses' gradients
-into the batch-mean gradient, in a fixed order, which keeps runs
+utterances, so each runs its own forward and backward and utterances of a
+batch may differ in length; the parameters' `.grad` sum the scaled losses'
+gradients into the batch-mean gradient, in a fixed order, which keeps runs
 bit-reproducible for a given seed in single-threaded mode.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,16 +35,22 @@ class TrainConfig:
     max_epochs: int = 10
     seed: int = 0
     precision: str = "float32"  # float32 for speed, float64 for verification
-    graph_chunk: int = 1  # utterances sharing one backward; costs memory only
+    # Only 1 is valid: each utterance runs its own backward.  The field stays
+    # because perfbench/workloads.py passes graph_chunk=1; ROADMAP item 5's
+    # benchmark change deletes it.
+    graph_chunk: int = 1
 
     def __post_init__(self):
-        for name, low in (("utterances_per_batch", 1), ("graph_chunk", 1), ("max_epochs", 0)):
+        for name, low in (("utterances_per_batch", 1), ("max_epochs", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.graph_chunk != 1:
+            raise ValueError(f"graph_chunk must be 1, got {self.graph_chunk}")
+        for name in ("lr_init", "lr_min", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lr_min > self.lr_init:
             raise ValueError("lr_min must not exceed lr_init")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"unknown precision {self.precision}")
 
@@ -183,19 +190,6 @@ class Utterance:
     target_spectra: np.ndarray  # complex (N, F, T)
     out_len: int
 
-    @property
-    def n_frequencies(self) -> int:
-        return self.sequences.shape[0]
-
-
-@dataclass
-class Batch:
-    utterances: list
-
-    @property
-    def n_sequences(self) -> int:
-        return sum(u.n_frequencies for u in self.utterances)
-
 
 def prepare_utterance(example: dataset.MixtureExample) -> Utterance:
     seqs, norm = dataset.normalize_spectrogram(example.mixture)
@@ -208,45 +202,27 @@ def prepare_utterance(example: dataset.MixtureExample) -> Utterance:
     )
 
 
-def assemble_batch(examples) -> Batch:
-    """Expand utterances into their narrow-band sequences, grouped by utterance."""
-    return Batch([prepare_utterance(ex) for ex in examples])
+def batch_loss(model, utterances, cfg_stft, train=False, rng=None,
+               accumulate_grads: bool = False):
+    """Mean fPIT loss over `utterances` and, with `accumulate_grads`, its gradients.
 
-
-def _utterance_loss(model, u: Utterance, cfg_stft, train, rng) -> Tensor:
-    """fPIT loss of one utterance: its own forward, denormalization and loss."""
-    dtype = model.dtype
-    out = model.forward(Tensor(u.sequences.astype(dtype)), train=train, rng=rng)
-    pred = ad.mul(out, Tensor(u.norm.scale.astype(dtype)[:, None, None]))
-    loss, _ = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
-    return loss
-
-
-def batch_loss(model, batch: Batch, cfg_stft, train=False, rng=None,
-               graph_chunk: int = 1, accumulate_grads: bool = False):
-    """Mean loss over a batch and, with `accumulate_grads`, its gradients.
-
-    Returns (mean, grads).  With `accumulate_grads` the losses of each
-    `graph_chunk` utterances, scaled by 1/len(batch), share one backward and
-    the parameters' `.grad` add up the batch-mean gradient; without it the
-    loss is computed graph-free and `grads` is empty.
+    Returns (mean, grads).  Each utterance runs its own forward and fPIT.
+    Without `accumulate_grads` they record no graph and `grads` is empty;
+    with it, each loss, scaled by 1/n, is backpropagated before the next
+    forward, and the parameters' `.grad` add up the batch-mean gradient.
     """
-    utts = batch.utterances
-    n = len(utts)
+    n = len(utterances)
+    dtype = model.dtype
     total = 0.0
-    if not accumulate_grads:
-        with ad.no_graph():
-            for u in utts:
-                total += _utterance_loss(model, u, cfg_stft, train, rng).item()
-        return total / n, {}
     ad.zero_grad(model.params)
-    for start in range(0, n, graph_chunk):
-        chunk_loss = None
-        for u in utts[start : start + graph_chunk]:
-            loss = _utterance_loss(model, u, cfg_stft, train, rng)
-            total += loss.item()
-            chunk_loss = loss if chunk_loss is None else ad.add(chunk_loss, loss)
-        ad.backward(ad.scale(chunk_loss, 1.0 / n))
+    for u in utterances:
+        with nullcontext() if accumulate_grads else ad.no_graph():
+            out = model.forward(Tensor(u.sequences.astype(dtype)), train=train, rng=rng)
+            pred = ad.mul(out, Tensor(u.norm.scale.astype(dtype)[:, None, None]))
+            loss, _ = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
+        total += loss.item()
+        if accumulate_grads:
+            ad.backward(ad.scale(loss, 1.0 / n))
     grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
     ad.zero_grad(model.params)
     return total / n, grads
@@ -264,7 +240,7 @@ class TrainResult:
 
 
 def train(model, train_examples, val_examples, cfg: TrainConfig,
-          stft_cfg: stft.StftConfig, out_dir, log_every: int = 1) -> TrainResult:
+          stft_cfg: stft.StftConfig, out_dir) -> TrainResult:
     """Full optimization run over in-memory examples; writes logs and checkpoints."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,8 +249,8 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     order_rng = np.random.default_rng(cfg.seed + 1)
 
-    train_batchable = [prepare_utterance(ex) for ex in train_examples]
-    val_batch = assemble_batch(val_examples) if val_examples else None
+    train_utterances = [prepare_utterance(ex) for ex in train_examples]
+    val_utterances = [prepare_utterance(ex) for ex in val_examples]
 
     lr = cfg.lr_init
     history: list[float] = []
@@ -285,22 +261,18 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
         log = csv.writer(fh)
         log.writerow(["step", "epoch", "train_loss", "val_loss", "lr", "grad_norm"])
         for epoch in range(1, cfg.max_epochs + 1):
-            order = order_rng.permutation(len(train_batchable))
+            order = order_rng.permutation(len(train_utterances))
             for b0 in range(0, len(order), cfg.utterances_per_batch):
-                idx = order[b0 : b0 + cfg.utterances_per_batch]
-                batch = Batch([train_batchable[i] for i in idx])
-                loss, grads = batch_loss(
-                    model, batch, stft_cfg, train=True, rng=rng,
-                    graph_chunk=cfg.graph_chunk, accumulate_grads=True,
-                )
+                batch = [train_utterances[i] for i in order[b0 : b0 + cfg.utterances_per_batch]]
+                loss, grads = batch_loss(model, batch, stft_cfg, train=True, rng=rng,
+                                         accumulate_grads=True)
                 norm = adam_step(model.params, grads, state, lr, cfg.clip_norm)
                 step += 1
-                if step % log_every == 0:
-                    log.writerow([step, epoch, f"{loss:.6f}", "", f"{lr:.6g}", f"{norm:.6f}"])
+                log.writerow([step, epoch, f"{loss:.6f}", "", f"{lr:.6g}", f"{norm:.6f}"])
 
             val_loss = np.nan
-            if val_batch is not None:
-                val_loss, _ = batch_loss(model, val_batch, stft_cfg, train=False)
+            if val_utterances:
+                val_loss, _ = batch_loss(model, val_utterances, stft_cfg)
                 history.append(val_loss)
                 lr = schedule_lr(history, lr_init=cfg.lr_init,
                                  patience=cfg.plateau_epochs, lr_min=cfg.lr_min)
@@ -308,7 +280,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
             fh.flush()
 
             model_mod.save_checkpoint(out_dir / "checkpoint_last", model, state, step)
-            if val_batch is not None and val_loss < best_val:
+            if val_utterances and val_loss < best_val:
                 best_val = val_loss
                 model_mod.save_checkpoint(out_dir / "checkpoint_best", model, state, step)
     return TrainResult(epochs=cfg.max_epochs, steps=step,
@@ -357,18 +329,17 @@ def build_probe_examples(n_examples: int, stft_cfg: stft.StftConfig, seed: int,
 
 
 def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
-                  stft_cfg: stft.StftConfig, lr: float = 1e-3, seed: int = 0,
-                  eval_every: int = 200, precision: str = "float32",
-                  clip_norm: float = 5.0, examples_per_step: int = 1):
+                  stft_cfg: stft.StftConfig, seed: int = 0, eval_every: int = 200):
     """Train on a fixed set of mixtures and track SI-SDR improvement on them.
 
-    Each Adam step consumes `examples_per_step` mixtures in a fixed
-    round-robin order (one by default, so a step stays cheap).  Returns
-    (model, curve) where curve lists (step, mean improvement in dB) pairs
-    including step 0.  Raises NumericError if the loss diverges.
+    Each Adam step trains on one mixture, in a fixed round-robin order and
+    without dropout, at `TrainConfig()`'s learning rate, clipping norm and
+    precision; the learning rate stays fixed.  Returns (model, curve) where
+    curve lists (step, mean improvement in dB) pairs including step 0 and
+    every `eval_every` steps.  Raises NumericError if the loss diverges.
     """
-    model = model_mod.NarrowBandModel(model_cfg, seed=seed,
-                                      dtype=TrainConfig(precision=precision).dtype)
+    cfg = TrainConfig()
+    model = model_mod.NarrowBandModel(model_cfg, seed=seed, dtype=cfg.dtype)
     state = AdamState.init(model.params)
     utterances = [prepare_utterance(ex) for ex in examples]
 
@@ -380,16 +351,12 @@ def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
         return float(np.mean(vals))
 
     curve = [(0, improvement())]
-    cursor = 0
     for step in range(1, steps + 1):
-        chunk = [utterances[(cursor + i) % len(utterances)]
-                 for i in range(examples_per_step)]
-        cursor = (cursor + examples_per_step) % len(utterances)
-        batch = Batch(chunk)
-        loss, grads = batch_loss(model, batch, stft_cfg, train=False, accumulate_grads=True)
+        u = utterances[(step - 1) % len(utterances)]
+        loss, grads = batch_loss(model, [u], stft_cfg, accumulate_grads=True)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at step {step}")
-        adam_step(model.params, grads, state, lr, clip_norm)
+        adam_step(model.params, grads, state, cfg.lr_init, cfg.clip_norm)
         if step % eval_every == 0 or step == steps:
             curve.append((step, improvement()))
     return model, curve

@@ -10,7 +10,7 @@ import pytest
 
 from nbsep import dataset, objective, stft
 from nbsep.audio import WaveBuffer, read_wav, write_wav
-from nbsep.cli import export_attention_maps, main, write_pgm
+from nbsep.cli import _build_parser, _train_config, export_attention_maps, main, write_pgm
 from nbsep.model import ModelConfig, NarrowBandModel, save_checkpoint
 
 CFG8K_ARGS = ["--sample-rate", "8000"]
@@ -63,6 +63,16 @@ def test_simulate_idempotent(tmp_path, capsys):
     assert [f.name for f in files1] == [f.name for f in files2]
     for f1, f2 in zip(files1, files2):
         assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_rejects_an_empty_corpus(tmp_path, capsys, n):
+    src = make_sources(tmp_path)
+    rc = main(["simulate", "--sources", str(src), "--out", str(tmp_path / "data"),
+               "--n", n, *CFG8K_ARGS])
+    assert rc == 2
+    assert f"n_examples must be >= 1, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_separate_output_contract(tmp_path):
@@ -167,12 +177,27 @@ def test_rtf_reports(tmp_path, capsys):
     assert peak and int(peak.group(1)) > 0
 
 
-def test_train_rejects_zero_graph_chunk_before_reading_data(tmp_path, capsys):
+@pytest.mark.parametrize("flags,code,message", [
+    pytest.param(["--graph-chunk", "1"], 1, "unrecognized arguments: --graph-chunk",
+                 id="graph-chunk"),
+    pytest.param(["--lr", "0"], 2, "lr_init must be positive, got 0.0", id="lr-zero"),
+    pytest.param(["--dropout", "1.5"], 2, "dropout must be in [0, 1), got 1.5", id="dropout"),
+])
+def test_train_rejects_bad_flags_before_reading_data(tmp_path, capsys, flags, code, message):
     rc = main(["train", "--manifest", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path),
-               "--graph-chunk", "0"])
-    assert rc == 2
+               *flags])
+    assert rc == code
     err = capsys.readouterr().err
-    assert "graph_chunk must be >= 1, got 0" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+
+
+def test_small_lr_lowers_the_schedule_floor():
+    args = _build_parser().parse_args(["train", "--manifest", "m.jsonl", "--out", "o",
+                                       "--lr", "5e-5"])
+    cfg = _train_config(args)
+    assert cfg.lr_init == cfg.lr_min == 5e-5
+    assert _train_config(_build_parser().parse_args(
+        ["train", "--manifest", "m.jsonl", "--out", "o"])).lr_min == 1e-4
 
 
 def test_exit_codes(tmp_path, capsys):

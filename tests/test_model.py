@@ -274,6 +274,10 @@ def test_config_validation():
         ModelConfig(inner_width=100, groups=8)
     with pytest.raises(ValueError, match="odd"):
         ModelConfig(conv_kernel=4)
+    for rate in (1.5, 1.0, -0.2):
+        with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
+            ModelConfig(dropout=rate)
+    ModelConfig(dropout=0.0)
 
 
 def test_input_row_mismatch_errors():

@@ -8,12 +8,12 @@ from nbsep.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
-    assemble_batch,
     batch_loss,
     build_probe_examples,
     clip_gradients,
     global_grad_norm,
     overfit_probe,
+    prepare_utterance,
     schedule_lr,
     synthetic_dry_source,
     train,
@@ -133,37 +133,25 @@ def probe_examples():
 
 
 def test_batch_sequence_count(probe_examples):
-    batch = assemble_batch(probe_examples)
-    assert batch.n_sequences == 2 * 257
-    single = assemble_batch(probe_examples[:1])
-    assert single.n_sequences == 257
+    utterances = [prepare_utterance(ex) for ex in probe_examples]
+    assert [u.sequences.shape[0] for u in utterances] == [257, 257]
 
 
 def test_duplicated_utterance_loss_equals_single(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=0, dtype=np.float64)
-    one = assemble_batch([probe_examples[0]])
-    two = assemble_batch([probe_examples[0], probe_examples[0]])
-    loss_one, _ = batch_loss(net, one, CFG8K, graph_chunk=2)
-    loss_two, _ = batch_loss(net, two, CFG8K, graph_chunk=2)
+    u = prepare_utterance(probe_examples[0])
+    loss_one, _ = batch_loss(net, [u], CFG8K)
+    loss_two, _ = batch_loss(net, [u, u], CFG8K)
     assert loss_two == pytest.approx(loss_one, abs=1e-9)
 
 
 def test_batch_loss_gradients_deterministic(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=1, dtype=np.float64)
-    batch = assemble_batch(probe_examples)
-    _, g1 = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
-    _, g2 = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+    _, g1 = batch_loss(net, batch, CFG8K, accumulate_grads=True)
+    _, g2 = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     for name in g1:
         np.testing.assert_array_equal(g1[name], g2[name])
-
-
-def test_chunking_does_not_change_gradients(probe_examples):
-    net = NarrowBandModel(PROBE_MODEL, seed=2, dtype=np.float64)
-    batch = assemble_batch(probe_examples)
-    _, g1 = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
-    _, g2 = batch_loss(net, batch, CFG8K, graph_chunk=2, accumulate_grads=True)
-    for name in g1:
-        np.testing.assert_allclose(g1[name], g2[name], atol=1e-10)
 
 
 def _largest_interior_value(root):
@@ -183,39 +171,39 @@ def _largest_interior_value(root):
 def test_batch_loss_frees_a_chunk_graph_before_the_next_forward(probe_examples, monkeypatch):
     import weakref
 
-    from nbsep import trainer
-
     net = NarrowBandModel(PROBE_MODEL, seed=6, dtype=np.float64)
-    batch = assemble_batch(probe_examples)
-    utterance_loss = trainer._utterance_loss
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+    forward = net.forward
     held, alive_at_start = [], []
 
-    def watching_utterance_loss(*args, **kwargs):
+    def watching_forward(*args, **kwargs):
         alive_at_start.append([ref() is not None for ref in held])
-        loss = utterance_loss(*args, **kwargs)
-        held.append(weakref.ref(_largest_interior_value(loss)))
-        return loss
+        out = forward(*args, **kwargs)
+        held.append(weakref.ref(_largest_interior_value(out)))
+        return out
 
-    monkeypatch.setattr(trainer, "_utterance_loss", watching_utterance_loss)
-    batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    monkeypatch.setattr(net, "forward", watching_forward)
+    batch_loss(net, batch, CFG8K, accumulate_grads=True)
     assert alive_at_start == [[], [False]]
 
 
 def test_mixed_length_batch_loss_is_the_mean_of_its_utterances(probe_examples):
     short = build_probe_examples(1, CFG8K, seed=1, n_mics=2, duration_samples=4000)[0]
-    mixed = [probe_examples[0], short]
-    assert len({ex.mixture.n_frames for ex in mixed}) == 2
+    mixed = [prepare_utterance(ex) for ex in (probe_examples[0], short)]
+    assert len({u.sequences.shape[-1] for u in mixed}) == 2
     net = NarrowBandModel(PROBE_MODEL, seed=8, dtype=np.float64)
-    loss, grads = batch_loss(net, assemble_batch(mixed), CFG8K, graph_chunk=2,
-                             accumulate_grads=True)
-    singles = [batch_loss(net, assemble_batch([ex]), CFG8K)[0] for ex in mixed]
-    assert loss == pytest.approx(np.mean(singles), rel=1e-12)
-    assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
+    loss, grads = batch_loss(net, mixed, CFG8K, accumulate_grads=True)
+    singles = [batch_loss(net, [u], CFG8K, accumulate_grads=True) for u in mixed]
+    assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
+    assert grads.keys() == net.params.keys()
+    for name, g in grads.items():
+        want = np.mean([s[1][name] for s in singles], axis=0)
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
 def test_train_runs_on_utterances_of_different_lengths(tmp_path, probe_examples):
     short = build_probe_examples(2, CFG8K, seed=1, n_mics=2, duration_samples=4000)
-    cfg = TrainConfig(utterances_per_batch=2, max_epochs=1, seed=0, graph_chunk=2)
+    cfg = TrainConfig(utterances_per_batch=2, max_epochs=1, seed=0)
     net = NarrowBandModel(PROBE_MODEL, seed=9, dtype=cfg.dtype)
     examples = [probe_examples[0], short[0]]
     result = train(net, examples, [probe_examples[1], short[1]], cfg, CFG8K, tmp_path)
@@ -257,18 +245,11 @@ def test_probe_duplicated_example_matches_single(probe_examples):
         assert v1 == pytest.approx(v2, abs=1e-4)  # float32 accumulation order
 
 
-def test_probe_rejects_unknown_precision(probe_examples):
-    with pytest.raises(ValueError, match="unknown precision"):
-        overfit_probe(PROBE_MODEL, probe_examples[:1], steps=0, stft_cfg=CFG8K,
-                      precision="float16")
-
-
 def test_probe_loss_decreases_quickly(probe_examples):
     net, curve = overfit_probe(PROBE_MODEL, probe_examples, steps=30,
                                stft_cfg=CFG8K, seed=4, eval_every=30)
     assert curve[-1][1] > curve[0][1] - 1.0  # not diverging
-    batch = assemble_batch(probe_examples)
-    loss, _ = batch_loss(net, batch, CFG8K, graph_chunk=4)
+    loss, _ = batch_loss(net, [prepare_utterance(ex) for ex in probe_examples], CFG8K)
     assert np.isfinite(loss)
 
 
@@ -276,8 +257,7 @@ def test_probe_loss_decreases_quickly(probe_examples):
 
 
 def test_train_writes_log_and_checkpoints(tmp_path, probe_examples):
-    cfg = TrainConfig(utterances_per_batch=2, max_epochs=2, seed=0,
-                      precision="float32", graph_chunk=2)
+    cfg = TrainConfig(utterances_per_batch=2, max_epochs=2, seed=0, precision="float32")
     net = NarrowBandModel(PROBE_MODEL, seed=5, dtype=cfg.dtype)
     result = train(net, probe_examples, probe_examples[:1], cfg, CFG8K, tmp_path)
     assert result.steps == 2
@@ -290,8 +270,7 @@ def test_train_writes_log_and_checkpoints(tmp_path, probe_examples):
 
 
 def test_train_determinism(tmp_path, probe_examples):
-    cfg = TrainConfig(utterances_per_batch=2, max_epochs=2, seed=7,
-                      precision="float32", graph_chunk=2)
+    cfg = TrainConfig(utterances_per_batch=2, max_epochs=2, seed=7, precision="float32")
     logs = []
     for run in ("a", "b"):
         net = NarrowBandModel(PROBE_MODEL, seed=7, dtype=cfg.dtype)
@@ -302,8 +281,8 @@ def test_train_determinism(tmp_path, probe_examples):
 
 def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeypatch):
     net = NarrowBandModel(PROBE_MODEL, seed=3, dtype=np.float64)
-    batch = assemble_batch(probe_examples)
-    graph_loss, _ = batch_loss(net, batch, CFG8K, graph_chunk=1, accumulate_grads=True)
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+    graph_loss, _ = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     recorded = []
     forward = net.forward
 
@@ -312,14 +291,23 @@ def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeyp
         return recorded[-1]
 
     monkeypatch.setattr(net, "forward", recording_forward)
-    free_loss, _ = batch_loss(net, batch, CFG8K, graph_chunk=1)
+    free_loss, _ = batch_loss(net, batch, CFG8K)
     assert len(recorded) == 2 and not any(out.requires_grad for out in recorded)
     assert free_loss == graph_loss
 
 
 @pytest.mark.parametrize("field,value", [("utterances_per_batch", 0), ("graph_chunk", 0),
-                                         ("graph_chunk", -2), ("max_epochs", -1)])
+                                         ("graph_chunk", -2), ("graph_chunk", 2),
+                                         ("max_epochs", -1)])
 def test_train_config_rejects_counts_out_of_range(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be >= "):
+    with pytest.raises(ValueError, match=rf"{field} must be (>= \d+|1), got {value}$"):
         TrainConfig(**{field: value})
     TrainConfig(max_epochs=0)  # zero epochs is a valid (empty) run
+
+
+@pytest.mark.parametrize("rates", [dict(lr_init=-1.0, lr_min=-2.0), dict(lr_init=0.0, lr_min=0.0),
+                                   dict(lr_min=0.0), dict(lr_min=float("nan")),
+                                   dict(clip_norm=0.0)])
+def test_train_config_rejects_rates_that_are_not_positive(rates):
+    with pytest.raises(ValueError, match="must be positive"):
+        TrainConfig(**rates)
