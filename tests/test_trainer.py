@@ -187,6 +187,30 @@ def test_batch_loss_frees_a_chunk_graph_before_the_next_forward(probe_examples, 
     assert alive_at_start == [[], [False]]
 
 
+def test_chunking_does_not_change_gradients(probe_examples):
+    # batch_loss backpropagates one graph per utterance; one graph over the
+    # whole batch, its losses summed and scaled by 1/n, must give the same.
+    from nbsep import autodiff as ad, objective
+
+    net = NarrowBandModel(PROBE_MODEL, seed=2, dtype=np.float64)
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+    _, g1 = batch_loss(net, batch, CFG8K, accumulate_grads=True)
+    losses = []
+    for u in batch:
+        out = net.forward(Tensor(u.sequences.astype(np.float64)))
+        pred = ad.mul(out, Tensor(u.norm.scale.astype(np.float64)[:, None, None]))
+        losses.append(objective.fpit(pred, u.target_spectra, CFG8K, u.out_len)[0])
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ad.add(total, loss)
+    ad.zero_grad(net.params)
+    ad.backward(ad.scale(total, 1.0 / len(batch)))
+    assert g1.keys() == net.params.keys()
+    for name in g1:
+        np.testing.assert_allclose(g1[name], net.params[name].grad, atol=1e-10)
+    ad.zero_grad(net.params)
+
+
 def test_mixed_length_batch_loss_is_the_mean_of_its_utterances(probe_examples):
     short = build_probe_examples(1, CFG8K, seed=1, n_mics=2, duration_samples=4000)[0]
     mixed = [prepare_utterance(ex) for ex in (probe_examples[0], short)]
