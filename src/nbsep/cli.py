@@ -2,8 +2,11 @@
 
 Subcommands: simulate, train, separate, eval, attn-export, grad-check, rtf.
 Flags can also come from a JSON config file (--config); explicit flags win.
-NBC_THREADS caps worker counts.  Exit codes: 0 ok, 1 usage, 2 data error,
-3 numeric failure.
+NBC_THREADS sets the worker threads (default: one per usable CPU) that
+`simulate` generates mixtures on and that `separate`, `eval`, `attn-export`
+and `rtf` run frequency chunks on; `separate` and `rtf` print the count they
+used, and why they ran serially if they fell back.  Exit codes: 0 ok,
+1 usage, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import resource
 import sys
 import time
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, model as model_mod, objective, stft, trainer
+from . import dataset, model as model_mod, objective, parallel, stft, trainer
 from .audio import WaveBuffer, read_wav, write_wav
 from .autodiff import NumericError
 
@@ -31,15 +33,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def worker_count() -> int:
-    """NBC_THREADS clamped to [1, cpu count]: more workers than cores only costs memory."""
-    raw = os.environ.get("NBC_THREADS", "1")
-    try:
-        return min(max(1, int(raw)), os.cpu_count() or 1)
-    except ValueError:
-        raise UsageError(f"NBC_THREADS must be an integer, got {raw!r}")
 
 
 def _build_parser() -> _Parser:
@@ -168,7 +161,7 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     manifest = dataset.generate_dataset(
         wavs, args.out, args.n, args.seed, stft_cfg=cfg, out_len=out_len,
-        n_mics=args.mics, max_order=args.max_order, workers=worker_count(),
+        n_mics=args.mics, max_order=args.max_order, workers=parallel.worker_count(),
     )
     wall = time.perf_counter() - t0
     images = sum(
@@ -177,6 +170,11 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {args.n} examples, manifest {manifest}, {wall:.3f} s, "
           f"{images / wall:.4g} images/s")
     return 0
+
+
+def _workers_note(net) -> str:
+    workers, why = net.inference_workers()
+    return f"workers {workers}" + (f", serial: {why}" if why else "")
 
 
 def _load_examples(manifest_path, cfg):
@@ -213,7 +211,8 @@ def _cmd_separate(args) -> int:
     for n in range(estimates.shape[0]):
         write_wav(out_dir / f"{stem}_spk{n + 1}.wav",
                   WaveBuffer(estimates[n], cfg.sample_rate))
-    print(f"separated {estimates.shape[0]} speakers in {seconds:.2f} s -> {out_dir}")
+    print(f"separated {estimates.shape[0]} speakers in {seconds:.2f} s "
+          f"({_workers_note(net)}) -> {out_dir}")
     return 0
 
 
@@ -309,6 +308,8 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_rtf(args) -> int:
+    if not (np.isfinite(args.duration) and args.duration > 0):
+        raise UsageError(f"--duration must be a positive number of seconds, got {args.duration}")
     net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     cfg = _stft_config(args)
     rng = np.random.default_rng(args.seed)
@@ -322,7 +323,8 @@ def _cmd_rtf(args) -> int:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
     print(f"RTF {elapsed / args.duration:.3f} ({elapsed:.2f} s for {args.duration:.1f} s audio), "
-          f"peak RSS {peak_mb:.0f} MB, minor page faults {usage.ru_minflt - faults0}")
+          f"peak RSS {peak_mb:.0f} MB, minor page faults {usage.ru_minflt - faults0}, "
+          f"{_workers_note(net)}")
     return 0
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import roomsim, stft
+from . import parallel, roomsim, stft
 from .audio import WaveBuffer, read_wav, write_wav
 
 REFERENCE_CHANNEL = 0
@@ -209,13 +209,7 @@ def generate_dataset(
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
                 fh.flush()
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            write(pool.map(build, range(n_examples)))
-    else:
-        write(map(build, range(n_examples)))
+    write(parallel.parallel_map(build, range(n_examples), workers))
     partial.replace(manifest)
     return manifest
 

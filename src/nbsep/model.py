@@ -29,10 +29,15 @@ columns, each conv tap one GEMM per group, and layer and group norms
 reduce over axis 0 and over (group channels, T) per sequence.  Only the
 attention op sees a (B, heads, T, head_dim) layout.
 
-Inference (`separate`, `attention_maps`) runs graph-free in chunks of
-`FREQUENCY_CHUNK` bins: since every frequency is processed on its own,
-chunking changes the outputs by round-off only, and memory is set by the
-chunk size instead of by F x T.
+Inference (`separate`, `attention_maps`) runs graph-free on chunks of
+frequency bins.  Every frequency is processed on its own, so the chunks are
+independent work: with W workers (`parallel.worker_count`, set by
+`NBC_THREADS`) the F bins are cut into balanced chunks of at most
+`FREQUENCY_CHUNK` // W bins, a multiple of W of them, and W threads run them
+at once.  About `FREQUENCY_CHUNK` bins are in flight at a time, so memory is
+set by that constant instead of by F x T.  Chunking changes the outputs by
+round-off only, and the chunks, and so the outputs to the last bit, are the
+same whether they run in parallel or one after another.
 """
 
 from __future__ import annotations
@@ -47,11 +52,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import dataset, stft
+from . import dataset, parallel, stft
 from .audio import WaveBuffer
 from .autodiff import Tensor
 
-FREQUENCY_CHUNK = 32  # bins per graph-free inference forward pass
+FREQUENCY_CHUNK = 32  # bins in flight at once in graph-free inference
 
 
 @dataclass
@@ -301,8 +306,7 @@ class NarrowBandModel:
         t0 = time.perf_counter()
         spec = stft.stft(mixture, stft_cfg)
         seqs, norm = dataset.normalize_spectrogram(spec)
-        with ad.no_graph():
-            out = np.concatenate([self.forward(x).data for x in self._bin_chunks(seqs)])
+        out = np.concatenate(list(self._map_bin_chunks(lambda x: self.forward(x).data, seqs)))
         spectra = self.bind(out.astype(np.float64), norm)
         waves = stft.istft(stft.ComplexSpectrogram(spectra.data.transpose(1, 2, 0)),
                            stft_cfg, mixture.n_samples).data
@@ -311,17 +315,45 @@ class NarrowBandModel:
     def attention_maps(self, mixture: stft.ComplexSpectrogram) -> np.ndarray:
         """Frequency-averaged attention of a mixture, shape (blocks, heads, T, T)."""
         seqs, _ = dataset.normalize_spectrogram(mixture)
-        total = 0.0
-        with ad.no_graph():
-            for x in self._bin_chunks(seqs):
-                _, maps = self.forward(x, collect_attention=True)
-                total = total + np.stack([m.sum(axis=0) for m in maps])
-        return total / seqs.shape[0]
 
-    def _bin_chunks(self, seqs: np.ndarray):
-        """Consecutive `FREQUENCY_CHUNK`-bin slices of (F, 2M, T) sequences."""
-        for start in range(0, seqs.shape[0], FREQUENCY_CHUNK):
-            yield Tensor(seqs[start : start + FREQUENCY_CHUNK].astype(self.dtype))
+        def summed_maps(x):
+            _, maps = self.forward(x, collect_attention=True)
+            return np.stack([m.sum(axis=0) for m in maps])
+
+        return sum(self._map_bin_chunks(summed_maps, seqs)) / seqs.shape[0]
+
+    def inference_workers(self) -> tuple[int, str | None]:
+        """Threads that run the bin chunks of inference, and why one if it fell back.
+
+        Inference runs serially when `forward` is not this class's own (a
+        tracer or a test spy replaced it), since such a wrapper may not
+        expect calls from several threads at once.
+        """
+        workers = parallel.worker_count()
+        if workers > 1 and getattr(self.forward, "__func__", None) is not _LIBRARY_FORWARD:
+            return 1, "forward is replaced"
+        return parallel.pool_size(workers)
+
+    def _map_bin_chunks(self, fn, seqs: np.ndarray):
+        """Yield `fn` of each bin chunk of (F, 2M, T) sequences, graph-free, in bin order.
+
+        The chunks depend on the worker count only, not on whether they
+        run in parallel.
+        """
+        workers = parallel.worker_count()
+        n_bins = seqs.shape[0]
+        n_chunks = -(-n_bins // max(1, FREQUENCY_CHUNK // workers))
+        n_chunks = min(n_bins, -(-n_chunks // workers) * workers)
+
+        def run(chunk):
+            with ad.no_graph():  # the graph mode is per thread
+                return fn(Tensor(chunk.astype(self.dtype)))
+
+        chunks = np.array_split(seqs, n_chunks)
+        return parallel.parallel_map(run, chunks, self.inference_workers()[0])
+
+
+_LIBRARY_FORWARD = NarrowBandModel.forward
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from nbsep import autodiff, model, stft, trainer
+from nbsep.audio import WaveBuffer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,3 +56,30 @@ def test_step_clock_marks_one_start_and_one_end_per_logged_step(tmp_path):
         logged = sum(1 for row in csv.DictReader(fh) if row["train_loss"])
     assert logged == result.steps == 2
     assert [kind for kind, _ in marks] == ["start", "end"] * logged
+
+
+def test_traced_separate_runs_its_threaded_chunks_serially(monkeypatch):
+    # the span recorder keeps one stack for all threads, so chunks on worker
+    # threads would close their spans out of order
+    bt = load_perfbench("bench_trace")
+    monkeypatch.setenv("NBC_THREADS", "2")
+    monkeypatch.setattr(model, "FREQUENCY_CHUNK", 2)  # one bin per chunk: 17 chunks
+    cfg8k = stft.StftConfig(window_len=32, hop=16, sample_rate=8000)
+    wave = WaveBuffer(np.random.default_rng(40).standard_normal((2, 128)), 8000)
+    net = model.NarrowBandModel(
+        model.ModelConfig(in_channels=2, speakers=2, width=8, inner_width=16, blocks=1,
+                          conv_blocks=1, heads=2, dropout=0.0), seed=41)
+    want, _, _ = net.separate(wave, cfg8k)  # untraced: on worker threads
+    recorder = bt.SpanRecorder()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads would interleave within one small forward
+    try:
+        with bt.traced(recorder, bt.Instrumentation(recorder)):
+            got, _, _ = net.separate(wave, cfg8k)
+    finally:
+        sys.setswitchinterval(interval)
+    names = [row[0] for row in recorder.spans]
+    assert names.count("model.separate") == 1 and names.count("model.forward") == 17
+    assert not recorder._stack
+    assert all(row[2] is not None for row in recorder.spans)
+    assert np.array_equal(got, want)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbsep import dataset, objective, stft
+from nbsep import dataset, objective, parallel, stft
 from nbsep.audio import WaveBuffer, read_wav, write_wav
 from nbsep.cli import _build_parser, _train_config, export_attention_maps, main, write_pgm
 from nbsep.model import ModelConfig, NarrowBandModel, save_checkpoint
@@ -75,14 +75,17 @@ def test_simulate_rejects_an_empty_corpus(tmp_path, capsys, n):
     assert not (tmp_path / "data").exists()
 
 
-def test_separate_output_contract(tmp_path):
+def test_separate_output_contract(tmp_path, capsys, monkeypatch):
     out = simulate(tmp_path)
     ckpt = tiny_checkpoint(tmp_path)
     entry = dataset.read_manifest(out / "manifest.jsonl")[0]
     sep_dir = tmp_path / "sep"
+    monkeypatch.setenv("NBC_THREADS", "1")
+    capsys.readouterr()
     rc = main(["separate", "--checkpoint", str(ckpt), "--input", str(out / entry["mixture"]),
                "--out", str(sep_dir), *CFG8K_ARGS])
     assert rc == 0
+    assert "(workers 1) ->" in capsys.readouterr().out
     wavs = sorted(sep_dir.glob("*.wav"))
     assert len(wavs) == 2
     mixture = read_wav(out / entry["mixture"])
@@ -173,8 +176,26 @@ def test_rtf_reports(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "RTF" in out
-    peak = re.search(r"peak RSS (\d+) MB, minor page faults (\d+)", out)
+    peak = re.search(r"peak RSS (\d+) MB, minor page faults (\d+), workers (\d+)$", out)
     assert peak and int(peak.group(1)) > 0
+    assert int(peak.group(3)) == parallel.worker_count()
+
+
+def test_rtf_names_why_it_ran_serially(tmp_path, capsys, monkeypatch):
+    ckpt = tiny_checkpoint(tmp_path)
+    monkeypatch.setenv("NBC_THREADS", "2")
+    monkeypatch.setattr(parallel, "_OPENBLAS", None)
+    assert main(["rtf", "--checkpoint", str(ckpt), "--duration", "0.5", *CFG8K_ARGS]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("workers 1, serial: OpenBLAS thread control not found")
+
+
+@pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+def test_rtf_rejects_a_duration_that_is_not_positive(tmp_path, capsys, duration):
+    # checked before the checkpoint is read: a missing one would exit 2
+    rc = main(["rtf", "--checkpoint", str(tmp_path / "nope"), "--duration", duration])
+    assert rc == 1
+    assert "--duration must be a positive number of seconds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,code,message", [
@@ -289,14 +310,17 @@ def test_console_entry_point():
 
 
 def test_worker_count_env(monkeypatch):
-    from nbsep.cli import UsageError, worker_count
+    from nbsep.parallel import worker_count
 
+    cpus = len(os.sched_getaffinity(0))
     monkeypatch.delenv("NBC_THREADS", raising=False)
-    assert worker_count() == 1
+    assert worker_count() == cpus  # one worker per usable CPU by default
     monkeypatch.setenv("NBC_THREADS", "2")
-    assert worker_count() == min(2, os.cpu_count())
+    assert worker_count() == min(2, cpus)
+    monkeypatch.setenv("NBC_THREADS", "0")
+    assert worker_count() == 1
     monkeypatch.setenv("NBC_THREADS", "100000")  # clamped, so no thread per example
-    assert worker_count() == os.cpu_count()
+    assert worker_count() == cpus
     monkeypatch.setenv("NBC_THREADS", "zero")
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError, match="NBC_THREADS must be an integer, got 'zero'"):
         worker_count()

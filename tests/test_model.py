@@ -1,4 +1,5 @@
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +296,8 @@ def _eight_k_mixture(n_samples, seed):
 
 
 def test_separate_in_ragged_chunks_matches_per_bin_forward(monkeypatch):
-    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)  # 17 bins: 5 + 5 + 5 + 2
+    monkeypatch.setenv("NBC_THREADS", "1")
+    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)  # 17 bins: 5 + 4 + 4 + 4
     cfg8k, wave, _ = _eight_k_mixture(80, seed=30)
     net = rand_params_model(TINY, seed=31)
     calls = []
@@ -308,7 +310,7 @@ def test_separate_in_ragged_chunks_matches_per_bin_forward(monkeypatch):
 
     monkeypatch.setattr(net, "forward", counting_forward)
     _, spectra, _ = net.separate(wave, cfg8k)
-    assert calls == [(5, False), (5, False), (5, False), (2, False)]
+    assert calls == [(5, False), (4, False), (4, False), (4, False)]
     seqs, norm = dataset.normalize_spectrogram(stft.stft(wave, cfg8k))
     assert seqs.shape[0] == 17
     for f in range(seqs.shape[0]):
@@ -325,10 +327,78 @@ def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
     seqs, _ = dataset.normalize_spectrogram(spec)
     _, raw = net.forward(Tensor(seqs), collect_attention=True)
     want = np.stack([m.mean(axis=0) for m in raw])
-    # several chunks with a ragged last one; one full chunk; one partial chunk
-    for chunk in (4, 6, 17, 32):
+    # several chunks of unequal size; one chunk of all bins; one bin per chunk
+    for chunk in (4, 6, 17, 32, 1):
         monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", chunk)
         np.testing.assert_allclose(net.attention_maps(spec), want, rtol=0, atol=1e-12)
+
+
+def _threaded_mixture(monkeypatch, workers, frequency_chunk):
+    """17-bin mixture and model, with `workers` workers over chunks of 5 + 4 + 4 + 4 bins."""
+    if workers > len(os.sched_getaffinity(0)):
+        pytest.skip(f"needs {workers} usable CPUs")
+    monkeypatch.setenv("NBC_THREADS", str(workers))
+    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", frequency_chunk)
+    cfg8k, wave, spec = _eight_k_mixture(80, seed=34)
+    return cfg8k, wave, spec, rand_params_model(TINY, seed=35)
+
+
+def test_parallel_separate_is_bit_identical_to_serial(monkeypatch):
+    # the same four chunks, on two threads and then on one
+    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
+    assert net.inference_workers() == (2, None)
+    waves, spectra, _ = net.separate(wave, cfg8k)
+    monkeypatch.setenv("NBC_THREADS", "1")
+    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)
+    assert net.inference_workers() == (1, None)
+    serial_waves, serial_spectra, _ = net.separate(wave, cfg8k)
+    assert np.array_equal(spectra.data, serial_spectra.data)
+    assert np.array_equal(waves, serial_waves)
+    # and still the narrow-band output of each bin alone
+    seqs, norm = dataset.normalize_spectrogram(stft.stft(wave, cfg8k))
+    for f in range(seqs.shape[0]):
+        single = net.forward(Tensor(seqs[f])).data
+        row = spectra.data[:, f, :] / norm.scale[f]
+        np.testing.assert_allclose(row.real, single[0::2], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(row.imag, single[1::2], rtol=0, atol=1e-9)
+
+
+def test_parallel_attention_maps_match_unchunked_mean(monkeypatch):
+    _, _, spec, net = _threaded_mixture(monkeypatch, 2, 10)
+    seqs, _ = dataset.normalize_spectrogram(spec)
+    _, raw = net.forward(Tensor(seqs), collect_attention=True)
+    want = np.stack([m.mean(axis=0) for m in raw])
+    np.testing.assert_allclose(net.attention_maps(spec), want, rtol=0, atol=1e-12)
+
+
+def test_separate_without_blas_thread_control_runs_serially(monkeypatch):
+    import nbsep.parallel
+
+    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
+    _, want, _ = net.separate(wave, cfg8k)
+    monkeypatch.setattr(nbsep.parallel, "_OPENBLAS", None)
+    monkeypatch.setattr(nbsep.parallel, "ThreadPoolExecutor", None)  # a pool would fail
+    assert net.inference_workers() == (1, "OpenBLAS thread control not found")
+    _, got, _ = net.separate(wave, cfg8k)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_replaced_forward_runs_the_same_chunks_serially(monkeypatch):
+    import threading
+
+    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
+    _, want, _ = net.separate(wave, cfg8k)
+    forward, threads = net.forward, []
+
+    def spy(x, **kwargs):
+        threads.append((threading.get_ident(), x.shape[0]))
+        return forward(x, **kwargs)
+
+    monkeypatch.setattr(net, "forward", spy)
+    assert net.inference_workers() == (1, "forward is replaced")
+    _, got, _ = net.separate(wave, cfg8k)
+    assert threads == [(threading.get_ident(), n) for n in (5, 4, 4, 4)]
+    assert np.array_equal(got.data, want.data)
 
 
 def test_repeated_forward_does_not_fault_its_arrays_in_again():
