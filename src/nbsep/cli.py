@@ -343,6 +343,10 @@ def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args = _apply_config_file(parser, argv, args)
+    try:  # a malformed NBC_THREADS is bad input: report it before any data is read
+        parallel.worker_count()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     return _COMMANDS[args.command](args)
 
 

@@ -323,16 +323,19 @@ class NarrowBandModel:
         return sum(self._map_bin_chunks(summed_maps, seqs)) / seqs.shape[0]
 
     def inference_workers(self) -> tuple[int, str | None]:
-        """Threads that run the bin chunks of inference, and why one if it fell back.
-
-        Inference runs serially when `forward` is not this class's own (a
-        tracer or a test spy replaced it), since such a wrapper may not
-        expect calls from several threads at once.
-        """
+        """Threads that run the bin chunks of inference, and why one if it fell back."""
         workers = parallel.worker_count()
-        if workers > 1 and getattr(self.forward, "__func__", None) is not _LIBRARY_FORWARD:
+        if workers > 1 and self._forward_replaced():
             return 1, "forward is replaced"
-        return parallel.pool_size(workers)
+        return parallel.pool_size(workers, blas_bound=True)
+
+    def _forward_replaced(self) -> bool:
+        """Whether `forward` is not this class's own (a tracer or a test spy replaced it).
+
+        Inference then runs serially, since such a wrapper may not expect
+        calls from several threads at once.
+        """
+        return getattr(self.forward, "__func__", None) is not _LIBRARY_FORWARD
 
     def _map_bin_chunks(self, fn, seqs: np.ndarray):
         """Yield `fn` of each bin chunk of (F, 2M, T) sequences, graph-free, in bin order.
@@ -350,7 +353,8 @@ class NarrowBandModel:
                 return fn(Tensor(chunk.astype(self.dtype)))
 
         chunks = np.array_split(seqs, n_chunks)
-        return parallel.parallel_map(run, chunks, self.inference_workers()[0])
+        threads = 1 if self._forward_replaced() else workers
+        return parallel.parallel_map(run, chunks, threads, blas_bound=True)
 
 
 _LIBRARY_FORWARD = NarrowBandModel.forward

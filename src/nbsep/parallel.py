@@ -4,8 +4,10 @@
 process may run on.  `parallel_map` runs a function over items on that many
 threads and hands the results back in item order; numpy's element-wise ops
 and OpenBLAS release the interpreter lock, so numerical work overlaps.
-Inside the pool numpy's bundled OpenBLAS runs one thread per call, so the
-process uses no more threads than it has workers.
+Inside the pool numpy's bundled OpenBLAS runs one thread per call where its
+thread control is found, so the process uses no more threads than it has
+workers.  Work whose time goes to BLAS calls (`blas_bound`) runs serially
+where that control is not found.
 """
 
 from __future__ import annotations
@@ -13,14 +15,22 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
     """NBC_THREADS clamped to [1, usable CPUs]: more workers than cores only costs memory."""
-    cpus = len(os.sched_getaffinity(0))
+    cpus = usable_cpus()
     raw = os.environ.get("NBC_THREADS")
     if raw is None:
         return cpus
@@ -30,50 +40,66 @@ def worker_count() -> int:
         raise ValueError(f"NBC_THREADS must be an integer, got {raw!r}") from None
 
 
+# numpy.libs file pattern and symbol prefix of the OpenBLAS that numpy 2 wheels
+# bundle, then of the one numpy 1.x wheels bundle; both are 64-bit-integer builds
+_OPENBLAS_BUILDS = (("libscipy_openblas*.so", "scipy_openblas_"), ("libopenblas*.so", "openblas_"))
+
+
 def _openblas_thread_control():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        try:  # the library numpy already loaded: dlopen hands back the same handle
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (AttributeError, OSError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
+    for pattern, prefix in _OPENBLAS_BUILDS:
+        for path in sorted(libs.glob(pattern)):
+            try:  # the library numpy already loaded: dlopen hands back the same handle
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"{prefix}get_num_threads64_")
+                set_ = getattr(lib, f"{prefix}set_num_threads64_")
+            except (AttributeError, OSError):
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
     return None
 
 
 _OPENBLAS = _openblas_thread_control()
 
 
-def pool_size(workers: int) -> tuple[int, str | None]:
+def pool_size(workers: int, blas_bound: bool = False) -> tuple[int, str | None]:
     """Threads a pool of `workers` runs on, and why it runs serially if it falls back."""
-    if workers > 1 and _OPENBLAS is None:
-        # two workers each calling a multi-threaded BLAS would oversubscribe the cores
+    if workers > 1 and blas_bound and _OPENBLAS is None:
+        # workers that each call a multi-threaded BLAS would oversubscribe the cores
         return 1, "OpenBLAS thread control not found"
     return max(1, workers), None
 
 
-def parallel_map(fn, items, workers: int):
-    """Yield ``fn(item)`` for each item, in item order, computed on `workers` threads.
-
-    With one worker, or without OpenBLAS thread control, the items run in
-    order on the calling thread.  Otherwise OpenBLAS runs at one thread
-    until the pool is done, and its former count is restored after.  An
-    exception of `fn` is raised when its item's result is reached.
-    """
-    workers, _ = pool_size(workers)
-    if workers == 1:
-        yield from map(fn, items)
+@contextmanager
+def _single_threaded_blas():
+    """OpenBLAS at one thread inside, its former count restored after; no-op without control."""
+    if _OPENBLAS is None:
+        yield
         return
     get_threads, set_threads = _OPENBLAS
     blas_threads = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, items)
+        yield
     finally:
         set_threads(blas_threads)
+
+
+def parallel_map(fn, items, workers: int, blas_bound: bool = False):
+    """Yield ``fn(item)`` for each item, in item order, computed on `workers` threads.
+
+    With one worker the items run in order on the calling thread, and so
+    does `blas_bound` work without OpenBLAS thread control.  Otherwise
+    OpenBLAS runs at one thread until the pool is done, where its control
+    is found.  An exception of `fn` is raised when its item's result is
+    reached.
+    """
+    workers, _ = pool_size(workers, blas_bound)
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)

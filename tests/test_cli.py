@@ -309,10 +309,10 @@ def test_console_entry_point():
     assert "simulate" in proc.stdout
 
 
-def test_worker_count_env(monkeypatch):
-    from nbsep.parallel import worker_count
+def test_worker_count_env(tmp_path, capsys, monkeypatch):
+    from nbsep.parallel import usable_cpus, worker_count
 
-    cpus = len(os.sched_getaffinity(0))
+    cpus = usable_cpus()
     monkeypatch.delenv("NBC_THREADS", raising=False)
     assert worker_count() == cpus  # one worker per usable CPU by default
     monkeypatch.setenv("NBC_THREADS", "2")
@@ -324,3 +324,6 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("NBC_THREADS", "zero")
     with pytest.raises(ValueError, match="NBC_THREADS must be an integer, got 'zero'"):
         worker_count()
+    # from the CLI a usage error, raised before the checkpoint is read (a missing one exits 2)
+    assert main(["rtf", "--checkpoint", str(tmp_path / "nope"), "--duration", "1"]) == 1
+    assert "NBC_THREADS must be an integer, got 'zero'" in capsys.readouterr().err

@@ -1,12 +1,11 @@
 import ctypes
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nbsep.model as model_mod
-from nbsep import dataset, stft
+from nbsep import dataset, parallel, stft
 from nbsep.audio import WaveBuffer
 from nbsep.autodiff import Tensor
 from nbsep.model import (
@@ -335,7 +334,7 @@ def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
 
 def _threaded_mixture(monkeypatch, workers, frequency_chunk):
     """17-bin mixture and model, with `workers` workers over chunks of 5 + 4 + 4 + 4 bins."""
-    if workers > len(os.sched_getaffinity(0)):
+    if workers > parallel.usable_cpus():
         pytest.skip(f"needs {workers} usable CPUs")
     monkeypatch.setenv("NBC_THREADS", str(workers))
     monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", frequency_chunk)
