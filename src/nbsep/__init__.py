@@ -35,9 +35,6 @@ def _keep_freed_heap_mapped() -> None:
     allocation.  Arrays under 64 MB now come from the heap, and up to
     128 MB of freed heap top stays mapped for reuse.  The cost: that much
     freed memory stays resident until it is reused or the process exits.
-    A larger trim threshold (1 GB) kept a training step's freed graph
-    mapped while the next step grew the heap, and raised its peak RSS by
-    about an eighth.
 
     All threads also share one malloc arena.  Inference runs its frequency
     chunks on worker threads (`nbsep.parallel`), and glibc would give each

@@ -155,22 +155,28 @@ def _spent(g):
     raise RuntimeError("graph was already used by backward")
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
     """Populate `grad` on every requires_grad leaf reachable from `loss`.
 
-    `loss` must be scalar.  Leaf grads accumulate additively across calls.
+    `loss` must be scalar, unless `grad` is given: the gradient of some
+    scalar with respect to `loss`, of `loss`'s shape, which then seeds the
+    pass.  Leaf grads accumulate additively across calls.
     Each interior node drops its parents and backward closure as soon as its
     gradient has been passed on, so the graph is gone when this returns;
     a second backward through any of its nodes raises RuntimeError.
     """
-    if loss.data.size != 1:
-        raise ValueError("backward requires a scalar loss")
+    if grad is None:
+        if loss.data.size != 1:
+            raise ValueError("backward requires a scalar loss")
+        grad = np.ones_like(loss.data)
+    elif grad.shape != loss.shape:
+        raise ValueError(f"seed gradient of shape {grad.shape} for a {loss.shape} output")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
     if any(node._vjp is _spent for node in order):
         raise RuntimeError("graph was already used by backward; build it again")
-    gmap = {id(loss): np.ones_like(loss.data)}
+    gmap = {id(loss): grad}
     while order:
         node = order.pop()
         g = gmap.pop(id(node), None)

@@ -3,10 +3,10 @@
 Subcommands: simulate, train, separate, eval, attn-export, grad-check, rtf.
 Flags can also come from a JSON config file (--config); explicit flags win.
 NBC_THREADS sets the worker threads (default: one per usable CPU) that
-`simulate` generates mixtures on and that `separate`, `eval`, `attn-export`
-and `rtf` run frequency chunks on; `separate` and `rtf` print the count they
-used, and why they ran serially if they fell back.  Exit codes: 0 ok,
-1 usage, 2 data error, 3 numeric failure.
+`simulate` generates mixtures on and that `train`, `separate`, `eval`,
+`attn-export` and `rtf` run frequency chunks on; `train`, `separate` and
+`rtf` print the count they used, and why they ran serially if they fell
+back.  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _workers_note(net) -> str:
-    workers, why = net.inference_workers()
+    workers, why = net.chunk_workers()
     return f"workers {workers}" + (f", serial: {why}" if why else "")
 
 
@@ -194,7 +194,7 @@ def _cmd_train(args) -> int:
     n_mics = train_examples[0].mixture.n_channels
     mcfg = _model_config(args, n_mics)
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
-    print(f"model parameters: {model_mod.parameter_count(net.params)}")
+    print(f"model parameters: {model_mod.parameter_count(net.params)} ({_workers_note(net)})")
     result = trainer.train(net, train_examples, val_examples, tcfg, cfg, args.out)
     print(f"trained {result.steps} steps over {result.epochs} epochs, "
           f"best val loss {result.best_val:.3f}; log at {result.log_path}")

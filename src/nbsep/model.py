@@ -29,9 +29,10 @@ columns, each conv tap one GEMM per group, and layer and group norms
 reduce over axis 0 and over (group channels, T) per sequence.  Only the
 attention op sees a (B, heads, T, head_dim) layout.
 
-Inference (`separate`, `attention_maps`) runs graph-free on chunks of
-frequency bins.  Every frequency is processed on its own, so the chunks are
-independent work: with W workers (`parallel.worker_count`, set by
+Inference (`separate`, `attention_maps`) and training
+(`trainer.batch_loss`) run the network on chunks of frequency bins
+(`map_bin_chunks`).  Every frequency is processed on its own, so the chunks
+are independent work: with W workers (`parallel.worker_count`, set by
 `NBC_THREADS`) the F bins are cut into balanced chunks of at most
 `FREQUENCY_CHUNK` // W bins, a multiple of W of them, and W threads run them
 at once.  About `FREQUENCY_CHUNK` bins are in flight at a time, so memory is
@@ -56,7 +57,7 @@ from . import dataset, parallel, stft
 from .audio import WaveBuffer
 from .autodiff import Tensor
 
-FREQUENCY_CHUNK = 32  # bins in flight at once in graph-free inference
+FREQUENCY_CHUNK = 32  # bins in flight at once in inference and in a training step
 
 
 @dataclass
@@ -193,7 +194,8 @@ class NarrowBandModel:
 
     # -- forward ----------------------------------------------------------------
 
-    def forward(self, x, train: bool = False, rng=None, collect_attention: bool = False):
+    def forward(self, x, train: bool = False, rng=None, collect_attention: bool = False,
+                params: dict[str, Tensor] | None = None):
         """Run the network on (2M, T) or batched (B, 2M, T) sequences.
 
         Returns the (.., 2N, T) output Tensor, or (output, attention) with
@@ -201,10 +203,12 @@ class NarrowBandModel:
         (B, heads, T, T) softmax matrices (read-only ndarray, no graph;
         B = 1 for a 2-D input).  Inside, activations are channel-major
         (C, B, T): the input is transposed once on entry and the output
-        once on exit.
+        once on exit.  `params` replaces `self.params` as the leaves the
+        graph is built on, so that forwards on several threads each
+        backpropagate into their own `.grad`.
         """
         cfg = self.cfg
-        p = self.params
+        p = self.params if params is None else params
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         if x.shape[-2] != 2 * cfg.in_channels:
@@ -225,7 +229,7 @@ class NarrowBandModel:
         for i in range(cfg.blocks):
             b = f"block{i}"
             a = ad.layer_norm(h, p[f"{b}.attn_norm.gamma"], p[f"{b}.attn_norm.beta"])
-            a = self._rpsa(a, i, rel_table,
+            a = self._rpsa(p, a, i, rel_table,
                            attn_maps if collect_attention else None)
             a = ad.dropout(a, drop, rng, train)
             h = ad.add(h, a)
@@ -253,11 +257,10 @@ class NarrowBandModel:
             return out, attn_maps
         return out
 
-    def _rpsa(self, xn: Tensor, block: int, rel_table: Tensor,
+    def _rpsa(self, p: dict[str, Tensor], xn: Tensor, block: int, rel_table: Tensor,
               attn_sink: list | None) -> Tensor:
         """Self-attention of channel-major xn (width, B, T) or (width, T)."""
         cfg = self.cfg
-        p = self.params
         b = f"block{block}"
         heads, dh = cfg.heads, cfg.head_dim
         cols = xn.shape[1:]  # (B, T), or (T,) for one sequence
@@ -322,8 +325,8 @@ class NarrowBandModel:
 
         return sum(self._map_bin_chunks(summed_maps, seqs)) / seqs.shape[0]
 
-    def inference_workers(self) -> tuple[int, str | None]:
-        """Threads that run the bin chunks of inference, and why one if it fell back."""
+    def chunk_workers(self) -> tuple[int, str | None]:
+        """Threads that run the bin chunks, and why one if it fell back."""
         workers = parallel.worker_count()
         if workers > 1 and self._forward_replaced():
             return 1, "forward is replaced"
@@ -332,29 +335,36 @@ class NarrowBandModel:
     def _forward_replaced(self) -> bool:
         """Whether `forward` is not this class's own (a tracer or a test spy replaced it).
 
-        Inference then runs serially, since such a wrapper may not expect
+        The chunks then run serially, since such a wrapper may not expect
         calls from several threads at once.
         """
         return getattr(self.forward, "__func__", None) is not _LIBRARY_FORWARD
 
-    def _map_bin_chunks(self, fn, seqs: np.ndarray):
-        """Yield `fn` of each bin chunk of (F, 2M, T) sequences, graph-free, in bin order.
+    def map_bin_chunks(self, fn, n_bins: int):
+        """Yield ``fn(i, bins)`` for each bin chunk, in bin order, on the chunk workers.
 
-        The chunks depend on the worker count only, not on whether they
-        run in parallel.
+        `bins` is chunk i's slice of range(n_bins).  The chunks depend on
+        the worker count only, not on whether they run in parallel.  A
+        worker thread starts in graph mode, so `fn` enters `ad.no_graph`
+        itself where it wants no graph; a graph it builds stays on its
+        thread.
         """
         workers = parallel.worker_count()
-        n_bins = seqs.shape[0]
         n_chunks = -(-n_bins // max(1, FREQUENCY_CHUNK // workers))
         n_chunks = min(n_bins, -(-n_chunks // workers) * workers)
-
-        def run(chunk):
-            with ad.no_graph():  # the graph mode is per thread
-                return fn(Tensor(chunk.astype(self.dtype)))
-
-        chunks = np.array_split(seqs, n_chunks)
+        size, extra = divmod(n_bins, n_chunks)  # np.array_split's balance
+        starts = [i * size + min(i, extra) for i in range(n_chunks + 1)]
+        chunks = list(enumerate(slice(a, b) for a, b in zip(starts, starts[1:])))
         threads = 1 if self._forward_replaced() else workers
-        return parallel.parallel_map(run, chunks, threads, blas_bound=True)
+        return parallel.parallel_map(lambda chunk: fn(*chunk), chunks, threads, blas_bound=True)
+
+    def _map_bin_chunks(self, fn, seqs: np.ndarray):
+        """Yield `fn` of each bin chunk of (F, 2M, T) sequences, graph-free, in bin order."""
+        def run(_, bins):
+            with ad.no_graph():  # the graph mode is per thread
+                return fn(Tensor(seqs[bins].astype(self.dtype)))
+
+        return self.map_bin_chunks(run, seqs.shape[0])
 
 
 _LIBRARY_FORWARD = NarrowBandModel.forward

@@ -1,19 +1,22 @@
 """Optimization loop: per-utterance fPIT steps, Adam, plateau LR halving, clipping.
 
 A mini-batch is a list of utterances; every utterance contributes all F of
-its normalized narrow-band sequences.  The per-utterance loss couples the
-frequencies (binding + inverse STFT + permutation-invariant SI-SDR), so all
-frequencies of one utterance live in one graph.  Nothing couples two
-utterances, so each runs its own forward and backward and utterances of a
-batch may differ in length; the parameters' `.grad` sum the scaled losses'
-gradients into the batch-mean gradient, in a fixed order, which keeps runs
-bit-reproducible for a given seed in single-threaded mode.
+its normalized narrow-band sequences.  The network treats every frequency
+on its own, and the per-utterance loss couples the frequencies only after
+it (binding + inverse STFT + permutation-invariant SI-SDR).  So a step
+never holds a graph over all F bins: the network runs graph-free on chunks
+of bins, fPIT is backpropagated into the joined output alone, and each
+chunk then runs again with a graph, seeded with its rows of that output
+gradient (recomputation, Chen et al. 2016, arXiv:1604.06174).  Memory is
+set by the chunk, not by F, and the chunks run on the model's worker
+threads.  Nothing couples two utterances, so utterances of a batch may
+differ in length.  Gradients are summed in a fixed order, so a given seed
+and worker count (`NBC_THREADS`) give the same bits on every run.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +38,9 @@ class TrainConfig:
     max_epochs: int = 10
     seed: int = 0
     precision: str = "float32"  # float32 for speed, float64 for verification
-    # Only 1 is valid: each utterance runs its own backward.  The field stays
-    # because perfbench/workloads.py passes graph_chunk=1; ROADMAP item 5's
-    # benchmark change deletes it.
+    # Only 1 is valid: a step backpropagates each bin chunk on its own.  The
+    # field stays because perfbench/workloads.py passes graph_chunk=1;
+    # ROADMAP item 5's benchmark change deletes it.
     graph_chunk: int = 1
 
     def __post_init__(self):
@@ -206,25 +209,56 @@ def batch_loss(model, utterances, cfg_stft, train=False, rng=None,
                accumulate_grads: bool = False):
     """Mean fPIT loss over `utterances` and, with `accumulate_grads`, its gradients.
 
-    Returns (mean, grads).  Each utterance runs its own forward and fPIT.
-    Without `accumulate_grads` they record no graph and `grads` is empty;
-    with it, each loss, scaled by 1/n, is backpropagated before the next
-    forward, and the parameters' `.grad` add up the batch-mean gradient.
+    Returns (mean, grads).  Each utterance runs in up to three passes over
+    the model's bin chunks (`model.map_bin_chunks`, on its worker threads):
+
+    1. every chunk runs forward without a graph;
+    2. the outputs, joined in bin order into one (F, 2N, T) leaf, are
+       denormalized and scored by fPIT; with `accumulate_grads` the loss,
+       scaled by 1/n, is backpropagated into that leaf, whose gradient G
+       is all that the network's backward needs;
+    3. with `accumulate_grads` only: every chunk runs forward again, now
+       with a graph on its own leaves over the shared parameter arrays,
+       and backpropagates its rows of G into them.
+
+    The chunk gradients add up, in chunk order and utterance after
+    utterance, to the batch-mean gradient.  Without `accumulate_grads`
+    `grads` is empty.  Dropout masks come from one generator per chunk,
+    seeded from `rng`, so passes 1 and 3 draw the same masks.
     """
     n = len(utterances)
     dtype = model.dtype
     total = 0.0
-    ad.zero_grad(model.params)
+    grads: dict[str, np.ndarray] = {}
     for u in utterances:
-        with nullcontext() if accumulate_grads else ad.no_graph():
-            out = model.forward(Tensor(u.sequences.astype(dtype)), train=train, rng=rng)
-            pred = ad.mul(out, Tensor(u.norm.scale.astype(dtype)[:, None, None]))
-            loss, _ = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
+        seqs = u.sequences.astype(dtype)
+        seed = int(rng.integers(2**63)) if train and rng is not None else None
+
+        def chunk_rng(i):
+            return None if seed is None else np.random.default_rng([seed, i])
+
+        def free_forward(i, bins):
+            with ad.no_graph():
+                return model.forward(Tensor(seqs[bins]), train=train, rng=chunk_rng(i)).data
+
+        out = Tensor(np.concatenate(list(model.map_bin_chunks(free_forward, len(seqs)))),
+                     requires_grad=accumulate_grads)
+        pred = ad.mul(out, Tensor(u.norm.scale.astype(dtype)[:, None, None]))
+        loss, _ = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
         total += loss.item()
-        if accumulate_grads:
-            ad.backward(ad.scale(loss, 1.0 / n))
-    grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
-    ad.zero_grad(model.params)
+        if not accumulate_grads:
+            continue
+        ad.backward(ad.scale(loss, 1.0 / n))
+
+        def chunk_grads(i, bins):
+            leaves = {k: Tensor(t.data, requires_grad=True) for k, t in model.params.items()}
+            y = model.forward(Tensor(seqs[bins]), train=train, rng=chunk_rng(i), params=leaves)
+            ad.backward(y, out.grad[bins])
+            return {k: t.grad for k, t in leaves.items() if t.grad is not None}
+
+        for chunk in model.map_bin_chunks(chunk_grads, len(seqs)):
+            for k, g in chunk.items():
+                grads[k] = g if k not in grads else grads[k] + g
     return total / n, grads
 
 

@@ -179,6 +179,18 @@ def test_backward_requires_scalar():
         ad.backward(ad.mul(x, x))
 
 
+def test_seed_gradient_backpropagates_like_a_weighted_sum():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    seed = rng.standard_normal((3, 4))
+    ad.backward(ad.silu(ad.mul(x, x)), seed)
+    got, x.grad = x.grad, None
+    ad.backward(ad.tsum(ad.mul(ad.silu(ad.mul(x, x)), Tensor(seed))))
+    assert np.array_equal(got, x.grad)
+    with pytest.raises(ValueError, match=r"seed gradient of shape \(4, 3\) for a \(3, 4\)"):
+        ad.backward(ad.mul(x, x), seed.T)
+
+
 def test_shared_subexpression_accumulates():
     x = Tensor(np.array(2.0), requires_grad=True)
     y = ad.mul(x, x)  # x^2

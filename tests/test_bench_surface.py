@@ -83,3 +83,35 @@ def test_traced_separate_runs_its_threaded_chunks_serially(monkeypatch):
     assert not recorder._stack
     assert all(row[2] is not None for row in recorder.spans)
     assert np.array_equal(got, want)
+
+
+def test_traced_train_runs_its_threaded_chunks_serially(tmp_path, monkeypatch):
+    # as for separate: chunk forwards and backwards on worker threads would
+    # close their spans out of order
+    bt = load_perfbench("bench_trace")
+    monkeypatch.setenv("NBC_THREADS", "2")
+    cfg8k = stft.StftConfig(sample_rate=8000)
+    examples = trainer.build_probe_examples(3, cfg8k, seed=0, n_mics=2)
+    mcfg = model.ModelConfig(in_channels=2, speakers=2, width=16, inner_width=32, blocks=1,
+                             conv_blocks=1, heads=2, dropout=0.1)
+    cfg = trainer.TrainConfig(utterances_per_batch=1, max_epochs=1, seed=0)
+
+    def train_log(run_dir):
+        net = model.NarrowBandModel(mcfg, seed=0, dtype=np.float32)
+        result = trainer.train(net, examples[:2], examples[2:], cfg, cfg8k, run_dir)
+        return result.log_path.read_text()
+
+    want = train_log(tmp_path / "untraced")  # on worker threads
+    recorder = bt.SpanRecorder()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with bt.traced(recorder, bt.Instrumentation(recorder)):
+            got = train_log(tmp_path / "traced")
+    finally:
+        sys.setswitchinterval(interval)
+    names = [row[0] for row in recorder.spans]
+    assert names.count("trainer.train") == 1 and names.count("autodiff.backward") > 2
+    assert not recorder._stack
+    assert all(row[2] is not None for row in recorder.spans)
+    assert got == want

@@ -138,9 +138,12 @@ def test_separate_then_eval_round_trip(tmp_path):
         assert abs(got_mean - rec.mean_sdr) < 1e-3
 
 
-def test_train_subcommand_smoke(tmp_path):
+def test_train_subcommand_smoke(tmp_path, capsys, monkeypatch):
     out = simulate(tmp_path, n=2)
     run_dir = tmp_path / "run"
+    monkeypatch.setenv("NBC_THREADS", "2")
+    monkeypatch.setattr(parallel, "_OPENBLAS", None)
+    capsys.readouterr()
     rc = main(["train", "--manifest", str(out / "manifest.jsonl"),
                "--val-manifest", str(out / "manifest.jsonl"),
                "--out", str(run_dir), "--epochs", "1", "--batch", "2",
@@ -148,6 +151,8 @@ def test_train_subcommand_smoke(tmp_path):
                "--conv-blocks", "1", "--heads", "2", "--dropout", "0.0",
                "--seed", "0", *CFG8K_ARGS])
     assert rc == 0
+    assert re.search(r"^model parameters: \d+ \(workers 1, serial: OpenBLAS thread control "
+                     r"not found\)$", capsys.readouterr().out, re.M)
     assert (run_dir / "train_log.csv").exists()
     assert (run_dir / "checkpoint_last" / "manifest.json").exists()
 

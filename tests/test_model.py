@@ -103,7 +103,7 @@ def test_positional_logits_depend_only_on_offset():
     col = np.random.default_rng(12).standard_normal(TINY.width)
     xn = Tensor(np.tile(col[:, None], (1, t_len)))
     sink = []
-    net._rpsa(xn, 0, Tensor(relative_encoding_table(t_len, TINY.width)), sink)
+    net._rpsa(net.params, xn, 0, Tensor(relative_encoding_table(t_len, TINY.width)), sink)
     logp = np.log(sink[0])  # (heads, T, T)
     for h in range(TINY.heads):
         for d in (1, 3, -2):
@@ -345,11 +345,11 @@ def _threaded_mixture(monkeypatch, workers, frequency_chunk):
 def test_parallel_separate_is_bit_identical_to_serial(monkeypatch):
     # the same four chunks, on two threads and then on one
     cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
-    assert net.inference_workers() == (2, None)
+    assert net.chunk_workers() == (2, None)
     waves, spectra, _ = net.separate(wave, cfg8k)
     monkeypatch.setenv("NBC_THREADS", "1")
     monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)
-    assert net.inference_workers() == (1, None)
+    assert net.chunk_workers() == (1, None)
     serial_waves, serial_spectra, _ = net.separate(wave, cfg8k)
     assert np.array_equal(spectra.data, serial_spectra.data)
     assert np.array_equal(waves, serial_waves)
@@ -377,7 +377,7 @@ def test_separate_without_blas_thread_control_runs_serially(monkeypatch):
     _, want, _ = net.separate(wave, cfg8k)
     monkeypatch.setattr(nbsep.parallel, "_OPENBLAS", None)
     monkeypatch.setattr(nbsep.parallel, "ThreadPoolExecutor", None)  # a pool would fail
-    assert net.inference_workers() == (1, "OpenBLAS thread control not found")
+    assert net.chunk_workers() == (1, "OpenBLAS thread control not found")
     _, got, _ = net.separate(wave, cfg8k)
     assert np.array_equal(got.data, want.data)
 
@@ -394,7 +394,7 @@ def test_replaced_forward_runs_the_same_chunks_serially(monkeypatch):
         return forward(x, **kwargs)
 
     monkeypatch.setattr(net, "forward", spy)
-    assert net.inference_workers() == (1, "forward is replaced")
+    assert net.chunk_workers() == (1, "forward is replaced")
     _, got, _ = net.separate(wave, cfg8k)
     assert threads == [(threading.get_ident(), n) for n in (5, 4, 4, 4)]
     assert np.array_equal(got.data, want.data)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from nbsep import stft
+from nbsep import parallel, stft
 from nbsep.autodiff import NumericError, Tensor
 from nbsep.model import ModelConfig, NarrowBandModel
 from nbsep.trainer import (
     AdamState,
     TrainConfig,
+    Utterance,
     adam_step,
     batch_loss,
     build_probe_examples,
@@ -154,6 +155,10 @@ def test_batch_loss_gradients_deterministic(probe_examples):
         np.testing.assert_array_equal(g1[name], g2[name])
 
 
+def _chunk_count(net, n_bins):
+    return len(list(net.map_bin_chunks(lambda i, bins: bins, n_bins)))
+
+
 def _largest_interior_value(root):
     """The largest array held by a non-leaf node of root's graph."""
     seen, stack, best = set(), [root], None
@@ -177,14 +182,19 @@ def test_batch_loss_frees_a_chunk_graph_before_the_next_forward(probe_examples, 
     held, alive_at_start = [], []
 
     def watching_forward(*args, **kwargs):
-        alive_at_start.append([ref() is not None for ref in held])
+        alive = [ref() is not None for ref in held]
         out = forward(*args, **kwargs)
-        held.append(weakref.ref(_largest_interior_value(out)))
+        value = _largest_interior_value(out)
+        if value is not None:  # graph-free forwards have no interior node
+            alive_at_start.append(alive)
+            held.append(weakref.ref(value))
         return out
 
     monkeypatch.setattr(net, "forward", watching_forward)
     batch_loss(net, batch, CFG8K, accumulate_grads=True)
-    assert alive_at_start == [[], [False]]
+    # every graph-building forward, one per chunk and utterance, finds all earlier graphs dead
+    graphs = len(batch) * _chunk_count(net, 257)
+    assert alive_at_start == [[False] * k for k in range(graphs)]
 
 
 def test_chunking_does_not_change_gradients(probe_examples):
@@ -223,6 +233,132 @@ def test_mixed_length_batch_loss_is_the_mean_of_its_utterances(probe_examples):
     for name, g in grads.items():
         want = np.mean([s[1][name] for s in singles], axis=0)
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def _one_graph_gradients(net, batch):
+    """Gradients of the batch-mean loss through one graph over all bins of each utterance."""
+    from nbsep import autodiff as ad, objective
+
+    ad.zero_grad(net.params)
+    for u in batch:
+        out = net.forward(Tensor(u.sequences.astype(net.dtype)))
+        pred = ad.mul(out, Tensor(u.norm.scale.astype(net.dtype)[:, None, None]))
+        loss, _ = objective.fpit(pred, u.target_spectra, CFG8K, u.out_len)
+        ad.backward(ad.scale(loss, 1.0 / len(batch)))
+    grads = {name: t.grad for name, t in net.params.items()}
+    ad.zero_grad(net.params)
+    return grads
+
+
+def _workers(monkeypatch, n):
+    if n > parallel.usable_cpus():
+        pytest.skip(f"needs {n} usable CPUs")
+    monkeypatch.setenv("NBC_THREADS", str(n))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_recomputed_chunk_gradients_equal_one_graph_over_all_bins(
+        probe_examples, monkeypatch, workers):
+    _workers(monkeypatch, workers)
+    net = NarrowBandModel(PROBE_MODEL, seed=10, dtype=np.float64)
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+    assert _chunk_count(net, 257) > 1
+    _, grads = batch_loss(net, batch, CFG8K, accumulate_grads=True)
+    want = _one_graph_gradients(net, batch)
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        assert np.max(np.abs(g - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
+
+
+DROPOUT_MODEL = ModelConfig(in_channels=2, speakers=2, width=16, inner_width=32,
+                            blocks=1, conv_blocks=1, heads=2, dropout=0.1)
+
+
+def test_dropout_gradients_match_central_differences(probe_examples):
+    # passes 1 and 3 of a chunk must draw the same dropout masks: gradients
+    # of masks other than those the loss saw would miss by far more than 1e-5
+    net = NarrowBandModel(DROPOUT_MODEL, seed=11, dtype=np.float64)
+    u = prepare_utterance(probe_examples[0])
+
+    def loss_and_grads(accumulate_grads=False):
+        return batch_loss(net, [u], CFG8K, train=True, rng=np.random.default_rng(12),
+                          accumulate_grads=accumulate_grads)
+
+    _, grads = loss_and_grads(accumulate_grads=True)
+    step = 1e-5
+    for name in ("in_conv.w", "block0.attn.wq", "block0.conv0.w", "block0.ff_out.w",
+                 "out_conv.b"):
+        flat = net.params[name].data.reshape(-1)
+        for i in np.argsort(-np.abs(grads[name]).reshape(-1))[:2]:
+            orig = flat[i]
+            flat[i] = orig + step
+            hi, _ = loss_and_grads()
+            flat[i] = orig - step
+            lo, _ = loss_and_grads()
+            flat[i] = orig
+            numeric, analytic = (hi - lo) / (2 * step), grads[name].reshape(-1)[i]
+            assert abs(analytic - numeric) <= 1e-5 * abs(analytic), (name, i)
+
+
+def test_threaded_training_gradients_are_bit_reproducible(probe_examples, monkeypatch):
+    _workers(monkeypatch, 2)
+    net = NarrowBandModel(DROPOUT_MODEL, seed=13, dtype=np.float64)
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+
+    def run():
+        return batch_loss(net, batch, CFG8K, train=True, rng=np.random.default_rng(14),
+                          accumulate_grads=True)
+
+    (loss1, g1), (loss2, g2) = run(), run()
+    forward = net.forward
+    monkeypatch.setattr(net, "forward", lambda *a, **kw: forward(*a, **kw))
+    loss3, g3 = run()  # the same chunks, serially on this thread
+    assert loss1 == loss2 == loss3
+    for name in g1:
+        assert np.array_equal(g1[name], g2[name]) and np.array_equal(g1[name], g3[name]), name
+
+
+def test_gradients_at_two_workers_match_one_worker(probe_examples, monkeypatch):
+    net = NarrowBandModel(PROBE_MODEL, seed=15, dtype=np.float64)
+    batch = [prepare_utterance(ex) for ex in probe_examples]
+    _workers(monkeypatch, 1)
+    _, want = batch_loss(net, batch, CFG8K, accumulate_grads=True)
+    _workers(monkeypatch, 2)
+    _, got = batch_loss(net, batch, CFG8K, accumulate_grads=True)
+    for name, g in got.items():
+        assert np.max(np.abs(g - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
+
+
+def test_training_step_memory_does_not_grow_with_the_bin_count(monkeypatch):
+    # a step holds one chunk's graph at a time, so from 33 to 129 bins its
+    # peak grows only with the fPIT graph (measured 1.35x); one graph over
+    # all bins grows with F (measured 3.9x)
+    import tracemalloc
+
+    from nbsep import dataset, model as model_mod
+
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 8)
+    net = NarrowBandModel(PROBE_MODEL, seed=16, dtype=np.float64)
+    rng = np.random.default_rng(17)
+    peaks = []
+    for window in (64, 256):
+        cfg = stft.StftConfig(window_len=window, hop=window // 2, sample_rate=8000)
+        t_frames, n_bins = 40, cfg.n_bins
+        out_len = cfg.covered_len(t_frames)
+        u = Utterance(
+            sequences=rng.standard_normal((n_bins, 4, t_frames)),
+            norm=dataset.NormState(scale=rng.uniform(0.5, 2.0, n_bins)),
+            target_spectra=(rng.standard_normal((2, n_bins, t_frames))
+                            + 1j * rng.standard_normal((2, n_bins, t_frames))),
+            out_len=out_len)
+        tracemalloc.start()
+        try:
+            batch_loss(net, [u], cfg, accumulate_grads=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_train_runs_on_utterances_of_different_lengths(tmp_path, probe_examples):
@@ -316,7 +452,8 @@ def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeyp
 
     monkeypatch.setattr(net, "forward", recording_forward)
     free_loss, _ = batch_loss(net, batch, CFG8K)
-    assert len(recorded) == 2 and not any(out.requires_grad for out in recorded)
+    assert len(recorded) == len(batch) * _chunk_count(net, 257)
+    assert not any(out.requires_grad for out in recorded)
     assert free_loss == graph_loss
 
 
