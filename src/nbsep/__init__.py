@@ -15,11 +15,11 @@ import ctypes
 from . import audio, autodiff, dataset, model, objective, parallel, roomsim, stft, trainer
 from .audio import WaveBuffer, read_wav, write_wav
 from .autodiff import NumericError, Tensor
-from .dataset import MixtureExample, NormState, mix_pair, normalize
+from .dataset import MixtureExample, NormState, mix_pair
 from .model import ModelConfig, NarrowBandModel, SeparatedSpectra
 from .objective import PermutationAssignment, evaluate, fpit, si_sdr
 from .roomsim import Rir, SceneConfig, sample_scene, simulate_rir, spatialize
-from .stft import ComplexSpectrogram, StftConfig, frequency_sequence, istft
+from .stft import ComplexSpectrogram, StftConfig, istft
 from .trainer import AdamState, TrainConfig, adam_step, overfit_probe, schedule_lr
 
 # glibc's mallopt parameters
@@ -62,11 +62,11 @@ __all__ = [
     "trainer",
     "WaveBuffer", "read_wav", "write_wav",
     "NumericError", "Tensor",
-    "MixtureExample", "NormState", "mix_pair", "normalize",
+    "MixtureExample", "NormState", "mix_pair",
     "ModelConfig", "NarrowBandModel", "SeparatedSpectra",
     "PermutationAssignment", "evaluate", "fpit", "si_sdr",
     "Rir", "SceneConfig", "sample_scene", "simulate_rir", "spatialize",
-    "ComplexSpectrogram", "StftConfig", "frequency_sequence", "istft",
+    "ComplexSpectrogram", "StftConfig", "istft",
     "AdamState", "TrainConfig", "adam_step", "overfit_probe", "schedule_lr",
     "__version__",
 ]

@@ -61,16 +61,10 @@ def read_wav(path, expect_rate: int | None = None) -> WaveBuffer:
     return WaveBuffer(data, rate)
 
 
-def write_wav(path, wave: WaveBuffer, dtype: str = "float32") -> None:
-    """Write a WaveBuffer as WAV; float32 by default so estimates never clip."""
+def write_wav(path, wave: WaveBuffer) -> None:
+    """Write a WaveBuffer as a float32 WAV, so estimates never clip."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     data = wave.data.T  # (samples, channels) for wavfile
     if data.shape[1] == 1:
         data = data[:, 0]
-    if dtype == "float32":
-        wavfile.write(str(path), wave.sample_rate, data.astype(np.float32))
-    elif dtype == "int16":
-        clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
-        wavfile.write(str(path), wave.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
-    else:
-        raise ValueError(f"unsupported output dtype {dtype}")
+    wavfile.write(str(path), wave.sample_rate, data.astype(np.float32))

@@ -70,8 +70,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
@@ -600,7 +600,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
 def conv1d(
     x: Tensor,
     w: Tensor,
-    b: Tensor | None = None,
+    b: Tensor,
     padding: tuple[int, int] = (0, 0),
     groups: int = 1,
 ) -> Tensor:
@@ -643,7 +643,7 @@ def conv1d(
     for kk in range(1, k):
         yf += np.matmul(taps[kk], xf[:, :, kk : kk + cols])
     y = yf.reshape(c_out, n_batch, tp)[:, :, :t_out]
-    y = np.ascontiguousarray(y) if b is None else y + b.data.reshape(-1, 1, 1)
+    y = y + b.data.reshape(-1, 1, 1)
 
     def vjp(g):
         # g in sequence slots 1..B of a zero buffer, zero in the dropped
@@ -662,17 +662,14 @@ def conv1d(
         gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
         if x.data.ndim == 2:
             gx = gx[:, 0]
-        if b is None:
-            return gx, gw
         return gx, gw, gp.sum(axis=(1, 2))
 
-    parents = (x, w, b) if b is not None else (x, w)
     if x.data.ndim == 2:
         y = y[:, 0]
-    return Tensor._from_op(y, parents, vjp)
+    return Tensor._from_op(y, (x, w, b), vjp)
 
 
-def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """1-D transposed convolution along the last axis of channel-major input.
 
     `x` is (C_in, B, T) or one sequence (C_in, T), `w` is (C_in, C_out, K);

@@ -142,6 +142,17 @@ def _train_config(args) -> trainer.TrainConfig:
     )
 
 
+def _duration_samples(args, cfg: stft.StftConfig) -> int:
+    """--duration in samples, a usage error unless it is finite and spans one STFT window."""
+    if not (np.isfinite(args.duration) and args.duration > 0):
+        raise UsageError(f"--duration must be a positive number of seconds, got {args.duration}")
+    n_samples = int(round(args.duration * cfg.sample_rate))
+    if n_samples < cfg.window_len:
+        raise UsageError(f"--duration must be at least one STFT window ({cfg.window_len} "
+                         f"samples), got {args.duration}")
+    return n_samples
+
+
 def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
     fields = ("speakers", "width", "inner_width", "blocks", "conv_blocks", "heads", "dropout")
     kwargs = {f: v for f in fields if (v := getattr(args, f, None)) is not None}
@@ -152,12 +163,14 @@ def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
 
 
 def _cmd_simulate(args) -> int:
+    cfg = _stft_config(args)
+    out_len = _duration_samples(args, cfg)
+    if args.mics < 1:
+        raise UsageError(f"--mics must be at least 1, got {args.mics}")
     src_dir = Path(args.sources)
     wavs = sorted(src_dir.glob("*.wav"))
     if len(wavs) < 2:
         raise FileNotFoundError(f"need at least two WAV files in {src_dir}")
-    cfg = _stft_config(args)
-    out_len = int(round(args.duration * cfg.sample_rate))
     t0 = time.perf_counter()
     manifest = dataset.generate_dataset(
         wavs, args.out, args.n, args.seed, stft_cfg=cfg, out_len=out_len,
@@ -308,12 +321,10 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_rtf(args) -> int:
-    if not (np.isfinite(args.duration) and args.duration > 0):
-        raise UsageError(f"--duration must be a positive number of seconds, got {args.duration}")
-    net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     cfg = _stft_config(args)
+    n_samples = _duration_samples(args, cfg)
+    net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
-    n_samples = int(args.duration * cfg.sample_rate)
     mixture = WaveBuffer(rng.standard_normal((net.cfg.in_channels, n_samples)) * 0.1,
                          cfg.sample_rate)
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -81,7 +81,6 @@ def mix_pair(
     scene: roomsim.SceneConfig,
     out_len: int = DEFAULT_OUT_LEN,
     stft_cfg: stft.StftConfig | None = None,
-    rir: roomsim.Rir | None = None,
     max_order=None,
     example_id: str = "",
 ) -> MixtureExample:
@@ -108,8 +107,7 @@ def mix_pair(
     placed[0, :span] = _peak_normalize(s1.data[0][:span])
     placed[1, onset2:] = _peak_normalize(s2.data[0][:span])
 
-    if rir is None:
-        rir = roomsim.simulate_rir(scene, max_order=max_order, sample_rate=cfg.sample_rate)
+    rir = roomsim.simulate_rir(scene, max_order=max_order, sample_rate=cfg.sample_rate)
     images = [
         roomsim.spatialize(WaveBuffer(placed[n], cfg.sample_rate), rir, n) for n in range(2)
     ]
@@ -133,30 +131,14 @@ def mix_pair(
     )
 
 
-def normalize(
-    seq: np.ndarray, ref_channel: int = REFERENCE_CHANNEL, eps: float = NORM_EPS
-) -> tuple[np.ndarray, float]:
-    """Scale one frequency's (2M, T) sequence by the reference magnitude mean.
+def normalize_spectrogram(spec: stft.ComplexSpectrogram) -> tuple[np.ndarray, NormState]:
+    """Normalize every frequency of a spectrogram into a (F, 2M, T) stack.
 
-    The scale is the time-mean modulus of the reference channel, floored at
-    `eps` so silent frequencies stay finite.
+    Each bin is scaled by the time-mean modulus of its reference channel,
+    floored at `NORM_EPS` so silent frequencies stay finite.
     """
-    seq = np.asarray(seq)
-    if seq.ndim != 2 or seq.shape[0] % 2:
-        raise ValueError(f"expected (2M, T) sequence, got {seq.shape}")
-    re = seq[2 * ref_channel]
-    im = seq[2 * ref_channel + 1]
-    mean_mag = float(np.mean(np.hypot(re, im)))
-    scale = max(mean_mag, eps)
-    return seq / scale, scale
-
-
-def normalize_spectrogram(
-    spec: stft.ComplexSpectrogram, ref_channel: int = REFERENCE_CHANNEL
-) -> tuple[np.ndarray, NormState]:
-    """Normalize every frequency of a spectrogram into a (F, 2M, T) stack."""
     seqs = stft.all_frequency_sequences(spec)
-    mags = np.abs(spec.data[:, :, ref_channel]).mean(axis=1)
+    mags = np.abs(spec.data[:, :, REFERENCE_CHANNEL]).mean(axis=1)
     scales = np.maximum(mags, NORM_EPS)
     return seqs / scales[:, None, None], NormState(scales)
 
@@ -173,7 +155,6 @@ def generate_dataset(
     out_len: int = DEFAULT_OUT_LEN,
     n_mics: int = 8,
     max_order=None,
-    rt60_range=roomsim.RT60_RANGE,
     workers: int = 1,
 ) -> Path:
     """Simulate a mixture corpus from a pool of mono WAV files.
@@ -196,7 +177,7 @@ def generate_dataset(
 
     def build(index: int) -> dict:
         return _generate_one(
-            index, source_paths, out_dir, seed, cfg, out_len, n_mics, max_order, rt60_range
+            index, source_paths, out_dir, seed, cfg, out_len, n_mics, max_order
         )
 
     manifest = out_dir / "manifest.jsonl"
@@ -215,14 +196,12 @@ def generate_dataset(
 
 
 def _generate_one(
-    index, source_paths, out_dir, seed, cfg, out_len, n_mics, max_order, rt60_range
+    index, source_paths, out_dir, seed, cfg, out_len, n_mics, max_order
 ) -> dict:
     rng = np.random.default_rng([seed, index])
     i, j = rng.choice(len(source_paths), size=2, replace=False)
     overlap = rng.uniform(*OVERLAP_RANGE)
-    scene = roomsim.sample_scene(
-        np.random.default_rng([seed, index, 1]), n_mics=n_mics, rt60_range=rt60_range
-    )
+    scene = roomsim.sample_scene(np.random.default_rng([seed, index, 1]), n_mics=n_mics)
     span, _ = placement_spans(overlap, out_len)
 
     drys = []

@@ -105,9 +105,7 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
     return checks
 
 
-def full_pipeline_check(seed: int = 0, step: float = 1e-5,
-                        n_frequencies: int = 5, n_frames: int = 8,
-                        wrt: str = "input"):
+def full_pipeline_check(seed: int = 0, step: float = 1e-5, wrt: str = "input"):
     """Gradient of the tiny model + fPIT/SI-SDR loss vs central differences.
 
     With ``wrt="input"`` the loss is differentiated with respect to every
@@ -125,8 +123,7 @@ def full_pipeline_check(seed: int = 0, step: float = 1e-5,
     """
     cfg = model_mod.ModelConfig(**TINY_MODEL)
     scfg = TINY_STFT
-    if n_frequencies != scfg.n_bins:
-        raise ValueError("tiny config expects F == window_len // 2 + 1")
+    n_frequencies, n_frames = scfg.n_bins, 8
     out_len = scfg.covered_len(n_frames)
 
     rng = np.random.default_rng(seed)

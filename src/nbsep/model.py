@@ -76,14 +76,17 @@ class ModelConfig:
     ff_residual: bool = True  # False: out = FF(a), the wiring of older checkpoints
 
     def __post_init__(self):
+        for name in ("in_channels", "speakers", "width", "inner_width", "heads", "groups",
+                     "io_kernel", "conv_kernel", "blocks", "conv_blocks"):
+            least = 0 if name in ("blocks", "conv_blocks") else 1
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.width % self.heads:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.inner_width % self.groups:
             raise ValueError(
                 f"inner_width {self.inner_width} not divisible by groups {self.groups}"
             )
-        if self.conv_blocks < 0:
-            raise ValueError("conv_blocks must be >= 0")
         if self.conv_kernel % 2 == 0:
             raise ValueError("conv_kernel must be odd to preserve the frame count")
         if not 0.0 <= self.dropout < 1.0:
@@ -259,30 +262,27 @@ class NarrowBandModel:
 
     def _rpsa(self, p: dict[str, Tensor], xn: Tensor, block: int, rel_table: Tensor,
               attn_sink: list | None) -> Tensor:
-        """Self-attention of channel-major xn (width, B, T) or (width, T)."""
+        """Self-attention of channel-major xn (width, B, T)."""
         cfg = self.cfg
         b = f"block{block}"
         heads, dh = cfg.heads, cfg.head_dim
-        cols = xn.shape[1:]  # (B, T), or (T,) for one sequence
-        n = len(cols) - 1  # batch axes
-        batch, t_axis = tuple(range(2, 2 + n)), 2 + n
+        _, n_batch, t_len = xn.shape
 
         def project(name):  # (heads, dh, B, T)
-            return ad.reshape(_linear(p[f"{b}.attn.{name}"], xn), (heads, dh) + cols)
+            return ad.reshape(_linear(p[f"{b}.attn.{name}"], xn), (heads, dh, n_batch, t_len))
 
-        q = ad.transpose(project("wq"), batch + (0, t_axis, 1))  # (B, heads, T, dh)
-        k = ad.transpose(project("wk"), batch + (0, 1, t_axis))  # (B, heads, dh, T)
-        v = ad.transpose(project("wv"), batch + (0, t_axis, 1))
+        q = ad.transpose(project("wq"), (2, 0, 3, 1))  # (B, heads, T, dh)
+        k = ad.transpose(project("wk"), (2, 0, 1, 3))  # (B, heads, dh, T)
+        v = ad.transpose(project("wv"), (2, 0, 3, 1))
 
-        t_len = cols[-1]
         u = ad.reshape(p[f"{b}.attn.u"], (heads, 1, dh))
         vb = ad.reshape(p[f"{b}.attn.v"], (heads, 1, dh))
         rel = ad.matmul(p[f"{b}.attn.wr"], ad.transpose(rel_table, (1, 0)))
         rel = ad.reshape(rel, (heads, dh, 2 * t_len - 1))
         o = ad.rel_attention(q, k, v, u, vb, rel, 1.0 / np.sqrt(dh),
                              probs_sink=attn_sink)  # (B, heads, T, dh)
-        o = ad.transpose(o, (n, n + 2) + tuple(range(n)) + (n + 1,))  # (heads, dh, B, T)
-        return _linear(p[f"{b}.attn.wo"], ad.reshape(o, (cfg.width,) + cols))
+        o = ad.transpose(o, (1, 3, 0, 2))  # (heads, dh, B, T)
+        return _linear(p[f"{b}.attn.wo"], ad.reshape(o, xn.shape))
 
     # -- full-band inference ------------------------------------------------------
 
@@ -330,7 +330,10 @@ class NarrowBandModel:
         workers = parallel.worker_count()
         if workers > 1 and self._forward_replaced():
             return 1, "forward is replaced"
-        return parallel.pool_size(workers, blas_bound=True)
+        if workers > 1 and parallel._OPENBLAS is None:
+            # workers that each call a multi-threaded BLAS would oversubscribe the cores
+            return 1, "OpenBLAS thread control not found"
+        return workers, None
 
     def _forward_replaced(self) -> bool:
         """Whether `forward` is not this class's own (a tracer or a test spy replaced it).
@@ -355,8 +358,8 @@ class NarrowBandModel:
         size, extra = divmod(n_bins, n_chunks)  # np.array_split's balance
         starts = [i * size + min(i, extra) for i in range(n_chunks + 1)]
         chunks = list(enumerate(slice(a, b) for a, b in zip(starts, starts[1:])))
-        threads = 1 if self._forward_replaced() else workers
-        return parallel.parallel_map(lambda chunk: fn(*chunk), chunks, threads, blas_bound=True)
+        threads, _ = self.chunk_workers()
+        return parallel.parallel_map(lambda chunk: fn(*chunk), chunks, threads)
 
     def _map_bin_chunks(self, fn, seqs: np.ndarray):
         """Yield `fn` of each bin chunk of (F, 2M, T) sequences, graph-free, in bin order."""

@@ -6,8 +6,7 @@ threads and hands the results back in item order; numpy's element-wise ops
 and OpenBLAS release the interpreter lock, so numerical work overlaps.
 Inside the pool numpy's bundled OpenBLAS runs one thread per call where its
 thread control is found, so the process uses no more threads than it has
-workers.  Work whose time goes to BLAS calls (`blas_bound`) runs serially
-where that control is not found.
+workers.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ def _openblas_thread_control():
 _OPENBLAS = _openblas_thread_control()
 
 
-def pool_size(workers: int, blas_bound: bool = False) -> tuple[int, str | None]:
-    """Threads a pool of `workers` runs on, and why it runs serially if it falls back."""
-    if workers > 1 and blas_bound and _OPENBLAS is None:
-        # workers that each call a multi-threaded BLAS would oversubscribe the cores
-        return 1, "OpenBLAS thread control not found"
-    return max(1, workers), None
-
-
 @contextmanager
 def _single_threaded_blas():
     """OpenBLAS at one thread inside, its former count restored after; no-op without control."""
@@ -88,17 +79,15 @@ def _single_threaded_blas():
         set_threads(blas_threads)
 
 
-def parallel_map(fn, items, workers: int, blas_bound: bool = False):
+def parallel_map(fn, items, workers: int):
     """Yield ``fn(item)`` for each item, in item order, computed on `workers` threads.
 
-    With one worker the items run in order on the calling thread, and so
-    does `blas_bound` work without OpenBLAS thread control.  Otherwise
+    With one worker the items run in order on the calling thread.  Otherwise
     OpenBLAS runs at one thread until the pool is done, where its control
     is found.  An exception of `fn` is raised when its item's result is
     reached.
     """
-    workers, _ = pool_size(workers, blas_bound)
-    if workers == 1:
+    if workers <= 1:
         yield from map(fn, items)
         return
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:

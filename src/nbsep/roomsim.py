@@ -129,13 +129,8 @@ class Rir:
         return self.taps.shape[2]
 
 
-def sample_scene(
-    seed,
-    n_speakers: int = 2,
-    n_mics: int = 8,
-    rt60_range: tuple[float, float] = RT60_RANGE,
-) -> SceneConfig:
-    """Draw a random scene; a fixed seed reproduces the scene bit-exactly.
+def sample_scene(seed, n_mics: int = 8) -> SceneConfig:
+    """Draw a random two-speaker scene; a fixed seed reproduces the scene bit-exactly.
 
     Sampling order (all from one `default_rng(seed)` stream): room length,
     width, height, RT60, array-center x/y jitter, then per attempt the
@@ -149,7 +144,7 @@ def sample_scene(
             rng.uniform(*ROOM_H_RANGE),
         ]
     )
-    rt60 = rng.uniform(*rt60_range)
+    rt60 = rng.uniform(*RT60_RANGE)
 
     center = np.array(
         [
@@ -173,13 +168,13 @@ def sample_scene(
     for _ in range(MAX_REJECTIONS):
         delta = rng.uniform(0.0, np.pi)
         theta0 = rng.uniform(0.0, 2.0 * np.pi)
-        thetas = theta0 + delta * np.arange(n_speakers)
-        radii = rng.uniform(0.3, r_max, size=n_speakers)
+        thetas = theta0 + delta * np.arange(2)
+        radii = rng.uniform(0.3, r_max, size=2)
         spk = np.stack(
             [
                 center[0] + radii * np.cos(thetas),
                 center[1] + radii * np.sin(thetas),
-                np.full(n_speakers, ARRAY_HEIGHT),
+                np.full(2, ARRAY_HEIGHT),
             ],
             axis=1,
         )

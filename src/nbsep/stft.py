@@ -1,4 +1,4 @@
-"""Forward/inverse STFT and per-frequency sequence extraction.
+"""Forward/inverse STFT and the stack of per-frequency sequences.
 
 Conventions (these are the contract all other modules build on):
 
@@ -140,22 +140,11 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, out_len: int) -> WaveBuffer
     return WaveBuffer(y, cfg.sample_rate)
 
 
-def frequency_sequence(spec: ComplexSpectrogram, f: int) -> np.ndarray:
-    """Extract the real-valued (2M, T) sequence of one frequency bin.
+def all_frequency_sequences(spec: ComplexSpectrogram) -> np.ndarray:
+    """Every bin's real-valued (2M, T) sequence, stacked into (F, 2M, T).
 
     Row 2m holds the real part of channel m, row 2m+1 the imaginary part.
     """
-    if not 0 <= f < spec.n_bins:
-        raise ValueError(f"frequency index {f} out of range [0, {spec.n_bins})")
-    band = spec.data[f]  # (T, M)
-    out = np.empty((2 * spec.n_channels, spec.n_frames))
-    out[0::2] = band.real.T
-    out[1::2] = band.imag.T
-    return out
-
-
-def all_frequency_sequences(spec: ComplexSpectrogram) -> np.ndarray:
-    """Stack frequency_sequence over every bin into (F, 2M, T)."""
     out = np.empty((spec.n_bins, 2 * spec.n_channels, spec.n_frames))
     out[:, 0::2, :] = spec.data.real.transpose(0, 2, 1)
     out[:, 1::2, :] = spec.data.imag.transpose(0, 2, 1)

@@ -158,7 +158,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
 
 
 def schedule_lr(history, lr_init: float = 1e-3,
-                patience: int = 3, factor: float = 0.5, lr_min: float = 1e-4) -> float:
+                patience: int = 3, lr_min: float = 1e-4) -> float:
     """Halve the LR when the best validation loss stalls for `patience` epochs.
 
     Pure function of the full loss history: the wait counter resets on every
@@ -176,7 +176,7 @@ def schedule_lr(history, lr_init: float = 1e-3,
             continue
         wait += 1
         if wait >= patience:
-            lr = max(lr * factor, lr_min)
+            lr = max(lr * 0.5, lr_min)
             wait = 0
     return lr
 

@@ -22,9 +22,9 @@ def test_softmax_rows_sum_to_one():
 
 def test_depthwise_identity_conv():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 10))
+    x = rng.standard_normal((3, 1, 10))
     w = np.ones((3, 1, 1))
-    y = ad.conv1d(Tensor(x), Tensor(w), groups=3).numpy()
+    y = ad.conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(3)), groups=3).numpy()
     np.testing.assert_array_equal(y, x)
 
 
@@ -99,8 +99,8 @@ def random_primitive_sweep(trials: int = 100, seed: int = 0, step: float = 1e-5)
         lambda r: (lambda x: ad.tsum(ad.silu(x)), [_randn(r, r.integers(1, 6))]),
         lambda r: (lambda x, g, b: ad.tsum(ad.power(ad.layer_norm(x, g, b), 2.0)),
                    [_randn(r, 4, r.integers(1, 4)), _randn(r, 4), _randn(r, 4)]),
-        lambda r: (lambda x, w: ad.tsum(ad.power(ad.conv1d(x, w, padding=(1, 1)), 2.0)),
-                   [_randn(r, 2, r.integers(4, 8)), _randn(r, 3, 2, 3)]),
+        lambda r: (lambda x, w, b: ad.tsum(ad.power(ad.conv1d(x, w, b, padding=(1, 1)), 2.0)),
+                   [_randn(r, 2, 1, r.integers(4, 8)), _randn(r, 3, 2, 3), _randn(r, 3)]),
     ]
     worst = 0.0
     for _ in range(trials):
@@ -215,13 +215,13 @@ def test_dropout_needs_rng_in_training():
 
 
 def test_conv_shape_errors():
-    x = Tensor(np.ones((3, 8)))
+    x = Tensor(np.ones((3, 1, 8)))
     with pytest.raises(ValueError, match="conv1d"):
-        ad.conv1d(x, Tensor(np.ones((4, 2, 3))))
+        ad.conv1d(x, Tensor(np.ones((4, 2, 3))), Tensor(np.zeros(4)))
     with pytest.raises(ValueError, match="groups"):
         ad.group_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 2)
     with pytest.raises(ValueError, match="conv_transpose1d: input has 3 channels"):
-        ad.conv_transpose1d(x, Tensor(np.ones((4, 2, 3))))
+        ad.conv_transpose1d(x, Tensor(np.ones((4, 2, 3))), Tensor(np.zeros(2)))
 
 
 def test_checked_mode_raises_on_nonfinite():

@@ -65,6 +65,20 @@ def test_simulate_idempotent(tmp_path, capsys):
         assert f1.read_bytes() == f2.read_bytes(), f1.name
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--duration", "inf"), ("--duration", "-1"), ("--duration", "nan"), ("--duration", "0"),
+    ("--duration", "0.01"), ("--mics", "0"), ("--mics", "-2"),
+])
+def test_simulate_rejects_a_bad_duration_or_mic_count(tmp_path, capsys, flag, value):
+    # checked before the sources are looked at: a missing directory would exit 2
+    rc = main(["simulate", "--sources", str(tmp_path / "absent"), "--out", str(tmp_path / "data"),
+               "--n", "1", flag, value, *CFG8K_ARGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be" in err and f"got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_simulate_rejects_an_empty_corpus(tmp_path, capsys, n):
     src = make_sources(tmp_path)
@@ -208,6 +222,10 @@ def test_rtf_rejects_a_duration_that_is_not_positive(tmp_path, capsys, duration)
                  id="graph-chunk"),
     pytest.param(["--lr", "0"], 2, "lr_init must be positive, got 0.0", id="lr-zero"),
     pytest.param(["--dropout", "1.5"], 2, "dropout must be in [0, 1), got 1.5", id="dropout"),
+    pytest.param(["--heads", "0"], 2, "heads must be >= 1, got 0", id="heads-zero"),
+    pytest.param(["--blocks", "-1"], 2, "blocks must be >= 0, got -1", id="blocks-negative"),
+    pytest.param(["--speakers", "0"], 2, "speakers must be >= 1, got 0", id="speakers-zero"),
+    pytest.param(["--width", "0"], 2, "width must be >= 1, got 0", id="width-zero"),
 ])
 def test_train_rejects_bad_flags_before_reading_data(tmp_path, capsys, flags, code, message):
     rc = main(["train", "--manifest", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path),
@@ -312,6 +330,14 @@ def test_console_entry_point():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_public_surface_resolves():
+    import nbsep
+
+    assert [name for name in nbsep.__all__ if not hasattr(nbsep, name)] == []
+    for gone in ("frequency_sequence", "normalize"):
+        assert gone not in nbsep.__all__ and not hasattr(nbsep, gone)
 
 
 def test_worker_count_env(tmp_path, capsys, monkeypatch):

@@ -98,37 +98,37 @@ def test_short_dry_source_rejected():
 
 
 def test_normalize_unit_reference_mean():
-    seq = np.zeros((4, 10))
-    seq[0] = 2.0  # reference real part, |X| = 2 everywhere
-    out, scale = dataset.normalize(seq)
-    assert scale == 2.0
-    mags = np.hypot(out[0], out[1])
+    data = np.zeros((3, 10, 2), dtype=complex)
+    data[1, :, 0] = 2.0  # reference channel of bin 1: |X| = 2 everywhere
+    seqs, norm = dataset.normalize_spectrogram(stft.ComplexSpectrogram(data))
+    assert norm.scale[1] == 2.0
+    mags = np.hypot(seqs[1, 0], seqs[1, 1])
     np.testing.assert_allclose(mags.mean(), 1.0, rtol=1e-12)
 
 
 def test_normalize_silent_frequency_floors_at_eps():
-    seq = np.zeros((4, 6))
-    out, scale = dataset.normalize(seq)
-    assert scale == dataset.NORM_EPS
-    assert np.all(out == 0.0)
+    data = np.ones((3, 6, 2), dtype=complex)
+    data[2] = 0.0  # bin 2 is silent on every channel
+    seqs, norm = dataset.normalize_spectrogram(stft.ComplexSpectrogram(data))
+    assert norm.scale[2] == dataset.NORM_EPS
+    assert np.all(seqs[2] == 0.0)
 
 
 def test_normalize_matches_direct_mean_of_moduli():
     rng = np.random.default_rng(2)
-    seq = rng.standard_normal((6, 32))
-    _, scale = dataset.normalize(seq)
-    direct = np.mean(np.abs(seq[0] + 1j * seq[1]))
-    assert abs(scale - direct) < 1e-12
+    data = rng.standard_normal((4, 32, 3)) + 1j * rng.standard_normal((4, 32, 3))
+    _, norm = dataset.normalize_spectrogram(stft.ComplexSpectrogram(data))
+    direct = np.mean(np.hypot(data.real[:, :, 0], data.imag[:, :, 0]), axis=1)
+    np.testing.assert_allclose(norm.scale, direct, rtol=1e-12)
 
 
 def test_normalize_spectrogram_matches_per_bin(example):
     seqs, norm = dataset.normalize_spectrogram(example.mixture)
     f = 17
-    seq_direct, scale_direct = dataset.normalize(
-        stft.frequency_sequence(example.mixture, f)
-    )
-    np.testing.assert_allclose(seqs[f], seq_direct, atol=1e-12)
+    scale_direct = np.abs(example.mixture.data[f, :, 0]).mean()
     assert norm.scale[f] == pytest.approx(scale_direct, rel=1e-12)
+    np.testing.assert_allclose(seqs[f], stft.all_frequency_sequences(example.mixture)[f]
+                               / scale_direct, atol=1e-12)
 
 
 def make_sources(tmp_path, n=4, rate=16000, seconds=4.5):

@@ -101,10 +101,10 @@ def test_positional_logits_depend_only_on_offset():
     net = rand_params_model(TINY, seed=11)
     t_len = 8
     col = np.random.default_rng(12).standard_normal(TINY.width)
-    xn = Tensor(np.tile(col[:, None], (1, t_len)))
+    xn = Tensor(np.tile(col[:, None, None], (1, 1, t_len)))  # (width, B = 1, T)
     sink = []
     net._rpsa(net.params, xn, 0, Tensor(relative_encoding_table(t_len, TINY.width)), sink)
-    logp = np.log(sink[0])  # (heads, T, T)
+    logp = np.log(sink[0][0])  # (heads, T, T)
     for h in range(TINY.heads):
         for d in (1, 3, -2):
             vals = [logp[h, q, q + d] - logp[h, q, q]
@@ -278,6 +278,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
             ModelConfig(dropout=rate)
     ModelConfig(dropout=0.0)
+    for name in ("in_channels", "speakers", "width", "inner_width", "heads", "groups",
+                 "io_kernel", "conv_kernel"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            ModelConfig(**{name: 0})
+    for name in ("blocks", "conv_blocks"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+            ModelConfig(**{name: -1})
+    assert ModelConfig(blocks=0, conv_blocks=0).blocks == 0
 
 
 def test_input_row_mismatch_errors():

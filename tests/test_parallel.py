@@ -41,11 +41,9 @@ def test_parallel_map_raises_at_the_failed_item_and_restores_blas():
     assert get_threads() == before
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_parallel_map_serial_cases_stay_on_the_calling_thread(monkeypatch, workers):
-    monkeypatch.setattr(parallel, "_OPENBLAS", None)  # with 2 workers: no BLAS control
-    idents = list(parallel.parallel_map(lambda _: threading.get_ident(), range(4), workers,
-                                        blas_bound=True))
+@pytest.mark.parametrize("workers", [1])
+def test_parallel_map_serial_cases_stay_on_the_calling_thread(workers):
+    idents = list(parallel.parallel_map(lambda _: threading.get_ident(), range(4), workers))
     assert idents == [threading.get_ident()] * 4
 
 

@@ -6,7 +6,6 @@ from nbsep.stft import (
     ComplexSpectrogram,
     StftConfig,
     all_frequency_sequences,
-    frequency_sequence,
     hann_window,
     istft,
     stft,
@@ -143,7 +142,7 @@ def test_frequency_sequence_layout():
     rng = np.random.default_rng(6)
     data = rng.standard_normal((CFG.n_bins, 5, 2)) + 1j * rng.standard_normal((CFG.n_bins, 5, 2))
     spec = ComplexSpectrogram(data)
-    seq = frequency_sequence(spec, 17)
+    seq = all_frequency_sequences(spec)[17]
     assert seq.shape == (4, 5)
     np.testing.assert_array_equal(seq[0], data[17, :, 0].real)
     np.testing.assert_array_equal(seq[1], data[17, :, 0].imag)
@@ -153,22 +152,8 @@ def test_frequency_sequence_layout():
 
 def test_frequency_sequence_real_spectrogram_has_zero_imag_rows():
     spec = ComplexSpectrogram(np.ones((CFG.n_bins, 4, 3), dtype=complex))
-    seq = frequency_sequence(spec, 0)
+    seq = all_frequency_sequences(spec)[0]
     assert np.all(seq[1::2] == 0.0)
-
-
-def test_frequency_sequence_out_of_range():
-    spec = ComplexSpectrogram(np.zeros((CFG.n_bins, 4, 1), dtype=complex))
-    with pytest.raises(ValueError, match="out of range"):
-        frequency_sequence(spec, CFG.n_bins)
-
-
-def test_reassemble_is_exact_inverse():
-    rng = np.random.default_rng(7)
-    data = rng.standard_normal((33, 6, 4)) + 1j * rng.standard_normal((33, 6, 4))
-    spec = ComplexSpectrogram(data)
-    seqs = np.stack([frequency_sequence(spec, f) for f in range(33)])
-    np.testing.assert_array_equal(seqs, all_frequency_sequences(spec))
 
 
 def test_istft_pads_beyond_synthesized_span():
