@@ -3,10 +3,12 @@
 Subcommands: simulate, train, separate, eval, attn-export, grad-check, rtf.
 Flags can also come from a JSON config file (--config); explicit flags win.
 NBC_THREADS sets the worker threads (default: one per usable CPU) that
-`simulate` generates mixtures on and that `train`, `separate`, `eval`,
-`attn-export` and `rtf` run frequency chunks on; `train`, `separate` and
-`rtf` print the count they used, and why they ran serially if they fell
-back.  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+`simulate` generates mixtures on (or, for a single mixture, the
+mic-speaker pairs of its RIR) and that `train`, `separate`, `eval`,
+`attn-export` and `rtf` run frequency chunks on; `simulate`, `train`,
+`separate` and `rtf` print how they used them, and the last three why they
+ran serially if they fell back.  Exit codes: 0 ok, 1 usage, 2 data error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, model as model_mod, objective, parallel, stft, trainer
+from . import dataset, model as model_mod, objective, parallel, roomsim, stft, trainer
 from .audio import WaveBuffer, read_wav, write_wav
 from .autodiff import NumericError
 
@@ -156,7 +158,7 @@ def _duration_samples(args, cfg: stft.StftConfig) -> int:
 def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
     fields = ("speakers", "width", "inner_width", "blocks", "conv_blocks", "heads", "dropout")
     kwargs = {f: v for f in fields if (v := getattr(args, f, None)) is not None}
-    return model_mod.ModelConfig(in_channels=args.mics or n_mics, **kwargs)
+    return model_mod.ModelConfig(in_channels=n_mics, **kwargs)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -171,17 +173,21 @@ def _cmd_simulate(args) -> int:
     wavs = sorted(src_dir.glob("*.wav"))
     if len(wavs) < 2:
         raise FileNotFoundError(f"need at least two WAV files in {src_dir}")
+    workers = parallel.worker_count()
     t0 = time.perf_counter()
     manifest = dataset.generate_dataset(
         wavs, args.out, args.n, args.seed, stft_cfg=cfg, out_len=out_len,
-        n_mics=args.mics, max_order=args.max_order, workers=parallel.worker_count(),
+        n_mics=args.mics, max_order=args.max_order, workers=workers,
     )
     wall = time.perf_counter() - t0
-    images = sum(
-        e["images"] * args.mics * len(e["targets"]) for e in dataset.read_manifest(manifest)
-    )
+    entries = dataset.read_manifest(manifest)
+    images = sum(e["images"] * args.mics * len(e["targets"]) for e in entries)
+    at_once = min(workers, args.n)
+    # pools do not nest: mixtures made at once each simulate their RIR on one thread
+    rir_threads = max(roomsim.rir_threads(e["images"]) for e in entries) if at_once == 1 else 1
     print(f"wrote {args.n} examples, manifest {manifest}, {wall:.3f} s, "
-          f"{images / wall:.4g} images/s")
+          f"{images / wall:.4g} images/s, examples at once {at_once}, "
+          f"RIR threads {rir_threads}")
     return 0
 
 
@@ -201,10 +207,15 @@ def _load_examples(manifest_path, cfg):
 def _cmd_train(args) -> int:
     cfg = _stft_config(args)
     tcfg = _train_config(args)
+    if args.mics is not None and args.mics < 1:
+        raise UsageError(f"--mics must be at least 1, got {args.mics}")
     _model_config(args, n_mics=1)  # reject bad model flags before any data is read
     train_examples = _load_examples(args.manifest, cfg)
     val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
     n_mics = train_examples[0].mixture.n_channels
+    if args.mics is not None and args.mics != n_mics:
+        raise UsageError(f"--mics {args.mics} does not match the {n_mics} channels "
+                         f"of the corpus {args.manifest}")
     mcfg = _model_config(args, n_mics)
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
     print(f"model parameters: {model_mod.parameter_count(net.params)} ({_workers_note(net)})")

@@ -159,6 +159,8 @@ def generate_dataset(
 ) -> Path:
     """Simulate a mixture corpus from a pool of mono WAV files.
 
+    Up to `workers` examples are made at once, each on its own thread
+    (`parallel.parallel_map`); a single example runs on the calling thread.
     Every example derives its own rng stream from (seed, index), so the
     corpus is bit-identical no matter how work is distributed. Manifest
     lines are appended to ``manifest.jsonl.partial`` in index order as the
@@ -190,7 +192,8 @@ def generate_dataset(
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
                 fh.flush()
 
-    write(parallel.parallel_map(build, range(n_examples), workers))
+    # a lone example keeps the calling thread, so its RIR can spread over the workers
+    write(parallel.parallel_map(build, range(n_examples), min(workers, n_examples)))
     partial.replace(manifest)
     return manifest
 

@@ -6,13 +6,18 @@ threads and hands the results back in item order; numpy's element-wise ops
 and OpenBLAS release the interpreter lock, so numerical work overlaps.
 Inside the pool numpy's bundled OpenBLAS runs one thread per call where its
 thread control is found, so the process uses no more threads than it has
-workers.
+workers.  For the same reason pools do not nest: a `parallel_map` called on
+a worker of another pool runs its items in order on that worker's thread.
+So when `generate_dataset` makes several mixtures at once, each mixture's
+room simulation runs on its own worker, and when it makes one at a time,
+the simulation spreads its mic-speaker pairs over all the workers.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -79,16 +84,25 @@ def _single_threaded_blas():
         set_threads(blas_threads)
 
 
+_THREAD = threading.local()
+
+
+def _mark_pool_worker() -> None:
+    _THREAD.in_pool = True
+
+
 def parallel_map(fn, items, workers: int):
     """Yield ``fn(item)`` for each item, in item order, computed on `workers` threads.
 
-    With one worker the items run in order on the calling thread.  Otherwise
-    OpenBLAS runs at one thread until the pool is done, where its control
-    is found.  An exception of `fn` is raised when its item's result is
-    reached.
+    With one worker, or when the caller is itself a worker of a
+    `parallel_map` pool, the items run in order on the calling thread.
+    Otherwise OpenBLAS runs at one thread until the pool is done, where its
+    control is found.  An exception of `fn` is raised when its item's
+    result is reached.
     """
-    if workers <= 1:
+    if workers <= 1 or getattr(_THREAD, "in_pool", False):
         yield from map(fn, items)
         return
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker)
+    with _single_threaded_blas(), pool:
         yield from pool.map(fn, items)

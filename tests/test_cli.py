@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbsep import dataset, objective, parallel, stft
+from nbsep import dataset, objective, parallel, roomsim, stft
+from nbsep import model as model_mod
 from nbsep.audio import WaveBuffer, read_wav, write_wav
 from nbsep.cli import _build_parser, _train_config, export_attention_maps, main, write_pgm
 from nbsep.model import ModelConfig, NarrowBandModel, save_checkpoint
@@ -52,8 +53,8 @@ def test_simulate_idempotent(tmp_path, capsys):
     out2 = simulate(tmp_path, "b")
     # 2 examples x 27 order-1 images x 2 mics x 2 speakers = 216 images
     summary = capsys.readouterr().out.strip().splitlines()[-1]
-    m = re.fullmatch(r"wrote 2 examples, manifest .*manifest\.jsonl, (\S+) s, (\S+) images/s",
-                     summary)
+    m = re.fullmatch(r"wrote 2 examples, manifest .*manifest\.jsonl, (\S+) s, (\S+) images/s, "
+                     r"examples at once \d+, RIR threads \d+", summary)
     assert m, summary
     wall, rate = float(m.group(1)), float(m.group(2))
     # the wall time is printed to the millisecond, the rate to 4 digits
@@ -63,6 +64,21 @@ def test_simulate_idempotent(tmp_path, capsys):
     assert [f.name for f in files1] == [f.name for f in files2]
     for f1, f2 in zip(files1, files2):
         assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+
+@pytest.mark.parametrize("n,min_images,line", [
+    (2, 0, "examples at once 2, RIR threads 1"),
+    (1, 0, "examples at once 1, RIR threads 2"),
+    (1, 28, "examples at once 1, RIR threads 1"),  # 27 images a pair
+])
+def test_simulate_prints_how_it_used_the_workers(tmp_path, capsys, monkeypatch, n, min_images,
+                                                 line):
+    if parallel.usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    monkeypatch.setenv("NBC_THREADS", "2")
+    monkeypatch.setattr(roomsim, "PAIR_THREADS_MIN_IMAGES", min_images)
+    simulate(tmp_path, n=n)
+    assert capsys.readouterr().out.rstrip().endswith(f"images/s, {line}")
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -233,6 +249,27 @@ def test_train_rejects_bad_flags_before_reading_data(tmp_path, capsys, flags, co
     assert rc == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mics", ["0", "-2"])
+def test_train_rejects_a_mic_count_below_one_before_reading_data(tmp_path, capsys, mics):
+    rc = main(["train", "--manifest", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path),
+               "--mics", mics])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"--mics must be at least 1, got {mics}" in err and "Traceback" not in err
+
+
+def test_train_rejects_mics_that_differ_from_the_corpus(tmp_path, capsys, monkeypatch):
+    out = simulate(tmp_path)  # 2 channels
+    monkeypatch.setattr(model_mod, "NarrowBandModel", None)  # building one would fail
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(out / "manifest.jsonl"), "--out", str(tmp_path / "run"),
+               "--mics", "3", *CFG8K_ARGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--mics 3 does not match the 2 channels of the corpus" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
 def test_small_lr_lowers_the_schedule_floor():

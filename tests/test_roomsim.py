@@ -1,7 +1,12 @@
+import sys
+import threading
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from nbsep import roomsim
+from nbsep import parallel, roomsim
 from nbsep.audio import WaveBuffer
 from nbsep.roomsim import (
     SINC_HALF_WIDTH,
@@ -228,17 +233,87 @@ def test_scatter_matches_reference(case, monkeypatch):
 
 @pytest.mark.parametrize("max_order", [None, 2, (1, 3, 0)])
 def test_image_count_is_what_simulate_rir_sums(max_order, monkeypatch):
-    scene = sample_scene(4, n_mics=2)
-    sizes = []
+    scene = sample_scene(4, n_mics=2)  # 3,135 default-order images: 11 blocks of one x-cell
+    summed = Counter()  # images per (mic, speaker) row, keyed by the row's address
+    real = roomsim._scatter_sinc
+
+    def spy(out, centers, amps):  # called on the pair workers; one row per worker
+        summed[out.ctypes.data] += centers.size
+        real(out, centers, amps)
+
+    monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 500)
+    monkeypatch.setattr(roomsim, "_scatter_sinc", spy)
+    simulate_rir(scene, max_order=max_order)
+    assert sorted(summed.values()) == [roomsim.image_count(scene, max_order)] * 4
+
+
+def test_taps_are_bit_identical_on_one_and_two_pair_threads(monkeypatch):
+    scene = sample_scene(12, n_mics=3)  # 12,375 images per pair: blocks of 7, 7, 7, 4 x-cells
+    if parallel.usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    monkeypatch.setenv("NBC_THREADS", "2")
+    monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 3500)
+    main, threads = threading.get_ident(), set()
     real = roomsim._scatter_sinc
 
     def spy(out, centers, amps):
-        sizes.append(centers.size)
+        threads.add(threading.get_ident())
         real(out, centers, amps)
 
     monkeypatch.setattr(roomsim, "_scatter_sinc", spy)
-    simulate_rir(scene, max_order=max_order)
-    assert sizes == [roomsim.image_count(scene, max_order)] * 4
+    few_images_taps = simulate_rir(scene).taps  # below PAIR_THREADS_MIN_IMAGES
+    assert threads == {main}
+    monkeypatch.setattr(roomsim, "PAIR_THREADS_MIN_IMAGES", roomsim.image_count(scene))
+    threads.clear()
+    parallel_taps = simulate_rir(scene).taps
+    assert len(threads) == 2 and main not in threads
+    monkeypatch.setenv("NBC_THREADS", "1")
+    threads.clear()
+    serial_taps = simulate_rir(scene).taps
+    assert threads == {main}
+    assert np.array_equal(parallel_taps, serial_taps)
+    assert np.array_equal(parallel_taps, few_images_taps)
+
+
+def test_more_pair_threads_than_cores_with_fast_switching_write_every_row(monkeypatch):
+    scene = sample_scene(12, n_mics=4)  # 8 rows, on 4 threads that switch every microsecond
+    monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 1000)
+    monkeypatch.setenv("NBC_THREADS", "1")
+    serial_taps = simulate_rir(scene).taps
+    monkeypatch.setattr(roomsim, "rir_threads", lambda images: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded_taps = simulate_rir(scene).taps
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded_taps, serial_taps)
+
+
+def test_image_blocks_agree_with_one_block_per_pair(monkeypatch):
+    scene = sample_scene(12, n_mics=2)
+    monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 10**9)
+    whole = simulate_rir(scene).taps
+    monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 1000)  # 13 blocks of up to 2 x-cells
+    blocked = simulate_rir(scene).taps
+    peak = np.max(np.abs(whole))
+    assert peak > 0.0
+    assert np.max(np.abs(blocked - whole)) <= 1e-12 * peak
+
+
+def test_simulate_rir_memory_does_not_grow_with_the_image_count():
+    # 41**3 = 68,921 images against 83**3 = 571,787 (8.3x) in the same room and taps;
+    # one pair, so one worker's blocks
+    scene = _one_pair([1.0, 2.0, 1.5], [3.5, 1.0, 2.0], rt60=0.8)
+    peaks = []
+    for order in (20, 41):
+        tracemalloc.start()
+        try:
+            simulate_rir(scene, max_order=order, n_taps=8000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_sabine_coefficient_example():
