@@ -212,10 +212,13 @@ def _cmd_train(args) -> int:
     _model_config(args, n_mics=1)  # reject bad model flags before any data is read
     train_examples = _load_examples(args.manifest, cfg)
     val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
-    n_mics = train_examples[0].mixture.n_channels
+    n_mics = train_examples[0].mixture_wave.n_channels
     if args.mics is not None and args.mics != n_mics:
         raise UsageError(f"--mics {args.mics} does not match the {n_mics} channels "
                          f"of the corpus {args.manifest}")
+    if val_examples and (val_mics := val_examples[0].mixture_wave.n_channels) != n_mics:
+        raise ValueError(f"validation corpus {args.val_manifest} has {val_mics} channels, "
+                         f"training corpus {args.manifest} has {n_mics}")
     mcfg = _model_config(args, n_mics)
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
     print(f"model parameters: {model_mod.parameter_count(net.params)} ({_workers_note(net)})")
@@ -309,7 +312,7 @@ def _cmd_attn_export(args) -> int:
     net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     cfg = _stft_config(args)
     mixture = read_wav(args.input, expect_rate=cfg.sample_rate)
-    maps = net.attention_maps(stft.stft(mixture, cfg))
+    maps = net.attention_maps(mixture, cfg)
     export_attention_maps(maps, args.out)
     print(f"exported {maps.shape[0] * maps.shape[1]} attention maps "
           f"({maps.shape[0]} blocks x {maps.shape[1]} heads, {maps.shape[2]} frames) -> {args.out}")

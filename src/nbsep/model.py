@@ -315,9 +315,9 @@ class NarrowBandModel:
                            stft_cfg, mixture.n_samples).data
         return waves, spectra, time.perf_counter() - t0
 
-    def attention_maps(self, mixture: stft.ComplexSpectrogram) -> np.ndarray:
-        """Frequency-averaged attention of a mixture, shape (blocks, heads, T, T)."""
-        seqs, _ = dataset.normalize_spectrogram(mixture)
+    def attention_maps(self, mixture: WaveBuffer, stft_cfg: stft.StftConfig) -> np.ndarray:
+        """Frequency-averaged attention of a mixture waveform, shape (blocks, heads, T, T)."""
+        seqs, _ = dataset.normalize_spectrogram(stft.stft(mixture, stft_cfg))
 
         def summed_maps(x):
             _, maps = self.forward(x, collect_attention=True)

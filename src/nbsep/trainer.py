@@ -12,6 +12,10 @@ set by the chunk, not by F, and the chunks run on the model's worker
 threads.  Nothing couples two utterances, so utterances of a batch may
 differ in length.  Gradients are summed in a fixed order, so a given seed
 and worker count (`NBC_THREADS`) give the same bits on every run.
+
+Examples wait as waveforms.  `train` prepares a batch's utterances (the
+mixture and target STFTs) just before its step and validates one
+utterance at a time, so at most one batch is held in prepared form.
 """
 
 from __future__ import annotations
@@ -93,20 +97,6 @@ class AdamState:
             "step": self.step, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
             "tensors": sorted(self.m.keys()),
         }
-
-    @staticmethod
-    def deserialize(manifest: dict, opt_dir, params: dict, dtype) -> "AdamState":
-        opt_dir = Path(opt_dir)
-        m, v = {}, {}
-        for name in manifest["tensors"]:
-            shape = params[name].shape
-            m[name] = np.frombuffer((opt_dir / f"{name}.m.bin").read_bytes(),
-                                    dtype="<f4").reshape(shape).astype(dtype)
-            v[name] = np.frombuffer((opt_dir / f"{name}.v.bin").read_bytes(),
-                                    dtype="<f4").reshape(shape).astype(dtype)
-        return AdamState(m=m, v=v, step=int(manifest["step"]),
-                         beta1=manifest["beta1"], beta2=manifest["beta2"],
-                         eps=manifest["eps"])
 
 
 def global_grad_norm(grads: dict) -> float:
@@ -194,13 +184,13 @@ class Utterance:
     out_len: int
 
 
-def prepare_utterance(example: dataset.MixtureExample) -> Utterance:
-    seqs, norm = dataset.normalize_spectrogram(example.mixture)
-    targets = np.stack([t.data[:, :, 0] for t in example.targets])
+def prepare_utterance(example: dataset.MixtureExample, stft_cfg: stft.StftConfig) -> Utterance:
+    """Take the mixture's and the targets' STFTs and normalize the mixture's."""
+    seqs, norm = dataset.normalize_spectrogram(stft.stft(example.mixture_wave, stft_cfg))
     return Utterance(
         sequences=seqs,
         norm=norm,
-        target_spectra=targets,
+        target_spectra=stft.stft(example.target_waves, stft_cfg).data.transpose(2, 0, 1),
         out_len=example.mixture_wave.n_samples,
     )
 
@@ -275,16 +265,13 @@ class TrainResult:
 
 def train(model, train_examples, val_examples, cfg: TrainConfig,
           stft_cfg: stft.StftConfig, out_dir) -> TrainResult:
-    """Full optimization run over in-memory examples; writes logs and checkpoints."""
+    """Full optimization run over examples held as waveforms; writes logs and checkpoints."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.astype(cfg.dtype)
     state = AdamState.init(model.params)
     rng = np.random.default_rng(cfg.seed)
     order_rng = np.random.default_rng(cfg.seed + 1)
-
-    train_utterances = [prepare_utterance(ex) for ex in train_examples]
-    val_utterances = [prepare_utterance(ex) for ex in val_examples]
 
     lr = cfg.lr_init
     history: list[float] = []
@@ -295,18 +282,21 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
         log = csv.writer(fh)
         log.writerow(["step", "epoch", "train_loss", "val_loss", "lr", "grad_norm"])
         for epoch in range(1, cfg.max_epochs + 1):
-            order = order_rng.permutation(len(train_utterances))
+            order = order_rng.permutation(len(train_examples))
             for b0 in range(0, len(order), cfg.utterances_per_batch):
-                batch = [train_utterances[i] for i in order[b0 : b0 + cfg.utterances_per_batch]]
-                loss, grads = batch_loss(model, batch, stft_cfg, train=True, rng=rng,
-                                         accumulate_grads=True)
+                batch = order[b0 : b0 + cfg.utterances_per_batch]
+                loss, grads = batch_loss(
+                    model, [prepare_utterance(train_examples[i], stft_cfg) for i in batch],
+                    stft_cfg, train=True, rng=rng, accumulate_grads=True)
                 norm = adam_step(model.params, grads, state, lr, cfg.clip_norm)
                 step += 1
                 log.writerow([step, epoch, f"{loss:.6f}", "", f"{lr:.6g}", f"{norm:.6f}"])
 
             val_loss = np.nan
-            if val_utterances:
-                val_loss, _ = batch_loss(model, val_utterances, stft_cfg)
+            if val_examples:
+                # summed in example order, then over n: the bits of one batch_loss over all
+                val_loss = sum(batch_loss(model, [prepare_utterance(ex, stft_cfg)], stft_cfg)[0]
+                               for ex in val_examples) / len(val_examples)
                 history.append(val_loss)
                 lr = schedule_lr(history, lr_init=cfg.lr_init,
                                  patience=cfg.plateau_epochs, lr_min=cfg.lr_min)
@@ -314,7 +304,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
             fh.flush()
 
             model_mod.save_checkpoint(out_dir / "checkpoint_last", model, state, step)
-            if val_utterances and val_loss < best_val:
+            if val_examples and val_loss < best_val:
                 best_val = val_loss
                 model_mod.save_checkpoint(out_dir / "checkpoint_best", model, state, step)
     return TrainResult(epochs=cfg.max_epochs, steps=step,
@@ -375,7 +365,7 @@ def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
     cfg = TrainConfig()
     model = model_mod.NarrowBandModel(model_cfg, seed=seed, dtype=cfg.dtype)
     state = AdamState.init(model.params)
-    utterances = [prepare_utterance(ex) for ex in examples]
+    utterances = [prepare_utterance(ex, stft_cfg) for ex in examples]
 
     def improvement() -> float:
         vals = []

@@ -188,8 +188,9 @@ def test_criterion_8_scheduler_and_clipping():
 
 def test_criterion_9_attention_maps(probe_result, tmp_path):
     net, _, _, examples = probe_result
-    maps = net.attention_maps(examples[0].mixture)
-    t_frames = examples[0].mixture.n_frames
+    wave = examples[0].mixture_wave
+    maps = net.attention_maps(wave, CFG8K)
+    t_frames = CFG8K.n_frames(wave.n_samples)
     shape_ok = maps.shape == (PROBE_CFG.blocks, PROBE_CFG.heads, t_frames, t_frames)
     row_err = float(np.max(np.abs(maps.sum(axis=-1) - 1.0)))
     out = tmp_path / "attention_maps"
@@ -204,15 +205,12 @@ def test_criterion_10_batch_arithmetic():
     rng = np.random.default_rng(10)
     examples = []
     for _ in range(16):
-        data = rng.standard_normal((257, 4, 2)) + 1j * rng.standard_normal((257, 4, 2))
-        spec = ComplexSpectrogram(data)
-        wave = WaveBuffer(np.zeros((2, CFG16K.covered_len(4))), 16000)
-        targets = [ComplexSpectrogram(data[:, :, :1]), ComplexSpectrogram(data[:, :, 1:])]
+        targets = rng.standard_normal((2, CFG16K.covered_len(4)))
         examples.append(dataset.MixtureExample(
-            mixture=spec, targets=targets, mixture_wave=wave,
-            target_waves=WaveBuffer(np.zeros((2, wave.n_samples)), 16000),
-            scene=None, overlap_ratio=1.0))
-    n_sequences = sum(trainer.prepare_utterance(ex).sequences.shape[0] for ex in examples)
+            mixture_wave=WaveBuffer(np.stack([targets.sum(axis=0), targets[0]]), 16000),
+            target_waves=WaveBuffer(targets, 16000)))
+    n_sequences = sum(trainer.prepare_utterance(ex, CFG16K).sequences.shape[0]
+                      for ex in examples)
     report("10. 16 utterances at F=257 yield 4112 narrow-band sequences",
            n_sequences == 4112, f"{n_sequences} sequences")
 

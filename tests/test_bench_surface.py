@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nbsep import autodiff, model, stft, trainer
+from nbsep import autodiff, model, objective, stft, trainer
 from nbsep.audio import WaveBuffer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,6 +39,28 @@ def test_every_traced_name_resolves():
     missing += [f"NarrowBandModel.{m}" for m in bt.MODEL_METHODS
                 if not callable(getattr(model.NarrowBandModel, m, None))]
     assert not missing, f"names wrapped by perfbench/bench_trace.py are gone: {missing}"
+
+
+def test_a_benchmark_example_trains_separates_and_scores():
+    # the train and separate workloads hand short_rt60_examples' examples to
+    # trainer.train (prepare_utterance, batch_loss), separate and evaluate
+    workloads = load_perfbench("workloads")
+    (example,) = workloads.short_rt60_examples(1, 0, 8000)
+    cfg = workloads.STFT
+    n_frames = cfg.n_frames(example.mixture_wave.n_samples)
+    u = trainer.prepare_utterance(example, cfg)
+    assert u.sequences.shape == (cfg.n_bins, 2 * workloads.SIM_MICS, n_frames)
+    assert u.target_spectra.shape == (2, cfg.n_bins, n_frames)
+    net = model.NarrowBandModel(
+        model.ModelConfig(in_channels=workloads.SIM_MICS, speakers=2, width=8, inner_width=16,
+                          blocks=1, conv_blocks=1, heads=2, dropout=0.0), seed=0)
+    loss, _ = trainer.batch_loss(net, [u], cfg)
+    assert np.isfinite(loss)
+    estimates, _, seconds = net.separate(example.mixture_wave, cfg)
+    assert estimates.shape == example.target_waves.data.shape
+    record = objective.evaluate(example, estimates, seconds)
+    assert record.example_id == "bench0" and len(record.per_speaker_sdr) == 2
+    assert np.isfinite(record.mean_sdr) and np.isfinite(record.improvement)
 
 
 def test_step_clock_marks_one_start_and_one_end_per_logged_step(tmp_path):

@@ -38,11 +38,11 @@ def tiny_checkpoint(tmp_path, mics=2):
     return ckpt
 
 
-def simulate(tmp_path, out_name="data", n=2, seed=7):
+def simulate(tmp_path, out_name="data", n=2, seed=7, mics=2):
     src = make_sources(tmp_path)
     out = tmp_path / out_name
     rc = main(["simulate", "--sources", str(src), "--out", str(out), "--n", str(n),
-               "--seed", str(seed), "--mics", "2", "--duration", "1.024",
+               "--seed", str(seed), "--mics", str(mics), "--duration", "1.024",
                "--max-order", "1", *CFG8K_ARGS])
     assert rc == 0
     return out
@@ -270,6 +270,22 @@ def test_train_rejects_mics_that_differ_from_the_corpus(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "--mics 3 does not match the 2 channels of the corpus" in err
     assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
+def test_train_rejects_a_validation_corpus_with_other_channels(tmp_path, capsys, monkeypatch):
+    train_dir = simulate(tmp_path, "train")  # 2 channels
+    val_dir = simulate(tmp_path, "val", mics=3)
+    monkeypatch.setattr(model_mod, "NarrowBandModel", None)  # building one would fail
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(train_dir / "manifest.jsonl"),
+               "--val-manifest", str(val_dir / "manifest.jsonl"),
+               "--out", str(tmp_path / "run"), *CFG8K_ARGS])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert (f"validation corpus {val_dir / 'manifest.jsonl'} has 3 channels, "
+            f"training corpus {train_dir / 'manifest.jsonl'} has 2") in captured.err
+    assert "model parameters" not in captured.out
+    assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
 
 
 def test_small_lr_lowers_the_schedule_floor():

@@ -123,11 +123,12 @@ def test_normalize_matches_direct_mean_of_moduli():
 
 
 def test_normalize_spectrogram_matches_per_bin(example):
-    seqs, norm = dataset.normalize_spectrogram(example.mixture)
+    spec = stft.stft(example.mixture_wave, CFG8K)
+    seqs, norm = dataset.normalize_spectrogram(spec)
     f = 17
-    scale_direct = np.abs(example.mixture.data[f, :, 0]).mean()
+    scale_direct = np.abs(spec.data[f, :, 0]).mean()
     assert norm.scale[f] == pytest.approx(scale_direct, rel=1e-12)
-    np.testing.assert_allclose(seqs[f], stft.all_frequency_sequences(example.mixture)[f]
+    np.testing.assert_allclose(seqs[f], stft.all_frequency_sequences(spec)[f]
                                / scale_direct, atol=1e-12)
 
 
@@ -160,10 +161,11 @@ def test_generate_dataset_reproducible(tmp_path):
     entries = dataset.read_manifest(m1)
     assert len(entries) == 2
     assert [e["images"] for e in entries] == [27, 27]  # order 1: 3 images per axis
+    assert 0.1 <= entries[0]["overlap_ratio"] <= 1.0
     ex = dataset.load_example(entries[0], tmp_path / "a", cfg)
-    assert ex.mixture.n_channels == 2
+    assert ex.mixture_wave.n_channels == 2
     assert ex.n_speakers == 2
-    assert 0.1 <= ex.overlap_ratio <= 1.0
+    assert ex.example_id == "ex000000"
 
 
 def test_generate_dataset_parallel_matches_serial(tmp_path):
@@ -179,6 +181,30 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
     dataset.generate_dataset(paths, tmp_path / "par", 3, seed=1, stft_cfg=cfg,
                              out_len=7936, n_mics=2, max_order=1, workers=3)
     for f1, f2 in zip(sorted((tmp_path / "serial").iterdir()), sorted((tmp_path / "par").iterdir())):
+        assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+
+def test_generate_dataset_takes_no_stft(tmp_path, monkeypatch):
+    # a corpus is waveforms only: the same files, byte for byte, with stft.stft unusable
+    cfg = stft.StftConfig(sample_rate=8000)
+    rng = np.random.default_rng(12)
+    paths = []
+    for i in range(3):
+        p = tmp_path / f"s{i}.wav"
+        write_wav(p, speechish(rng, 16000, 8000))
+        paths.append(p)
+    kwargs = dict(stft_cfg=cfg, out_len=7936, n_mics=2, max_order=1)
+    dataset.generate_dataset(paths, tmp_path / "plain", 2, seed=3, **kwargs)
+
+    def no_stft(*args, **kwargs):
+        raise AssertionError("stft.stft called while generating a corpus")
+
+    monkeypatch.setattr(stft, "stft", no_stft)
+    dataset.generate_dataset(paths, tmp_path / "patched", 2, seed=3, **kwargs)
+    plain = sorted((tmp_path / "plain").iterdir())
+    patched = sorted((tmp_path / "patched").iterdir())
+    assert [f.name for f in plain] == [f.name for f in patched] and len(plain) == 9
+    for f1, f2 in zip(plain, patched):
         assert f1.read_bytes() == f2.read_bytes(), f1.name
 
 

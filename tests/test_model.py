@@ -188,14 +188,14 @@ def test_attention_maps_shape_and_averaging():
     wave = WaveBuffer(rng.standard_normal((2, 32 + 16 * 5)), 8000)
     spec = stft.stft(wave, cfg8k)
     net = rand_params_model(TINY, seed=24)
-    maps = net.attention_maps(spec)
+    maps = net.attention_maps(wave, cfg8k)
     assert maps.shape == (TINY.blocks, TINY.heads, spec.n_frames, spec.n_frames)
     np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-6)
-    # single-frequency average equals that frequency's own map
-    single = stft.ComplexSpectrogram(spec.data[:1])
-    seqs, _ = dataset.normalize_spectrogram(single)
-    _, raw = net.forward(Tensor(seqs), collect_attention=True)
-    np.testing.assert_allclose(net.attention_maps(single)[0], raw[0][0], atol=1e-12)
+    # the average over all frequencies is the mean of each frequency's own map
+    seqs, _ = dataset.normalize_spectrogram(spec)
+    own = [net.forward(Tensor(seqs[f]), collect_attention=True)[1][0][0]
+           for f in range(spec.n_bins)]
+    np.testing.assert_allclose(maps[0], np.mean(own, axis=0), atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -329,7 +329,7 @@ def test_separate_in_ragged_chunks_matches_per_bin_forward(monkeypatch):
 
 
 def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
-    _, _, spec = _eight_k_mixture(96, seed=32)
+    cfg8k, wave, spec = _eight_k_mixture(96, seed=32)
     net = rand_params_model(TINY, seed=33)
     seqs, _ = dataset.normalize_spectrogram(spec)
     _, raw = net.forward(Tensor(seqs), collect_attention=True)
@@ -337,7 +337,7 @@ def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
     # several chunks of unequal size; one chunk of all bins; one bin per chunk
     for chunk in (4, 6, 17, 32, 1):
         monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", chunk)
-        np.testing.assert_allclose(net.attention_maps(spec), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(net.attention_maps(wave, cfg8k), want, rtol=0, atol=1e-12)
 
 
 def _threaded_mixture(monkeypatch, workers, frequency_chunk):
@@ -371,11 +371,11 @@ def test_parallel_separate_is_bit_identical_to_serial(monkeypatch):
 
 
 def test_parallel_attention_maps_match_unchunked_mean(monkeypatch):
-    _, _, spec, net = _threaded_mixture(monkeypatch, 2, 10)
+    cfg8k, wave, spec, net = _threaded_mixture(monkeypatch, 2, 10)
     seqs, _ = dataset.normalize_spectrogram(spec)
     _, raw = net.forward(Tensor(seqs), collect_attention=True)
     want = np.stack([m.mean(axis=0) for m in raw])
-    np.testing.assert_allclose(net.attention_maps(spec), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(net.attention_maps(wave, cfg8k), want, rtol=0, atol=1e-12)
 
 
 def test_separate_without_blas_thread_control_runs_serially(monkeypatch):

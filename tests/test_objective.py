@@ -300,12 +300,8 @@ def make_example(rng, n_frames=6):
     mix = t1 + t2
     mixture_wave = WaveBuffer(np.stack([mix, mix * 0.9]), CFG.sample_rate)
     return dataset.MixtureExample(
-        mixture=stft.stft(mixture_wave, CFG),
-        targets=[stft.stft(WaveBuffer(t, CFG.sample_rate), CFG) for t in (t1, t2)],
         mixture_wave=mixture_wave,
         target_waves=WaveBuffer(np.stack([t1, t2]), CFG.sample_rate),
-        scene=None,
-        overlap_ratio=1.0,
         example_id="t0",
     )
 

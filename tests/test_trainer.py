@@ -134,13 +134,13 @@ def probe_examples():
 
 
 def test_batch_sequence_count(probe_examples):
-    utterances = [prepare_utterance(ex) for ex in probe_examples]
+    utterances = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     assert [u.sequences.shape[0] for u in utterances] == [257, 257]
 
 
 def test_duplicated_utterance_loss_equals_single(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=0, dtype=np.float64)
-    u = prepare_utterance(probe_examples[0])
+    u = prepare_utterance(probe_examples[0], CFG8K)
     loss_one, _ = batch_loss(net, [u], CFG8K)
     loss_two, _ = batch_loss(net, [u, u], CFG8K)
     assert loss_two == pytest.approx(loss_one, abs=1e-9)
@@ -148,7 +148,7 @@ def test_duplicated_utterance_loss_equals_single(probe_examples):
 
 def test_batch_loss_gradients_deterministic(probe_examples):
     net = NarrowBandModel(PROBE_MODEL, seed=1, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     _, g1 = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     _, g2 = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     for name in g1:
@@ -177,7 +177,7 @@ def test_batch_loss_frees_a_chunk_graph_before_the_next_forward(probe_examples, 
     import weakref
 
     net = NarrowBandModel(PROBE_MODEL, seed=6, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     forward = net.forward
     held, alive_at_start = [], []
 
@@ -203,7 +203,7 @@ def test_chunking_does_not_change_gradients(probe_examples):
     from nbsep import autodiff as ad, objective
 
     net = NarrowBandModel(PROBE_MODEL, seed=2, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     _, g1 = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     losses = []
     for u in batch:
@@ -223,7 +223,7 @@ def test_chunking_does_not_change_gradients(probe_examples):
 
 def test_mixed_length_batch_loss_is_the_mean_of_its_utterances(probe_examples):
     short = build_probe_examples(1, CFG8K, seed=1, n_mics=2, duration_samples=4000)[0]
-    mixed = [prepare_utterance(ex) for ex in (probe_examples[0], short)]
+    mixed = [prepare_utterance(ex, CFG8K) for ex in (probe_examples[0], short)]
     assert len({u.sequences.shape[-1] for u in mixed}) == 2
     net = NarrowBandModel(PROBE_MODEL, seed=8, dtype=np.float64)
     loss, grads = batch_loss(net, mixed, CFG8K, accumulate_grads=True)
@@ -261,7 +261,7 @@ def test_recomputed_chunk_gradients_equal_one_graph_over_all_bins(
         probe_examples, monkeypatch, workers):
     _workers(monkeypatch, workers)
     net = NarrowBandModel(PROBE_MODEL, seed=10, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     assert _chunk_count(net, 257) > 1
     _, grads = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     want = _one_graph_gradients(net, batch)
@@ -278,7 +278,7 @@ def test_dropout_gradients_match_central_differences(probe_examples):
     # passes 1 and 3 of a chunk must draw the same dropout masks: gradients
     # of masks other than those the loss saw would miss by far more than 1e-5
     net = NarrowBandModel(DROPOUT_MODEL, seed=11, dtype=np.float64)
-    u = prepare_utterance(probe_examples[0])
+    u = prepare_utterance(probe_examples[0], CFG8K)
 
     def loss_and_grads(accumulate_grads=False):
         return batch_loss(net, [u], CFG8K, train=True, rng=np.random.default_rng(12),
@@ -303,7 +303,7 @@ def test_dropout_gradients_match_central_differences(probe_examples):
 def test_threaded_training_gradients_are_bit_reproducible(probe_examples, monkeypatch):
     _workers(monkeypatch, 2)
     net = NarrowBandModel(DROPOUT_MODEL, seed=13, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
 
     def run():
         return batch_loss(net, batch, CFG8K, train=True, rng=np.random.default_rng(14),
@@ -320,7 +320,7 @@ def test_threaded_training_gradients_are_bit_reproducible(probe_examples, monkey
 
 def test_gradients_at_two_workers_match_one_worker(probe_examples, monkeypatch):
     net = NarrowBandModel(PROBE_MODEL, seed=15, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     _workers(monkeypatch, 1)
     _, want = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     _workers(monkeypatch, 2)
@@ -361,6 +361,29 @@ def test_training_step_memory_does_not_grow_with_the_bin_count(monkeypatch):
     assert peaks[1] < 2 * peaks[0], peaks
 
 
+def test_train_holds_one_prepared_batch_whatever_the_corpus_size(tmp_path, monkeypatch):
+    # examples wait as waveforms and each batch is prepared just before its
+    # step, so eight examples peak no higher than two, within one utterance
+    import tracemalloc
+
+    _workers(monkeypatch, 1)
+    examples = build_probe_examples(8, CFG8K, seed=2, n_mics=2)
+    u = prepare_utterance(examples[0], CFG8K)
+    utterance_bytes = u.sequences.nbytes + u.target_spectra.nbytes + u.norm.scale.nbytes
+    del u
+    cfg = TrainConfig(utterances_per_batch=1, max_epochs=1, seed=0)
+    peaks = []
+    for n in (8, 2):
+        net = NarrowBandModel(PROBE_MODEL, seed=18, dtype=cfg.dtype)
+        tracemalloc.start()
+        try:
+            train(net, examples[:n], [], cfg, CFG8K, tmp_path / f"n{n}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < utterance_bytes, (peaks, utterance_bytes)
+
+
 def test_train_runs_on_utterances_of_different_lengths(tmp_path, probe_examples):
     short = build_probe_examples(2, CFG8K, seed=1, n_mics=2, duration_samples=4000)
     cfg = TrainConfig(utterances_per_batch=2, max_epochs=1, seed=0)
@@ -382,9 +405,9 @@ def test_synthetic_source_is_normalized():
 
 def test_probe_examples_snap_to_frame_grid(probe_examples):
     ex = probe_examples[0]
-    t = ex.mixture.n_frames
+    t = CFG8K.n_frames(ex.mixture_wave.n_samples)
     assert ex.mixture_wave.n_samples == CFG8K.covered_len(t)
-    assert ex.mixture.n_channels == 2
+    assert ex.mixture_wave.n_channels == 2
 
 
 def test_probe_step_zero_is_untrained(probe_examples):
@@ -409,7 +432,7 @@ def test_probe_loss_decreases_quickly(probe_examples):
     net, curve = overfit_probe(PROBE_MODEL, probe_examples, steps=30,
                                stft_cfg=CFG8K, seed=4, eval_every=30)
     assert curve[-1][1] > curve[0][1] - 1.0  # not diverging
-    loss, _ = batch_loss(net, [prepare_utterance(ex) for ex in probe_examples], CFG8K)
+    loss, _ = batch_loss(net, [prepare_utterance(ex, CFG8K) for ex in probe_examples], CFG8K)
     assert np.isfinite(loss)
 
 
@@ -441,7 +464,7 @@ def test_train_determinism(tmp_path, probe_examples):
 
 def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeypatch):
     net = NarrowBandModel(PROBE_MODEL, seed=3, dtype=np.float64)
-    batch = [prepare_utterance(ex) for ex in probe_examples]
+    batch = [prepare_utterance(ex, CFG8K) for ex in probe_examples]
     graph_loss, _ = batch_loss(net, batch, CFG8K, accumulate_grads=True)
     recorded = []
     forward = net.forward
