@@ -19,7 +19,7 @@ from .dataset import MixtureExample, NormState, mix_pair
 from .model import ModelConfig, NarrowBandModel, SeparatedSpectra
 from .objective import PermutationAssignment, evaluate, fpit, si_sdr
 from .roomsim import Rir, SceneConfig, sample_scene, simulate_rir, spatialize
-from .stft import ComplexSpectrogram, StftConfig, istft
+from .stft import StftConfig, istft
 from .trainer import AdamState, TrainConfig, adam_step, overfit_probe, schedule_lr
 
 # glibc's mallopt parameters
@@ -66,7 +66,7 @@ __all__ = [
     "ModelConfig", "NarrowBandModel", "SeparatedSpectra",
     "PermutationAssignment", "evaluate", "fpit", "si_sdr",
     "Rir", "SceneConfig", "sample_scene", "simulate_rir", "spatialize",
-    "ComplexSpectrogram", "StftConfig", "istft",
+    "StftConfig", "istft",
     "AdamState", "TrainConfig", "adam_step", "overfit_probe", "schedule_lr",
     "__version__",
 ]

@@ -122,14 +122,14 @@ def mix_pair(
     )
 
 
-def normalize_spectrogram(spec: stft.ComplexSpectrogram) -> tuple[np.ndarray, NormState]:
-    """Normalize every frequency of a spectrogram into a (F, 2M, T) stack.
+def normalize_spectrogram(spec: np.ndarray) -> tuple[np.ndarray, NormState]:
+    """Normalize every frequency of a complex (M, F, T) spectrogram into a (F, 2M, T) stack.
 
     Each bin is scaled by the time-mean modulus of its reference channel,
     floored at `NORM_EPS` so silent frequencies stay finite.
     """
     seqs = stft.all_frequency_sequences(spec)
-    mags = np.abs(spec.data[:, :, REFERENCE_CHANNEL]).mean(axis=1)
+    mags = np.abs(spec[REFERENCE_CHANNEL]).mean(axis=1)
     scales = np.maximum(mags, NORM_EPS)
     return seqs / scales[:, None, None], NormState(scales)
 

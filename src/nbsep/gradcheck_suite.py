@@ -134,10 +134,7 @@ def full_pipeline_check(seed: int = 0, step: float = 1e-5, wrt: str = "input"):
                requires_grad=True)
     scales = rng.uniform(0.5, 2.0, size=n_frequencies)
     target_waves = rng.standard_normal((cfg.speakers, out_len))
-    targets = np.stack([
-        stft.stft(WaveBuffer(target_waves[n], scfg.sample_rate), scfg).data[:, :, 0]
-        for n in range(cfg.speakers)
-    ])
+    targets = stft.stft(WaveBuffer(target_waves, scfg.sample_rate), scfg)
 
     def loss_fn(*_tensors):
         out = net.forward(x)

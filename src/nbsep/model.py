@@ -289,16 +289,13 @@ class NarrowBandModel:
     def bind(self, outputs: np.ndarray, norm: dataset.NormState) -> SeparatedSpectra:
         """Denormalize per-frequency outputs and stack them into full spectra.
 
-        `outputs` is (F, 2N, T); rows 2n / 2n+1 become the real/imaginary
-        parts of speaker n.
+        `outputs` is (F, 2N, T), decoded by `stft.spectra_of_sequences`.
         """
         if outputs.shape[0] != norm.scale.shape[0]:
             raise ValueError(
                 f"{outputs.shape[0]} frequency outputs but {norm.scale.shape[0]} scales"
             )
-        denorm = outputs * norm.scale[:, None, None]
-        spectra = denorm[:, 0::2, :] + 1j * denorm[:, 1::2, :]  # (F, N, T)
-        return SeparatedSpectra(spectra.transpose(1, 0, 2))
+        return SeparatedSpectra(stft.spectra_of_sequences(outputs * norm.scale[:, None, None]))
 
     def separate(self, mixture: WaveBuffer, stft_cfg: stft.StftConfig):
         """Separate a mixture waveform; returns (estimates, spectra, seconds).
@@ -307,23 +304,28 @@ class NarrowBandModel:
         processing wall time used for real-time-factor reporting.
         """
         t0 = time.perf_counter()
-        spec = stft.stft(mixture, stft_cfg)
-        seqs, norm = dataset.normalize_spectrogram(spec)
+        seqs, norm = self._normalized_sequences(mixture, stft_cfg)
         out = np.concatenate(list(self._map_bin_chunks(lambda x: self.forward(x).data, seqs)))
         spectra = self.bind(out.astype(np.float64), norm)
-        waves = stft.istft(stft.ComplexSpectrogram(spectra.data.transpose(1, 2, 0)),
-                           stft_cfg, mixture.n_samples).data
+        waves = stft.istft(spectra.data, stft_cfg, mixture.n_samples).data
         return waves, spectra, time.perf_counter() - t0
 
     def attention_maps(self, mixture: WaveBuffer, stft_cfg: stft.StftConfig) -> np.ndarray:
         """Frequency-averaged attention of a mixture waveform, shape (blocks, heads, T, T)."""
-        seqs, _ = dataset.normalize_spectrogram(stft.stft(mixture, stft_cfg))
+        seqs, _ = self._normalized_sequences(mixture, stft_cfg)
 
         def summed_maps(x):
             _, maps = self.forward(x, collect_attention=True)
             return np.stack([m.sum(axis=0) for m in maps])
 
         return sum(self._map_bin_chunks(summed_maps, seqs)) / seqs.shape[0]
+
+    def _normalized_sequences(self, mixture: WaveBuffer, stft_cfg: stft.StftConfig):
+        """The mixture's normalized (F, 2M, T) sequences and scales, once its channels fit."""
+        if mixture.n_channels != self.cfg.in_channels:
+            raise ValueError(f"mixture has {mixture.n_channels} channels, "
+                             f"model expects {self.cfg.in_channels}")
+        return dataset.normalize_spectrogram(stft.stft(mixture, stft_cfg))
 
     def chunk_workers(self) -> tuple[int, str | None]:
         """Threads that run the bin chunks, and why one if it fell back."""

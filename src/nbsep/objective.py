@@ -78,16 +78,16 @@ def si_sdr_loss(reference: np.ndarray, estimate: Tensor) -> Tensor:
 def istft_graph(pred: Tensor, cfg: stft.StftConfig, out_len: int) -> Tensor:
     """`stft.istft` of every speaker as one graph node: (F, 2N, T) -> (N, out_len).
 
-    Rows 2n / 2n+1 of `pred` are the real / imaginary bins of speaker n.
-    The backward rule is the exact adjoint of the synthesis: the output
-    gradient is padded or cropped to the synthesized span, divided by the
-    floored envelope, analysed with `stft.stft` (whose framing and window
-    are those of the synthesis) and scaled by the inverse real DFT's bin
-    weights, 1/W at DC and Nyquist and 2/W elsewhere.
+    `stft.spectra_of_sequences` decodes the rows of `pred` into complex
+    (N, F, T) spectra.  The backward rule is the exact adjoint of the
+    synthesis: the output gradient is padded or cropped to the synthesized
+    span, divided by the floored envelope, analysed with `stft.stft` (whose
+    framing and window are those of the synthesis), scaled by the inverse
+    real DFT's bin weights, 1/W at DC and Nyquist and 2/W elsewhere, and
+    encoded back into rows by `stft.all_frequency_sequences`.
     """
-    dtype, n_frames, data = pred.dtype, pred.shape[-1], pred.data
-    spec = stft.ComplexSpectrogram((data[:, 0::2] + 1j * data[:, 1::2]).transpose(0, 2, 1))
-    out = stft.istft(spec, cfg, out_len).data.astype(dtype)
+    dtype, n_frames = pred.dtype, pred.shape[-1]
+    out = stft.istft(stft.spectra_of_sequences(pred.data), cfg, out_len).data.astype(dtype)
 
     def vjp(g):
         if not np.all(np.isfinite(g)):  # stft rejects it; let adam_step report it
@@ -98,7 +98,7 @@ def istft_graph(pred: Tensor, cfg: stft.StftConfig, out_len: int) -> Tensor:
         grad = stft.stft(WaveBuffer(g, cfg.sample_rate), cfg)
         weight = np.full(cfg.n_bins, 2.0 / cfg.window_len)
         weight[[0, -1]] = 1.0 / cfg.window_len
-        grad.data *= weight[:, None, None]
+        grad *= weight[:, None]
         return (stft.all_frequency_sequences(grad).astype(dtype),)
 
     return Tensor._from_op(out, (pred,), vjp)
@@ -111,14 +111,14 @@ def fpit(predictions: Tensor, targets: np.ndarray, cfg: stft.StftConfig, out_len
     """Permutation-invariant loss over full-band bindings.
 
     `predictions` is the Tensor of denormalized per-frequency outputs
-    (F, 2N, T); `targets` are the complex target spectra (N, F, T).
+    (F, 2N, T); `targets` are the complex target spectra (N, F, T), as
+    `stft.stft` returns them.
     Returns (loss Tensor, PermutationAssignment); the assignment maps
     ground-truth speaker n to prediction mapping[n], chosen as the
     lexicographically smallest minimizer.
     """
     signals = istft_graph(predictions, cfg, out_len)
-    references = stft.istft(stft.ComplexSpectrogram(targets.transpose(1, 2, 0)),
-                            cfg, out_len).data
+    references = stft.istft(targets, cfg, out_len).data
     n = references.shape[0]
     if signals.shape[0] != n:
         raise ValueError(f"{signals.shape[0]} estimates vs {n} targets")

@@ -15,8 +15,12 @@ Conventions (these are the contract all other modules build on):
   fade to zero instead of amplifying noise by the reciprocal of a
   vanishing window value (the envelope exceeds the floor everywhere except
   the outermost edge samples).
+* Spectrogram: a complex ndarray (channels, F, T), channel-first like
+  `WaveBuffer`.
 * Per-frequency sequences are real, shape (2M, T): row 2m is the real part
-  of channel m, row 2m+1 the imaginary part.
+  of channel m, row 2m+1 the imaginary part.  `all_frequency_sequences`
+  and `spectra_of_sequences` are the only code that encodes or decodes
+  these rows.
 """
 
 from __future__ import annotations
@@ -48,38 +52,12 @@ class StftConfig:
 
     def n_frames(self, n_samples: int) -> int:
         if n_samples < self.window_len:
-            raise ValueError("input too short")
+            raise ValueError(f"input too short: {n_samples} samples, "
+                             f"fewer than one {self.window_len}-sample STFT window")
         return (n_samples - self.window_len) // self.hop + 1
 
     def covered_len(self, n_frames: int) -> int:
         return (n_frames - 1) * self.hop + self.window_len
-
-
-@dataclass
-class ComplexSpectrogram:
-    """STFT tensor, complex data indexed (frequency, frame, channel)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ValueError(f"spectrogram data must be (F, T, M), got {arr.shape}")
-        self.data = arr.astype(np.complex128, copy=False)
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[2]
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -96,42 +74,38 @@ def synthesis_envelope(cfg: StftConfig, n_frames: int) -> np.ndarray:
     return env
 
 
-def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
-    """Windowed framewise rFFT of every channel.
+def stft(wave: WaveBuffer, cfg: StftConfig) -> np.ndarray:
+    """Windowed framewise rFFT of every channel: complex (M, F, T).
 
     Only full frames are transformed; trailing samples that do not fill a
     frame are dropped (no padding).
     """
     x = wave.data
     if not np.all(np.isfinite(x)):
-        raise ValueError("invalid signal")
-    if x.shape[1] < cfg.window_len:
-        raise ValueError("input too short")
+        raise ValueError("signal has non-finite samples (NaN or inf)")
     t_frames = cfg.n_frames(x.shape[1])
     w = hann_window(cfg.window_len)
     idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(t_frames)[:, None]
     frames = x[:, idx] * w  # (M, T, W)
-    spec = np.fft.rfft(frames, axis=-1)  # (M, T, F)
-    return ComplexSpectrogram(spec.transpose(2, 1, 0))
+    return np.fft.rfft(frames, axis=-1).transpose(0, 2, 1)
 
 
-def istft(spec: ComplexSpectrogram, cfg: StftConfig, out_len: int) -> WaveBuffer:
-    """Weighted overlap-add synthesis back to a waveform of `out_len` samples.
+def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> WaveBuffer:
+    """Weighted overlap-add synthesis of complex (M, F, T) to (M, `out_len`) samples.
 
     Samples past the synthesized span (when `out_len` exceeds it) are zero.
     """
-    if spec.n_bins != cfg.n_bins:
-        raise ValueError(
-            f"spectrogram has {spec.n_bins} bins but config implies {cfg.n_bins}"
-        )
+    n_channels, n_bins, n_frames = spec.shape
+    if n_bins != cfg.n_bins:
+        raise ValueError(f"spectrogram has {n_bins} bins but config implies {cfg.n_bins}")
     w = hann_window(cfg.window_len)
-    frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=cfg.window_len, axis=-1)  # (M, T, W)
+    frames = np.fft.irfft(spec.transpose(0, 2, 1), n=cfg.window_len, axis=-1)  # (M, T, W)
     frames *= w
-    synth = cfg.covered_len(spec.n_frames)
-    y = np.zeros((spec.n_channels, synth))
-    for t in range(spec.n_frames):
+    synth = cfg.covered_len(n_frames)
+    y = np.zeros((n_channels, synth))
+    for t in range(n_frames):
         y[:, t * cfg.hop : t * cfg.hop + cfg.window_len] += frames[:, t, :]
-    env = synthesis_envelope(cfg, spec.n_frames)
+    env = synthesis_envelope(cfg, n_frames)
     y /= np.maximum(env, ENVELOPE_FLOOR)
     if out_len <= synth:
         y = y[:, :out_len]
@@ -140,12 +114,19 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig, out_len: int) -> WaveBuffer
     return WaveBuffer(y, cfg.sample_rate)
 
 
-def all_frequency_sequences(spec: ComplexSpectrogram) -> np.ndarray:
-    """Every bin's real-valued (2M, T) sequence, stacked into (F, 2M, T).
+def all_frequency_sequences(spec: np.ndarray) -> np.ndarray:
+    """Every bin's real (2M, T) sequence of a complex (M, F, T) spectrogram: (F, 2M, T).
 
     Row 2m holds the real part of channel m, row 2m+1 the imaginary part.
     """
-    out = np.empty((spec.n_bins, 2 * spec.n_channels, spec.n_frames))
-    out[:, 0::2, :] = spec.data.real.transpose(0, 2, 1)
-    out[:, 1::2, :] = spec.data.imag.transpose(0, 2, 1)
+    n_channels, n_bins, n_frames = spec.shape
+    out = np.empty((n_bins, 2 * n_channels, n_frames))
+    out[:, 0::2, :] = spec.real.transpose(1, 0, 2)
+    out[:, 1::2, :] = spec.imag.transpose(1, 0, 2)
     return out
+
+
+def spectra_of_sequences(seqs: np.ndarray) -> np.ndarray:
+    """Inverse of `all_frequency_sequences`: real (F, 2N, T) rows to complex128 (N, F, T)."""
+    rows = np.asarray(seqs, dtype=np.float64)
+    return (rows[:, 0::2] + 1j * rows[:, 1::2]).transpose(1, 0, 2)

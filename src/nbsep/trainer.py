@@ -190,7 +190,7 @@ def prepare_utterance(example: dataset.MixtureExample, stft_cfg: stft.StftConfig
     return Utterance(
         sequences=seqs,
         norm=norm,
-        target_spectra=stft.stft(example.target_waves, stft_cfg).data.transpose(2, 0, 1),
+        target_spectra=stft.stft(example.target_waves, stft_cfg),
         out_len=example.mixture_wave.n_samples,
     )
 

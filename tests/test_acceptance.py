@@ -19,7 +19,7 @@ from nbsep.cli import export_attention_maps
 from nbsep.gradcheck_suite import full_pipeline_check, primitive_checks
 from nbsep.model import ModelConfig, NarrowBandModel, init_parameters, parameter_count
 from nbsep.roomsim import SceneConfig, sabine_reflection, simulate_rir
-from nbsep.stft import ComplexSpectrogram, StftConfig, all_frequency_sequences
+from nbsep.stft import StftConfig, all_frequency_sequences
 
 from reference_forward import forward_ref
 from test_roomsim import brute_force_rir, random_scene
@@ -84,15 +84,13 @@ def test_criterion_3_fpit_oracle():
         for _ in range(200):
             targets = rng.standard_normal((n, out_len))
             ests = rng.standard_normal((n, out_len))
-            t_spec = np.stack([stft.stft(WaveBuffer(t, 16000), cfg).data[:, :, 0]
-                               for t in targets])
-            e_spec = np.stack([stft.stft(WaveBuffer(e, 16000), cfg).data[:, :, 0]
-                               for e in ests])
-            pred = all_frequency_sequences(ComplexSpectrogram(e_spec.transpose(1, 2, 0)))
+            t_spec = stft.stft(WaveBuffer(targets, 16000), cfg)
+            e_spec = stft.stft(WaveBuffer(ests, 16000), cfg)
+            pred = all_frequency_sequences(e_spec)
             loss, assignment = objective.fpit(Tensor(pred), t_spec, cfg, out_len)
 
-            ys = [stft.istft(ComplexSpectrogram(s), cfg, out_len).data[0] for s in t_spec]
-            es = [stft.istft(ComplexSpectrogram(s), cfg, out_len).data[0] for s in e_spec]
+            ys = stft.istft(t_spec, cfg, out_len).data
+            es = stft.istft(e_spec, cfg, out_len).data
             best_val, best_p = min(
                 (sum(-objective.si_sdr(ys[i], es[p[i]]) for i in range(n)), p)
                 for p in itertools.permutations(range(n))

@@ -63,6 +63,23 @@ def test_a_benchmark_example_trains_separates_and_scores():
     assert np.isfinite(record.mean_sdr) and np.isfinite(record.improvement)
 
 
+
+def test_the_separate_workload_check_passes_and_catches_scaled_spectra():
+    # Separate._check recomputes bins through stft, normalize_spectrogram,
+    # SeparatedSpectra.data / NormState.scale and a single-bin forward
+    workloads = load_perfbench("workloads")
+    (example,) = workloads.short_rt60_examples(1, 0, 8000)
+    net = model.NarrowBandModel(
+        model.ModelConfig(in_channels=workloads.SIM_MICS, speakers=2, width=8, inner_width=16,
+                          blocks=1, conv_blocks=1, heads=2, dropout=0.0), seed=0)
+    estimates, spectra, _ = net.separate(example.mixture_wave, workloads.STFT)
+    check = workloads.Separate._check
+    assert check(net, example, estimates, spectra, np.random.default_rng(0)) == []
+    scaled = model.SeparatedSpectra(spectra.data * 1.001)
+    problems = check(net, example, estimates, scaled, np.random.default_rng(0))
+    assert len(problems) == workloads.CHECK_BINS_PER_CLIP
+    assert all("batched output differs from single-bin forward" in p for p in problems)
+
 def test_step_clock_marks_one_start_and_one_end_per_logged_step(tmp_path):
     workloads = load_perfbench("workloads")
     cfg8k = stft.StftConfig(sample_rate=8000)

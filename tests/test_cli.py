@@ -205,6 +205,40 @@ def test_attn_export(tmp_path):
     assert header == b"P5"
 
 
+
+@pytest.mark.parametrize("command", ["separate", "attn-export", "eval"])
+def test_a_mixture_with_other_channels_than_the_model_is_a_data_error(tmp_path, capsys,
+                                                                       monkeypatch, command):
+    out = simulate(tmp_path)  # 2 channels
+    ckpt = tiny_checkpoint(tmp_path, mics=3)
+    entry = dataset.read_manifest(out / "manifest.jsonl")[0]
+
+    def no_stft(*_):
+        raise AssertionError("stft.stft called before the channel counts were compared")
+
+    monkeypatch.setattr(stft, "stft", no_stft)
+    if command == "eval":
+        args = ["eval", "--manifest", str(out / "manifest.jsonl"), "--checkpoint", str(ckpt)]
+    else:
+        args = [command, "--checkpoint", str(ckpt), "--input", str(out / entry["mixture"])]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out"), *CFG8K_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert "error: mixture has 2 channels, model expects 3" in err and "Traceback" not in err
+
+
+def test_separate_names_the_length_of_a_too_short_input(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path)
+    wav = tmp_path / "short.wav"
+    write_wav(wav, WaveBuffer(np.random.default_rng(5).uniform(-0.5, 0.5, (2, 100)), 8000))
+    capsys.readouterr()
+    rc = main(["separate", "--checkpoint", str(ckpt), "--input", str(wav),
+               "--out", str(tmp_path / "sep"), *CFG8K_ARGS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: input too short: 100 samples, fewer than one 512-sample STFT window" in err
+    assert "Traceback" not in err and not (tmp_path / "sep").exists()
+
 def test_rtf_reports(tmp_path, capsys):
     ckpt = tiny_checkpoint(tmp_path)
     rc = main(["rtf", "--checkpoint", str(ckpt), "--duration", "0.5", *CFG8K_ARGS])
@@ -389,7 +423,7 @@ def test_public_surface_resolves():
     import nbsep
 
     assert [name for name in nbsep.__all__ if not hasattr(nbsep, name)] == []
-    for gone in ("frequency_sequence", "normalize"):
+    for gone in ("frequency_sequence", "normalize", "ComplexSpectrogram"):
         assert gone not in nbsep.__all__ and not hasattr(nbsep, gone)
 
 

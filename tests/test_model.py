@@ -155,12 +155,11 @@ def test_relative_index_table():
 def test_bind_layout_round_trip():
     rng = np.random.default_rng(21)
     net = NarrowBandModel(TINY)
-    spec_data = rng.standard_normal((9, 6, 2)) + 1j * rng.standard_normal((9, 6, 2))
-    spec = stft.ComplexSpectrogram(spec_data)
+    spec = rng.standard_normal((2, 9, 6)) + 1j * rng.standard_normal((2, 9, 6))
     seqs = stft.all_frequency_sequences(spec)  # (F, 2M, T) with M == N here
     norm = dataset.NormState(np.ones(9))
     bound = net.bind(seqs, norm)
-    np.testing.assert_allclose(bound.data, spec_data.transpose(2, 0, 1), atol=1e-12)
+    np.testing.assert_allclose(bound.data, spec, atol=1e-12)
 
 
 def test_bind_matches_index_arithmetic_oracle():
@@ -174,6 +173,9 @@ def test_bind_matches_index_arithmetic_oracle():
             for t in range(6):
                 want = (outputs[f, 2 * n, t] + 1j * outputs[f, 2 * n + 1, t]) * scale[f]
                 assert bound.data[n, f, t] == pytest.approx(want, abs=1e-12)
+    # bind decodes the rows with the stft module's one decoder
+    want = stft.spectra_of_sequences(outputs * scale[:, None, None])
+    assert np.array_equal(bound.data, want)
 
 
 def test_bind_missing_frequency_errors():
@@ -189,12 +191,13 @@ def test_attention_maps_shape_and_averaging():
     spec = stft.stft(wave, cfg8k)
     net = rand_params_model(TINY, seed=24)
     maps = net.attention_maps(wave, cfg8k)
-    assert maps.shape == (TINY.blocks, TINY.heads, spec.n_frames, spec.n_frames)
+    n_frames = spec.shape[-1]
+    assert maps.shape == (TINY.blocks, TINY.heads, n_frames, n_frames)
     np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-6)
     # the average over all frequencies is the mean of each frequency's own map
     seqs, _ = dataset.normalize_spectrogram(spec)
     own = [net.forward(Tensor(seqs[f]), collect_attention=True)[1][0][0]
-           for f in range(spec.n_bins)]
+           for f in range(spec.shape[1])]
     np.testing.assert_allclose(maps[0], np.mean(own, axis=0), atol=1e-12)
 
 

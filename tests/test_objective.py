@@ -100,8 +100,7 @@ def test_si_sdr_loss_gradient():
 
 def interleaved(spectra):
     """Complex (N, F, T) spectra as the network's (F, 2N, T) Re/Im rows."""
-    spec = stft.ComplexSpectrogram(np.asarray(spectra).transpose(1, 2, 0))
-    return Tensor(stft.all_frequency_sequences(spec))
+    return Tensor(stft.all_frequency_sequences(np.asarray(spectra)))
 
 
 def dense_istft_reference(pred, cfg, out_len):
@@ -167,7 +166,7 @@ def test_istft_graph_matches_numpy_istft():
     rng = np.random.default_rng(6)
     data = rng.standard_normal((2, CFG.n_bins, 7)) + 1j * rng.standard_normal((2, CFG.n_bins, 7))
     out_len = CFG.covered_len(7)
-    want = [stft.istft(stft.ComplexSpectrogram(d), CFG, out_len).data[0] for d in data]
+    want = [stft.istft(d[None], CFG, out_len).data[0] for d in data]
     np.testing.assert_array_equal(istft_graph(interleaved(data), CFG, out_len).data, want)
 
 
@@ -193,7 +192,7 @@ def test_istft_graph_keeps_float32():
 
 def test_non_finite_gradient_reaches_adam_not_stft():
     # a NaN in the loss gradient must surface as the optimizer's NumericError
-    # (CLI exit 3), not as stft's "invalid signal" ValueError (a data error)
+    # (CLI exit 3), not as stft's non-finite-signal ValueError (a data error)
     rng = np.random.default_rng(10)
     pred = Tensor(rng.standard_normal((CFG.n_bins, 4, 3)), requires_grad=True)
     seed = np.ones((2, CFG.covered_len(3)))
@@ -209,9 +208,7 @@ def test_non_finite_gradient_reaches_adam_not_stft():
 
 
 def spectra_of(waves):
-    return np.stack([
-        stft.stft(WaveBuffer(w, CFG.sample_rate), CFG).data[:, :, 0] for w in waves
-    ])
+    return stft.stft(WaveBuffer(waves, CFG.sample_rate), CFG)
 
 
 def test_single_speaker_identity_permutation():
@@ -221,8 +218,8 @@ def test_single_speaker_identity_permutation():
     est = rng.standard_normal((1, out_len))
     loss, assignment = fpit(interleaved(spectra_of(est)), spectra_of(target), CFG, out_len)
     assert assignment.mapping == (0,)
-    y = stft.istft(stft.ComplexSpectrogram(spectra_of(target)[0]), CFG, out_len).data[0]
-    e = stft.istft(stft.ComplexSpectrogram(spectra_of(est)[0]), CFG, out_len).data[0]
+    y = stft.istft(spectra_of(target), CFG, out_len).data[0]
+    e = stft.istft(spectra_of(est), CFG, out_len).data[0]
     assert loss.item() == pytest.approx(-si_sdr(y, e), abs=1e-9)
 
 
@@ -246,10 +243,8 @@ def test_matches_brute_force_enumeration(n):
     ests = rng.standard_normal((n, out_len))
     loss, assignment = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
 
-    ys = [stft.istft(stft.ComplexSpectrogram(s), CFG, out_len).data[0]
-          for s in spectra_of(targets)]
-    es = [stft.istft(stft.ComplexSpectrogram(s), CFG, out_len).data[0]
-          for s in spectra_of(ests)]
+    ys = stft.istft(spectra_of(targets), CFG, out_len).data
+    es = stft.istft(spectra_of(ests), CFG, out_len).data
     best = min(
         (sum(-si_sdr(ys[i], es[p[i]]) for i in range(n)), p)
         for p in itertools.permutations(range(n))

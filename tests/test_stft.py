@@ -3,11 +3,11 @@ import pytest
 
 from nbsep.audio import WaveBuffer
 from nbsep.stft import (
-    ComplexSpectrogram,
     StftConfig,
     all_frequency_sequences,
     hann_window,
     istft,
+    spectra_of_sequences,
     stft,
     synthesis_envelope,
 )
@@ -27,7 +27,7 @@ def naive_frame_dft(frame):
 
 def naive_synthesis(spec_data, cfg, out_len):
     """Inverse-DFT + overlap-add oracle, written directly from the contract."""
-    n_bins, n_frames, n_ch = spec_data.shape
+    n_ch, n_bins, n_frames = spec_data.shape
     w = cfg.window_len
     window = hann_window(w)
     y = np.zeros((n_ch, (n_frames - 1) * cfg.hop + w))
@@ -42,8 +42,8 @@ def naive_synthesis(spec_data, cfg, out_len):
                 for f in range(n_bins):
                     weight = 1.0 if f in (0, n_bins - 1) else 2.0
                     acc += weight * (
-                        spec_data[f, t, m].real * np.cos(2 * np.pi * f * l / w)
-                        - spec_data[f, t, m].imag * np.sin(2 * np.pi * f * l / w)
+                        spec_data[m, f, t].real * np.cos(2 * np.pi * f * l / w)
+                        - spec_data[m, f, t].imag * np.sin(2 * np.pi * f * l / w)
                     )
                 frame[l] = acc / w
             y[m, t * cfg.hop : t * cfg.hop + w] += frame * window
@@ -58,16 +58,15 @@ def test_dc_concentrates_in_lowest_bins():
     wave = WaveBuffer(np.ones(4096), 16000)
     spec = stft(wave, CFG)
     expected = hann_window(CFG.window_len).sum()
-    np.testing.assert_allclose(spec.data[0, :, 0].real, expected, rtol=1e-12)
-    np.testing.assert_allclose(spec.data[1, :, 0].real, -CFG.window_len / 4, rtol=1e-12)
-    assert np.max(np.abs(spec.data[2:, :, 0])) < 1e-9
+    np.testing.assert_allclose(spec[0, 0].real, expected, rtol=1e-12)
+    np.testing.assert_allclose(spec[0, 1].real, -CFG.window_len / 4, rtol=1e-12)
+    assert np.max(np.abs(spec[0, 2:])) < 1e-9
 
 
 def test_four_second_signal_has_257_bins_and_249_frames():
     rng = np.random.default_rng(0)
     spec = stft(WaveBuffer(rng.standard_normal(64000), 16000), CFG)
-    assert spec.n_bins == 257
-    assert spec.n_frames == 249
+    assert spec.shape == (1, 257, 249)
 
 
 def test_matches_naive_dft_oracle():
@@ -76,18 +75,19 @@ def test_matches_naive_dft_oracle():
     spec = stft(WaveBuffer(x, 16000), CFG)
     t = 3
     frame = x[t * CFG.hop : t * CFG.hop + CFG.window_len] * hann_window(CFG.window_len)
-    np.testing.assert_allclose(spec.data[:, t, 0], naive_frame_dft(frame), atol=1e-10)
+    np.testing.assert_allclose(spec[0, :, t], naive_frame_dft(frame), atol=1e-10)
 
 
 def test_errors():
-    with pytest.raises(ValueError, match="input too short"):
+    with pytest.raises(ValueError,
+                       match="input too short: 100 samples, fewer than one 512-sample STFT window"):
         stft(WaveBuffer(np.zeros(100), 16000), CFG)
     bad = np.zeros(1024)
     bad[10] = np.nan
-    with pytest.raises(ValueError, match="invalid signal"):
+    with pytest.raises(ValueError, match=r"signal has non-finite samples \(NaN or inf\)"):
         stft(WaveBuffer(bad, 16000), CFG)
     with pytest.raises(ValueError, match="bins"):
-        istft(ComplexSpectrogram(np.zeros((100, 4, 1), dtype=complex)), CFG, 1024)
+        istft(np.zeros((1, 100, 4), dtype=complex), CFG, 1024)
 
 
 def test_round_trip_interior_exact():
@@ -99,17 +99,17 @@ def test_round_trip_interior_exact():
 
 
 def test_zero_spectrogram_gives_zero_waveform():
-    spec = ComplexSpectrogram(np.zeros((CFG.n_bins, 6, 1), dtype=complex))
+    spec = np.zeros((1, CFG.n_bins, 6), dtype=complex)
     assert np.all(istft(spec, CFG, 1500).data == 0.0)
 
 
 def test_single_bin_impulse_matches_naive_synthesis():
     rng = np.random.default_rng(3)
-    data = np.zeros((CFG.n_bins, 3, 1), dtype=complex)
-    data[100, 1, 0] = rng.standard_normal() + 1j * rng.standard_normal()
+    data = np.zeros((1, CFG.n_bins, 3), dtype=complex)
+    data[0, 100, 1] = rng.standard_normal() + 1j * rng.standard_normal()
     data[0, 0, 0] = 0.7  # include a DC entry too
     out_len = CFG.covered_len(3)
-    got = istft(ComplexSpectrogram(data), CFG, out_len).data
+    got = istft(data, CFG, out_len).data
     want = naive_synthesis(data, CFG, out_len)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -118,16 +118,16 @@ def test_linearity():
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((2, 4096))
     a, b = 1.7, -0.3
-    sx = stft(WaveBuffer(x, 16000), CFG).data
-    sy = stft(WaveBuffer(y, 16000), CFG).data
-    sxy = stft(WaveBuffer(a * x + b * y, 16000), CFG).data
+    sx = stft(WaveBuffer(x, 16000), CFG)
+    sy = stft(WaveBuffer(y, 16000), CFG)
+    sxy = stft(WaveBuffer(a * x + b * y, 16000), CFG)
     np.testing.assert_allclose(sxy, a * sx + b * sy, atol=1e-9)
 
 
 def test_parseval_per_frame():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(4096)
-    spec = stft(WaveBuffer(x, 16000), CFG).data[:, :, 0]
+    spec = stft(WaveBuffer(x, 16000), CFG)[0]
     w = hann_window(CFG.window_len)
     for t in range(spec.shape[1]):
         frame = x[t * CFG.hop : t * CFG.hop + CFG.window_len] * w
@@ -140,19 +140,30 @@ def test_parseval_per_frame():
 
 def test_frequency_sequence_layout():
     rng = np.random.default_rng(6)
-    data = rng.standard_normal((CFG.n_bins, 5, 2)) + 1j * rng.standard_normal((CFG.n_bins, 5, 2))
-    spec = ComplexSpectrogram(data)
-    seq = all_frequency_sequences(spec)[17]
+    data = rng.standard_normal((2, CFG.n_bins, 5)) + 1j * rng.standard_normal((2, CFG.n_bins, 5))
+    seq = all_frequency_sequences(data)[17]
     assert seq.shape == (4, 5)
-    np.testing.assert_array_equal(seq[0], data[17, :, 0].real)
-    np.testing.assert_array_equal(seq[1], data[17, :, 0].imag)
-    np.testing.assert_array_equal(seq[2], data[17, :, 1].real)
-    np.testing.assert_array_equal(seq[3], data[17, :, 1].imag)
+    np.testing.assert_array_equal(seq[0], data[0, 17].real)
+    np.testing.assert_array_equal(seq[1], data[0, 17].imag)
+    np.testing.assert_array_equal(seq[2], data[1, 17].real)
+    np.testing.assert_array_equal(seq[3], data[1, 17].imag)
+
+
+def test_spectra_of_sequences_inverts_the_row_layout():
+    rng = np.random.default_rng(7)
+    data = rng.standard_normal((3, 9, 6)) + 1j * rng.standard_normal((3, 9, 6))
+    got = spectra_of_sequences(all_frequency_sequences(data))
+    assert got.shape == data.shape and got.dtype == np.complex128
+    np.testing.assert_array_equal(got, data)
+    # float32 rows decode to complex128 with the same values
+    rows = all_frequency_sequences(data).astype(np.float32)
+    got = spectra_of_sequences(rows)
+    assert got.dtype == np.complex128
+    np.testing.assert_array_equal(got, spectra_of_sequences(rows.astype(np.float64)))
 
 
 def test_frequency_sequence_real_spectrogram_has_zero_imag_rows():
-    spec = ComplexSpectrogram(np.ones((CFG.n_bins, 4, 3), dtype=complex))
-    seq = all_frequency_sequences(spec)[0]
+    seq = all_frequency_sequences(np.ones((3, CFG.n_bins, 4), dtype=complex))[0]
     assert np.all(seq[1::2] == 0.0)
 
 
@@ -161,7 +172,7 @@ def test_istft_pads_beyond_synthesized_span():
     x = rng.standard_normal(1000)  # not a whole number of hops
     spec = stft(WaveBuffer(x, 16000), CFG)
     recon = istft(spec, CFG, 1000).data
-    covered = CFG.covered_len(spec.n_frames)
+    covered = CFG.covered_len(spec.shape[-1])
     assert covered < 1000
     assert np.all(recon[:, covered:] == 0.0)
 
