@@ -167,8 +167,10 @@ def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
 def _cmd_simulate(args) -> int:
     cfg = _stft_config(args)
     out_len = _duration_samples(args, cfg)
-    if args.mics < 1:
-        raise UsageError(f"--mics must be at least 1, got {args.mics}")
+    for flag, value, least in (("--n", args.n, 1), ("--mics", args.mics, 1),
+                               ("--seed", args.seed, 0), ("--max-order", args.max_order, 0)):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     src_dir = Path(args.sources)
     wavs = sorted(src_dir.glob("*.wav"))
     if len(wavs) < 2:

@@ -10,22 +10,25 @@ the array center) drawn uniformly from [0, 180] degrees.
 The simulator converts RT60 to one uniform wall reflection coefficient via
 Sabine's formula and sums image sources with amplitude ``1 / (4 pi d)`` at
 fractional delay ``d / c``, realized with an 81-tap Hann-windowed sinc.
-The sinc and the window are evaluated exactly, not from a table: at
-``u = r - f`` (tap offset r from the image's integer delay, fractional part
-f), ``sin(pi u) = (-1)**(r + 1) sin(pi f)`` and ``cos(pi u / W)`` expands
-into ``cos(pi r / W)``, ``cos(pi f / W)``, ``sin(pi r / W)`` and
-``sin(pi f / W)``, so each image costs three transcendentals and each of
-the 80 tap offsets only products, a division and one `bincount`.
+The kernel at tap offset r from an image's integer delay, ``h(r - f)`` for
+fractional part f in [0, 1), is entire in f, so its Chebyshev series in
+``x = 2f - 1`` reaches round-off at degree `SINC_CHEB_DEGREE` = 17 (within
+4e-15 of np.sinc times the Hann cosine for all 80 offsets).  A pair sums
+per integer delay the moments ``amp * T_d(x)`` of its images, one
+`bincount` per degree, then turns them into taps with one small matrix
+product; on 65,536 random images that is within 1.3e-15 of the peak tap
+of the direct per-offset sum.
 
 `simulate_rir` runs its mic-speaker pairs on `parallel.worker_count()`
 threads once a pair has `PAIR_THREADS_MIN_IMAGES` images (from an RT60 of
-0.35-0.45 s in recipe rooms), and in order on the calling thread below that
-or when that thread is already a pool worker (a corpus making several
-mixtures at once).  Each pair writes only its own row of the taps, so the
-result does not depend on the thread count.  A pair scatters its images in
-blocks of whole x-cells of about `IMAGE_BLOCK` images, so a worker's
-temporaries stay near ten arrays of that size whatever the RT60 and room
-size; the block edges follow from the image orders alone.
+0.26-0.39 s in recipe rooms; 75 % of recipe scenes have more), and in
+order on the calling thread below that or when that thread is already a
+pool worker (a corpus making several mixtures at once).  Each pair writes
+only its own row of the taps, so the result does not depend on the thread
+count.  A pair adds its images to its moments in blocks of whole x-cells
+of about `IMAGE_BLOCK` images, so a worker's temporaries stay near eight
+arrays of that size plus 18 moment rows as long as the taps, whatever the
+RT60 and room size; the block edges follow from the image orders alone.
 """
 
 from __future__ import annotations
@@ -35,18 +38,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from . import parallel
 from .audio import WaveBuffer
 
 SPEED_OF_SOUND = 343.0
 SINC_HALF_WIDTH = 40  # 81-tap interpolation kernel
-IMAGE_BLOCK = 2**16  # images per scatter call, rounded to whole x-cells
+SINC_CHEB_DEGREE = 17  # kernel expanded in Chebyshev polynomials of the fractional delay
+_TAP_ROWS = 8  # tap offsets per moment-to-tap product
+IMAGE_BLOCK = 2**16  # images per moment update, rounded to whole x-cells
 # Pairs with fewer images run in order: their numpy calls are too short for two
-# threads to share the interpreter lock (2 vCPUs: -15 to -40 % at 12k images a
-# pair, about even at 15k-25k, +30 % at 36k).
-PAIR_THREADS_MIN_IMAGES = 2**15
+# threads to share the interpreter lock (2 vCPUs, 16-pair recipe scenes, two
+# threads against one: -31 to -41 % at 4k-9k images a pair, up to -18 % at
+# 14k-18k, about even at 20k, +13 to +39 % from 26k on).
+PAIR_THREADS_MIN_IMAGES = 20_000
 
 ROOM_LW_RANGE = (3.0, 8.0)
 ROOM_H_RANGE = (3.0, 4.0)
@@ -296,7 +302,8 @@ def simulate_rir(
 
     Each image source of distance d contributes ``beta**hits / (4 pi d)``
     through an 81-tap Hann-windowed sinc centered on the fractional delay
-    ``d / c * sample_rate``.  `max_order` bounds the per-axis image index
+    ``d / c * sample_rate``, summed through the kernel's Chebyshev moments
+    (see the module docstring).  `max_order` bounds the per-axis image index
     (see `image_orders`); None derives it from the RT60.  The pairs run on
     `rir_threads` threads, each writing only its own row.
     """
@@ -320,6 +327,7 @@ def simulate_rir(
     # whole x-cells per block: the edges depend on the image orders alone
     cells = max(1, IMAGE_BLOCK // ((2 * orders[1] + 1) * (2 * orders[2] + 1)))
     to_samples = sample_rate / scene.sound_speed
+    n_base = n_taps + SINC_HALF_WIDTH  # an image reaches a tap only if floor(c) < n_base
     taps = np.zeros((scene.n_mics, scene.n_speakers, n_taps))
 
     def pair(mn) -> None:
@@ -329,6 +337,7 @@ def simulate_rir(
         dx2 = (cx - mic[0]) ** 2
         dy2 = (cy - mic[1]) ** 2
         dz2 = (cz - mic[2]) ** 2
+        moments = np.zeros((SINC_CHEB_DEGREE + 1, n_base))
         for lo in range(0, cx.size, cells):
             block = slice(lo, lo + cells)
             dist = np.sqrt(dx2[block, None, None] + dy2[None, :, None] + dz2[None, None, :])
@@ -336,7 +345,16 @@ def simulate_rir(
                 4.0 * np.pi * dist
             )
             dist *= to_samples  # delay in samples, in place
-            _scatter_sinc(taps[m, n], dist.ravel(), amp.ravel())
+            _scatter_moments(moments, dist.ravel(), amp.ravel())
+        # tap b + r gets sum_d C[r, d] * moments[d, b], made a few offsets r at a
+        # time into a buffer that reaches W taps before tap 0 and W past the last
+        # base, so kernels straddling either end of the taps need no masks
+        padded = np.zeros(n_base + 2 * SINC_HALF_WIDTH)  # tap k sits at index k + W
+        for lo in range(0, 2 * SINC_HALF_WIDTH, _TAP_ROWS):
+            rows = _SINC_CHEB[lo : lo + _TAP_ROWS] @ moments
+            for i, row in enumerate(rows, start=lo + 1):  # offset r = i - W
+                padded[i : i + n_base] += row
+        taps[m, n] = padded[SINC_HALF_WIDTH : SINC_HALF_WIDTH + n_taps]
 
     pairs = [(m, n) for n in range(scene.n_speakers) for m in range(scene.n_mics)]
     for _ in parallel.parallel_map(pair, pairs, rir_threads(image_count(scene, max_order))):
@@ -344,77 +362,58 @@ def simulate_rir(
     return Rir(taps, sample_rate)
 
 
-def _scatter_sinc(out: np.ndarray, centers: np.ndarray, amps: np.ndarray) -> None:
-    """Accumulate Hann-windowed sincs at fractional sample positions.
+def _windowed_sinc(u: np.ndarray) -> np.ndarray:
+    """The interpolation kernel ``sinc(u) * 0.5 * (1 + cos(pi u / W))`` on ``|u| <= W``."""
+    return np.sinc(u) * (0.5 * (1.0 + np.cos(np.pi * u / SINC_HALF_WIDTH)))
 
-    Tap k receives ``amp * sinc(u) * 0.5 * (1 + cos(pi u / W))`` with
-    ``u = k - c`` for every ``|u| <= W``.  With ``c = b + f`` (``b =
-    floor(c)``, ``0 <= f < 1``) and tap offset ``r = k - b``:
 
-        sin(pi u)     = (-1)**(r + 1) * sin(pi f)
-        cos(pi u / W) = cos(pi r / W) cos(pi f / W) + sin(pi r / W) sin(pi f / W)
+# Row r + W - 1 holds the Chebyshev coefficients, in x = 2f - 1, of the kernel
+# at tap offset r from an image's integer delay, h(r - f) for 0 <= f < 1.  Every
+# offset in [-W + 1, W] lies inside the kernel; r = -W does only at f = 0, where
+# the window is exactly 0, and r = W + 1 never does.
+_SINC_CHEB = np.array([
+    np.polynomial.chebyshev.chebinterpolate(
+        lambda x, r=r: _windowed_sinc(r - 0.5 * (x + 1.0)), SINC_CHEB_DEGREE
+    )
+    for r in range(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1)
+])
+_SINC_CHEB.flags.writeable = False
 
-    so the three transcendentals ``sin(pi f)``, ``cos(pi f / W)`` and
-    ``sin(pi f / W)`` are taken once per image, and each offset costs only
-    products, one division and one `bincount`.  Every offset in
-    ``[-W + 1, W]`` lies inside the kernel; ``r = -W`` does only when
-    ``f = 0``, where the window is exactly 0, and ``r = W + 1`` never does.
-    The one removable singularity, ``u = 0`` (``r = 0``, ``f = 0``), gets
-    sinc = 1.  Taps are accumulated into a buffer that reaches W taps before
-    tap 0 and 2W past the last tap, so kernels that straddle either end of
-    `out` need no masks; images whose kernel starts past the last tap are
-    dropped first, which also bounds that buffer.
+
+def _scatter_moments(moments: np.ndarray, centers: np.ndarray, amps: np.ndarray) -> None:
+    """Add one block of images to a pair's Chebyshev moments, in place.
+
+    An image at fractional sample position ``c = b + f`` (``b = floor(c)``,
+    ``0 <= f < 1``) adds ``amp * T_d(2f - 1)`` to ``moments[d, b]`` for
+    every degree d, T_d taken by the three-term recurrence.  Images with
+    ``b >= moments.shape[1]`` reach no tap and are dropped.  `centers` and
+    `amps` serve as scratch and are overwritten.
     """
-    width = SINC_HALF_WIDTH
-    n_taps = out.shape[0]
-    n_base = n_taps + width  # an image reaches a tap only if floor(c) < n_base
+    n_base = moments.shape[1]
     keep = centers < n_base
     if not keep.all():
         centers, amps = centers[keep], amps[keep]
-    base = np.floor(centers)
-    frac = centers - base
-    base = base.astype(np.intp)
-    on_grid = np.flatnonzero(frac == 0.0)
-    on_grid_amps = amps[on_grid]
-
-    # amp * sin(pi f) / (2 pi), and that times cos(pi f / W) and sin(pi f / W)
-    cos_f = frac * (np.pi / width)
-    sin_f = np.sin(cos_f)
-    np.cos(cos_f, out=cos_f)
-    scale = frac * np.pi
-    np.sin(scale, out=scale)
-    scale *= amps
-    scale *= 0.5 / np.pi
-    cos_f *= scale
-    sin_f *= scale
-
-    padded = np.zeros(n_base + 2 * width)  # tap k sits at index k + width
-    vals = np.empty_like(frac)
-    tmp = np.empty_like(frac)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(-width + 1, width + 1):
-            # (-1)**(r + 1) * 0.5 * (1 + cos(pi u / W)) * amp * sin(pi f) / (pi u)
-            np.multiply(cos_f, np.cos(np.pi * r / width), out=vals)
-            np.multiply(sin_f, np.sin(np.pi * r / width), out=tmp)
-            vals += tmp
-            vals += scale
-            if r % 2:
-                np.subtract(r, frac, out=tmp)
-            else:
-                np.subtract(frac, r, out=tmp)
-            vals /= tmp
-            if r == 0:
-                vals[on_grid] = on_grid_amps
-            padded[width + r : width + r + n_base] += np.bincount(
-                base, weights=vals, minlength=n_base
-            )
-    out += padded[width : width + n_taps]
+    base = centers.astype(np.intp)  # delays are positive: truncation is floor
+    x = np.subtract(centers, base, out=centers)  # f, then 2f - 1, then 2 (2f - 1)
+    x *= 2.0
+    x -= 1.0
+    # amp * T_(d-1), amp * T_d and a spare; T_1 stands in for T_(-1), as
+    # 2x T_0 - T_1 = T_1 starts the recurrence
+    prev, cur, spare = amps * x, amps, np.empty_like(x)
+    x *= 2.0
+    for d in range(SINC_CHEB_DEGREE + 1):
+        if d:
+            np.subtract(np.multiply(x, cur, out=spare), prev, out=spare)
+            prev, cur, spare = cur, spare, prev
+        moments[d] += np.bincount(base, weights=cur, minlength=n_base)
 
 
 def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     """Convolve a mono dry signal with one speaker's RIRs, one output per mic.
 
     The full linear convolution is truncated to the dry signal's length.
+    The dry signal is transformed once; each mic then costs the transform of
+    its taps and one inverse, so only one mic's spectra are held at a time.
     """
     if dry.n_channels != 1:
         raise ValueError("dry signal must be mono")
@@ -424,8 +423,10 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
         )
     if not 0 <= speaker < rir.n_speakers:
         raise ValueError(f"speaker index {speaker} out of range [0, {rir.n_speakers})")
-    x = dry.data[0]
-    out = np.empty((rir.n_mics, dry.n_samples))
+    n = dry.n_samples
+    n_fft = sp_fft.next_fast_len(n + rir.n_taps - 1, real=True)
+    dry_spectrum = sp_fft.rfft(dry.data[0], n_fft)
+    out = np.empty((rir.n_mics, n))
     for m in range(rir.n_mics):
-        out[m] = fftconvolve(x, rir.taps[m, speaker])[: dry.n_samples]
+        out[m] = sp_fft.irfft(dry_spectrum * sp_fft.rfft(rir.taps[m, speaker], n_fft), n_fft)[:n]
     return WaveBuffer(out, dry.sample_rate)

@@ -100,9 +100,21 @@ def test_simulate_rejects_an_empty_corpus(tmp_path, capsys, n):
     src = make_sources(tmp_path)
     rc = main(["simulate", "--sources", str(src), "--out", str(tmp_path / "data"),
                "--n", n, *CFG8K_ARGS])
-    assert rc == 2
-    assert f"n_examples must be >= 1, got {n}" in capsys.readouterr().err
+    assert rc == 1
+    assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--max-order", "-1"), ("--seed", "-5")])
+def test_simulate_rejects_a_negative_seed_or_max_order_before_writing(tmp_path, capsys, flag,
+                                                                      value):
+    src = make_sources(tmp_path)
+    rc = main(["simulate", "--sources", str(src), "--out", str(tmp_path / "data"),
+               "--n", "1", flag, value, *CFG8K_ARGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be at least 0, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()  # no manifest.jsonl.partial either
 
 
 def test_separate_output_contract(tmp_path, capsys, monkeypatch):

@@ -82,7 +82,7 @@ def test_activity_mask_matches_placement(example):
     out_len = example.mixture_wave.n_samples
     span, onset2 = dataset.placement_spans(0.5, out_len)
     img2 = example.target_waves.data[1]
-    assert np.max(np.abs(img2[: onset2 - 1])) < 1e-12  # fftconvolve noise floor
+    assert np.max(np.abs(img2[: onset2 - 1])) < 1e-12  # FFT convolution noise floor
     assert np.max(np.abs(img2[onset2:])) > 1e-3
     img1 = example.target_waves.data[0]
     assert np.max(np.abs(img1[:span])) > 0.0

@@ -107,14 +107,14 @@ def _spy_corpus(tmp_path, monkeypatch, n_examples):
         write_wav(paths[-1], WaveBuffer(rng.uniform(-0.5, 0.5, 8000), 8000))
     baseline = threading.active_count()
     alive, threads = [], set()
-    real = roomsim._scatter_sinc
+    real = roomsim._scatter_moments
 
-    def spy(out, centers, amps):
+    def spy(moments, centers, amps):
         alive.append(threading.active_count())
         threads.add(threading.get_ident())
-        real(out, centers, amps)
+        real(moments, centers, amps)
 
-    monkeypatch.setattr(roomsim, "_scatter_sinc", spy)
+    monkeypatch.setattr(roomsim, "_scatter_moments", spy)
     dataset.generate_dataset(paths, tmp_path / "out", n_examples, seed=2,
                              stft_cfg=stft.StftConfig(sample_rate=8000), out_len=7936,
                              n_mics=2, workers=2)

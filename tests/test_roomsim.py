@@ -75,8 +75,8 @@ def brute_force_rir(scene, order, n_taps, sample_rate):
 # -- reference scatter -------------------------------------------------------------
 # The straight-line form of the image scatter: one masked pass per tap offset,
 # with np.sinc and the Hann cosine evaluated for every image on every pass.
-# `roomsim._scatter_sinc` factors the trigonometry out of the passes, so the
-# two agree up to round-off.
+# `simulate_rir` expands the kernel in Chebyshev polynomials of the fractional
+# delay instead, so the two agree up to round-off.
 
 
 def reference_scatter_sinc(out, centers, amps):
@@ -91,6 +91,27 @@ def reference_scatter_sinc(out, centers, amps):
         uu = u[valid]
         vals = amps[valid] * np.sinc(uu) * (0.5 * (1.0 + np.cos(np.pi * uu / SINC_HALF_WIDTH)))
         out += np.bincount(k[valid], weights=vals, minlength=n_taps)
+
+
+def reference_rir(scene, max_order=None, n_taps=None, sample_rate=16000):
+    """The images `simulate_rir` sums, all of a pair's images scattered by
+    `reference_scatter_sinc` in one call."""
+    orders = roomsim.image_orders(scene, max_order)
+    if n_taps is None:
+        n_taps = roomsim.default_rir_length(scene, sample_rate)
+    beta = sabine_reflection(scene.room_dims, scene.rt60)
+    taps = np.zeros((scene.n_mics, scene.n_speakers, n_taps))
+    for n, src in enumerate(scene.speaker_positions):
+        per_axis = [
+            roomsim._axis_image_coords(src[a], scene.room_dims[a], orders[a]) for a in range(3)
+        ]
+        coords = np.meshgrid(*(c for c, _ in per_axis), indexing="ij")
+        hits = sum(np.meshgrid(*(h for _, h in per_axis), indexing="ij"))
+        for m, mic in enumerate(scene.mic_positions):
+            d = np.sqrt(sum((c - p) ** 2 for c, p in zip(coords, mic))).ravel()
+            amps = beta ** hits.ravel() / (4.0 * np.pi * d)
+            reference_scatter_sinc(taps[m, n], d / scene.sound_speed * sample_rate, amps)
+    return taps
 
 
 def random_scene(rng, n_mics=2, n_speakers=1):
@@ -218,11 +239,10 @@ SCATTER_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
-def test_scatter_matches_reference(case, monkeypatch):
+def test_scatter_matches_reference(case):
     make, kwargs = SCATTER_CASES[case]
     got = simulate_rir(make(), **kwargs).taps
-    monkeypatch.setattr(roomsim, "_scatter_sinc", reference_scatter_sinc)
-    want = simulate_rir(make(), **kwargs).taps
+    want = reference_rir(make(), **kwargs)
     peak = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-12 * peak
     if case == "before_direct":
@@ -231,18 +251,32 @@ def test_scatter_matches_reference(case, monkeypatch):
         assert peak > 0.0
 
 
+def test_sinc_chebyshev_table_matches_the_kernel():
+    table = roomsim._SINC_CHEB
+    assert table.shape == (2 * SINC_HALF_WIDTH, roomsim.SINC_CHEB_DEGREE + 1)
+    assert not table.flags.writeable
+    f = np.linspace(0.0, 1.0, 10_000, endpoint=False)
+    for r, coeffs in zip(range(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1), table):
+        u = r - f
+        want = np.sinc(u) * 0.5 * (1.0 + np.cos(np.pi * u / SINC_HALF_WIDTH))
+        got = np.polynomial.chebyshev.chebval(2.0 * f - 1.0, coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-14, r
+
+
 @pytest.mark.parametrize("max_order", [None, 2, (1, 3, 0)])
 def test_image_count_is_what_simulate_rir_sums(max_order, monkeypatch):
     scene = sample_scene(4, n_mics=2)  # 3,135 default-order images: 11 blocks of one x-cell
-    summed = Counter()  # images per (mic, speaker) row, keyed by the row's address
-    real = roomsim._scatter_sinc
+    summed = Counter()  # images per (mic, speaker) pair, keyed by the pair's moments
+    held = {}  # keeps each pair's moments alive, so no two pairs share an id
+    real = roomsim._scatter_moments
 
-    def spy(out, centers, amps):  # called on the pair workers; one row per worker
-        summed[out.ctypes.data] += centers.size
-        real(out, centers, amps)
+    def spy(moments, centers, amps):  # called on the pair workers; one pair per worker
+        held[id(moments)] = moments
+        summed[id(moments)] += centers.size
+        real(moments, centers, amps)
 
     monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 500)
-    monkeypatch.setattr(roomsim, "_scatter_sinc", spy)
+    monkeypatch.setattr(roomsim, "_scatter_moments", spy)
     simulate_rir(scene, max_order=max_order)
     assert sorted(summed.values()) == [roomsim.image_count(scene, max_order)] * 4
 
@@ -254,13 +288,13 @@ def test_taps_are_bit_identical_on_one_and_two_pair_threads(monkeypatch):
     monkeypatch.setenv("NBC_THREADS", "2")
     monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 3500)
     main, threads = threading.get_ident(), set()
-    real = roomsim._scatter_sinc
+    real = roomsim._scatter_moments
 
-    def spy(out, centers, amps):
+    def spy(moments, centers, amps):
         threads.add(threading.get_ident())
-        real(out, centers, amps)
+        real(moments, centers, amps)
 
-    monkeypatch.setattr(roomsim, "_scatter_sinc", spy)
+    monkeypatch.setattr(roomsim, "_scatter_moments", spy)
     few_images_taps = simulate_rir(scene).taps  # below PAIR_THREADS_MIN_IMAGES
     assert threads == {main}
     monkeypatch.setattr(roomsim, "PAIR_THREADS_MIN_IMAGES", roomsim.image_count(scene))
