@@ -33,15 +33,6 @@ class NumericError(RuntimeError):
     """A non-finite value appeared where the computation requires finiteness."""
 
 
-_CHECK_FINITE = False
-
-
-def set_check_finite(enabled: bool) -> None:
-    """Globally enable per-op finiteness checks (slow, for tests/debugging)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-
-
 class _GraphMode(threading.local):
     record = True
 
@@ -93,8 +84,6 @@ class Tensor:
         else:
             out._parents = ()
             out._vjp = None
-        if _CHECK_FINITE and not np.all(np.isfinite(data)):
-            raise NumericError("non-finite value produced by an op")
         return out
 
     @property
@@ -191,8 +180,6 @@ def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if _CHECK_FINITE and not np.all(np.isfinite(pg)):
-                raise NumericError("non-finite gradient")
             key = id(parent)
             if key in gmap:
                 gmap[key] = gmap[key] + pg

@@ -37,6 +37,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    """An integer flag value of at least 0 (a seed, an image order)."""
+    value = int(text)  # argparse reports a ValueError as an invalid value of the flag
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """A flag value that is a finite number above 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nbsep", description="Narrow-band multichannel speech separation")
     parser.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
@@ -62,10 +78,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--sources", required=True, help="directory of mono WAV files")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True, help="number of mixtures")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--mics", type=int, default=8)
     p.add_argument("--duration", type=float, default=4.0, help="mixture length in seconds")
-    p.add_argument("--max-order", type=int, default=None, help="images per axis (default: from RT60)")
+    p.add_argument("--max-order", type=_non_negative_int, default=None,
+                   help="images per axis (default: from RT60)")
 
     p = sub.add_parser("train", parents=[model_flags, stft_flags], help="train a separator")
     p.add_argument("--manifest", required=True)
@@ -74,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=16, help="utterances per mini-batch")
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--precision", choices=["float32", "float64"], default="float32")
 
@@ -99,13 +116,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("grad-check", help="verify gradients against finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--step", type=_positive_finite, default=1e-5)
 
     p = sub.add_parser("rtf", parents=[stft_flags], help="measure the real-time factor")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--duration", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
 
@@ -121,6 +138,9 @@ def _apply_config_file(parser, argv, args):
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object of flag values")
     overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
+    # a typed flag's value goes in as text, so argparse checks it as on the command line
+    typed = {a.dest for a in parser.subcommands[args.command]._actions if a.type is not None}
+    overrides = {k: str(v) if k in typed and v is not None else v for k, v in overrides.items()}
     # the keys must be flags of the chosen subcommand, not `command` or `config`
     unknown = set(overrides) - (set(vars(args)) - {"command", "config"})
     if unknown:
@@ -167,10 +187,9 @@ def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
 def _cmd_simulate(args) -> int:
     cfg = _stft_config(args)
     out_len = _duration_samples(args, cfg)
-    for flag, value, least in (("--n", args.n, 1), ("--mics", args.mics, 1),
-                               ("--seed", args.seed, 0), ("--max-order", args.max_order, 0)):
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    for flag, value in (("--n", args.n), ("--mics", args.mics)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     src_dir = Path(args.sources)
     wavs = sorted(src_dir.glob("*.wav"))
     if len(wavs) < 2:

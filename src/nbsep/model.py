@@ -11,15 +11,12 @@ and a transposed Conv1d projects back.  A block applies
     out = a + dropout(Linear(dropout(f)))       -> width channels
 
 so, as in a Conformer block, both modules sit inside a residual connection.
-`ff_residual=False` drops the one around the feed-forward path
-(out = dropout(Linear(dropout(f)))); it is kept so that checkpoints trained
-with that wiring still load and run as they were trained, since every
-manifest records the flag.  RPSA is multi-head self-attention with
-Transformer-XL style relative positional encoding: learned content/position
-bias vectors per head and a shared learned projection of sinusoidal
-relative-distance encodings.  Scores, softmax and the weighted sum of
-values are one fused op, `autodiff.rel_attention`, whose graph keeps only
-the attention probabilities.
+RPSA is multi-head self-attention with Transformer-XL style relative
+positional encoding: learned content/position bias vectors per head and a
+shared learned projection of sinusoidal relative-distance encodings.
+Scores, softmax and the weighted sum of values are one fused op,
+`autodiff.rel_attention`, whose graph keeps only the attention
+probabilities.
 
 `forward` takes (2M, T) or a batch (B, 2M, T) of frequencies and returns
 (2N, T) or (B, 2N, T).  Between its input and output convolutions the
@@ -44,9 +41,10 @@ same whether they run in parallel or one after another.
 from __future__ import annotations
 
 import json
-import shutil
+import os
 import tempfile
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -73,7 +71,6 @@ class ModelConfig:
     io_kernel: int = 4  # first Conv1d and last Conv1dT kernel size
     conv_kernel: int = 3
     dropout: float = 0.1
-    ff_residual: bool = True  # False: out = FF(a), the wiring of older checkpoints
 
     def __post_init__(self):
         for name in ("in_channels", "speakers", "width", "inner_width", "heads", "groups",
@@ -184,7 +181,6 @@ class NarrowBandModel:
                  seed: int = 0, dtype=np.float64):
         self.cfg = cfg
         self.params = params if params is not None else init_parameters(cfg, seed, dtype)
-        self.step = 0
 
     @property
     def dtype(self):
@@ -249,7 +245,7 @@ class NarrowBandModel:
             f = ad.dropout(f, drop, rng, train)
             f = _linear(p[f"{b}.ff_out.w"], f, p[f"{b}.ff_out.b"])
             f = ad.dropout(f, drop, rng, train)
-            h = ad.add(f, h) if cfg.ff_residual else f
+            h = ad.add(f, h)
 
         out = ad.conv_transpose1d(h, p["out_conv.w"], p["out_conv.b"])
         out = ad.narrow(out, -1, 0, t_len)  # crop the trailing kernel tail
@@ -379,53 +375,53 @@ _LIBRARY_FORWARD = NarrowBandModel.forward
 
 
 def save_checkpoint(path, model: NarrowBandModel, optimizer_state=None, step: int = 0) -> None:
-    """Write a checkpoint directory: JSON manifest + one float32 .bin per tensor.
+    """Write one npz file of float32 `params/`, `adam_m/` and `adam_v/` entries and `meta`.
 
-    The files are written to a temporary sibling directory, which is then
-    renamed into place; a failure while writing leaves an earlier
-    checkpoint at `path` as it was.
+    `meta` is the JSON of the model config and the step.  The file is
+    written and synced beside `path`, then put in place by one `os.replace`,
+    so a failure leaves an earlier checkpoint at `path` as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+    tensors = {f"params/{name}": t.data for name, t in model.params.items()}
+    if optimizer_state is not None:
+        for name in model.params:
+            tensors[f"adam_m/{name}"] = optimizer_state.m[name]
+            tensors[f"adam_v/{name}"] = optimizer_state.v[name]
+    meta = json.dumps({"model_config": asdict(model.cfg), "step": int(step)})
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     try:
-        (tmp / "params").mkdir()
-        entries = []
-        for name, t in model.params.items():
-            (tmp / "params" / f"{name}.bin").write_bytes(
-                np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-            )
-            entries.append({"name": name, "shape": list(t.shape), "dtype": "float32"})
-        manifest = {
-            "model_config": asdict(model.cfg),
-            "training_step": int(step),
-            "params": entries,
-        }
-        if optimizer_state is not None:
-            (tmp / "opt").mkdir()
-            manifest["optimizer"] = optimizer_state.serialize(tmp / "opt")
-        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with os.fdopen(fd, "wb") as fh:  # a file object: np.savez appends no ".npz"
+            np.savez(fh, meta=np.array(meta),
+                     **{k: np.asarray(a, dtype=np.float32) for k, a in tensors.items()})
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
-    # a directory cannot be renamed over a non-empty one: move the old one aside
-    old = tmp.with_name(tmp.name + ".old")
-    if path.exists():
-        path.rename(old)
-    tmp.rename(path)
-    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path, dtype=np.float64):
-    """Load (model, optimizer_manifest_or_None, step) from a checkpoint dir."""
+    """Load (model, optimizer, step); `trainer.AdamState(**optimizer)` restores the moments.
+
+    `optimizer` is None when the file holds no Adam moments.  A path that
+    does not hold a checkpoint raises ValueError naming it.
+    """
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    cfg = ModelConfig(**manifest["model_config"])
-    params = {}
-    for entry in manifest["params"]:
-        raw = (path / "params" / f"{entry['name']}.bin").read_bytes()
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(dtype)
-        params[entry["name"]] = Tensor(arr, requires_grad=True)
-    model = NarrowBandModel(cfg, params)
-    model.step = int(manifest.get("training_step", 0))
-    return model, manifest.get("optimizer"), model.step
+    try:
+        with np.load(path) as entries:
+            tensors = {k: entries[k].astype(dtype) for k in entries.files if k != "meta"}
+            meta = json.loads(str(entries["meta"]))
+        cfg = ModelConfig(**meta["model_config"])
+        step = int(meta["step"])
+        params = {k.removeprefix("params/"): Tensor(a, requires_grad=True)
+                  for k, a in tensors.items() if k.startswith("params/")}
+        optimizer = None
+        if any(k.startswith("adam_m/") for k in tensors):
+            optimizer = {"m": {name: tensors[f"adam_m/{name}"] for name in params},
+                         "v": {name: tensors[f"adam_v/{name}"] for name in params},
+                         "step": step}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path} is not a readable checkpoint ({type(e).__name__}: {e})") from None
+    return NarrowBandModel(cfg, params), optimizer, step

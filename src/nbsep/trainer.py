@@ -44,7 +44,7 @@ class TrainConfig:
     precision: str = "float32"  # float32 for speed, float64 for verification
     # Only 1 is valid: a step backpropagates each bin chunk on its own.  The
     # field stays because perfbench/workloads.py passes graph_chunk=1;
-    # ROADMAP item 5's benchmark change deletes it.
+    # ROADMAP item 1's benchmark change deletes it.
     graph_chunk: int = 1
 
     def __post_init__(self):
@@ -66,6 +66,11 @@ class TrainConfig:
         return np.float32 if self.precision == "float32" else np.float64
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
@@ -73,9 +78,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def init(params: dict) -> "AdamState":
@@ -83,20 +85,6 @@ class AdamState:
             m={k: np.zeros_like(t.data) for k, t in params.items()},
             v={k: np.zeros_like(t.data) for k, t in params.items()},
         )
-
-    def serialize(self, out_dir) -> dict:
-        out_dir = Path(out_dir)
-        for name, arr in self.m.items():
-            (out_dir / f"{name}.m.bin").write_bytes(
-                np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            )
-            (out_dir / f"{name}.v.bin").write_bytes(
-                np.ascontiguousarray(self.v[name], dtype="<f4").tobytes()
-            )
-        return {
-            "step": self.step, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "tensors": sorted(self.m.keys()),
-        }
 
 
 def global_grad_norm(grads: dict) -> float:
@@ -130,7 +118,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         norm = global_grad_norm(grads)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -143,7 +131,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return norm
 
 

@@ -131,7 +131,7 @@ def forward_ref(x, params, cfg, collect_attention=False):
                                p[f"{b}.conv{j}.norm.beta"], cfg.groups)
             f = silu_ref(f)
         f = p[f"{b}.ff_out.w"] @ f + p[f"{b}.ff_out.b"][:, None]
-        h = f + h if cfg.ff_residual else f
+        h = f + h
     out = conv_transpose1d_ref(h, p["out_conv.w"], p["out_conv.b"], t_len)
     if collect_attention:
         return out, attn_all

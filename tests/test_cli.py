@@ -12,7 +12,7 @@ from nbsep import dataset, objective, parallel, roomsim, stft
 from nbsep import model as model_mod
 from nbsep.audio import WaveBuffer, read_wav, write_wav
 from nbsep.cli import _build_parser, _train_config, export_attention_maps, main, write_pgm
-from nbsep.model import ModelConfig, NarrowBandModel, save_checkpoint
+from nbsep.model import ModelConfig, NarrowBandModel, load_checkpoint, save_checkpoint
 
 CFG8K_ARGS = ["--sample-rate", "8000"]
 
@@ -113,7 +113,7 @@ def test_simulate_rejects_a_negative_seed_or_max_order_before_writing(tmp_path, 
                "--n", "1", flag, value, *CFG8K_ARGS])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"{flag} must be at least 0, got {value}" in err and "Traceback" not in err
+    assert f"argument {flag}: must be at least 0, got {value}" in err and "Traceback" not in err
     assert not (tmp_path / "data").exists()  # no manifest.jsonl.partial either
 
 
@@ -168,8 +168,6 @@ def test_separate_then_eval_round_trip(tmp_path):
 
     # serialized round trip agrees with the in-process metrics to float32 WAV error
     cfg = stft.StftConfig(sample_rate=8000)
-    from nbsep.model import load_checkpoint
-
     net, _, _ = load_checkpoint(ckpt)
     rows = metrics.read_text().strip().splitlines()[1:]
     for entry, row in zip(entries, rows):
@@ -196,7 +194,8 @@ def test_train_subcommand_smoke(tmp_path, capsys, monkeypatch):
     assert re.search(r"^model parameters: \d+ \(workers 1, serial: OpenBLAS thread control "
                      r"not found\)$", capsys.readouterr().out, re.M)
     assert (run_dir / "train_log.csv").exists()
-    assert (run_dir / "checkpoint_last" / "manifest.json").exists()
+    net, opt, step = load_checkpoint(run_dir / "checkpoint_last")
+    assert step == opt["step"] == 1 and net.cfg.width == 16 and net.cfg.in_channels == 2
 
 
 def test_attn_export(tmp_path):
@@ -277,6 +276,54 @@ def test_rtf_rejects_a_duration_that_is_not_positive(tmp_path, capsys, duration)
     rc = main(["rtf", "--checkpoint", str(tmp_path / "nope"), "--duration", duration])
     assert rc == 1
     assert "--duration must be a positive number of seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "grad-check", "rtf"])
+@pytest.mark.parametrize("seed,message", [("-5", "must be at least 0, got -5"),
+                                          ("1.5", "invalid _non_negative_int value: '1.5'")])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(tmp_path, capsys, command,
+                                                                    seed, message):
+    # the data and the checkpoint named do not exist: the flag is rejected before either is read
+    required = {"simulate": ["--sources", str(tmp_path), "--out", str(tmp_path / "o"),
+                             "--n", "1"],
+                "train": ["--manifest", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path)],
+                "grad-check": [],
+                "rtf": ["--checkpoint", str(tmp_path / "nope")]}[command]
+    assert main([command, *required, "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: argument --seed: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "tiny"])
+def test_grad_check_step_must_be_a_positive_finite_number(capsys, step):
+    assert main(["grad-check", "--step", step]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: argument --step: " in err and "Traceback" not in err
+
+
+def test_a_config_file_seed_is_checked_like_the_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": -5}))
+    assert main(["--config", str(cfgfile), "grad-check"]) == 1
+    assert "argument --seed: must be at least 0, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checkpoint", ["directory", "half_length"])
+def test_an_unreadable_checkpoint_is_a_data_error(tmp_path, capsys, checkpoint):
+    ckpt = tiny_checkpoint(tmp_path)
+    bad = tmp_path / checkpoint
+    if checkpoint == "directory":  # the layout of older checkpoints
+        bad.mkdir()
+        (bad / "manifest.json").write_text("{}")
+    else:
+        data = ckpt.read_bytes()
+        bad.write_bytes(data[: len(data) // 2])
+    wav = tmp_path / "mix.wav"
+    write_wav(wav, WaveBuffer(np.zeros((2, 4000)), 8000))
+    assert main(["separate", "--checkpoint", str(bad), "--input", str(wav),
+                 "--out", str(tmp_path / "sep"), *CFG8K_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad} is not a readable checkpoint" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags,code,message", [

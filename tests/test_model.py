@@ -1,4 +1,6 @@
 import ctypes
+import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from nbsep.model import (
     relative_index_table,
     save_checkpoint,
 )
+from nbsep.trainer import AdamState
 
 from reference_forward import forward_ref
 
@@ -67,8 +70,7 @@ def test_forward_matches_straight_line_reference():
 
 def test_forward_matches_reference_multi_block_with_residual():
     cfg = ModelConfig(in_channels=3, speakers=2, width=12, inner_width=24,
-                      blocks=2, conv_blocks=2, heads=3, groups=4, dropout=0.0,
-                      ff_residual=True)
+                      blocks=2, conv_blocks=2, heads=3, groups=4, dropout=0.0)
     net = rand_params_model(cfg, seed=5)
     x = np.random.default_rng(6).standard_normal((6, 11))
     np.testing.assert_allclose(net.forward(x).numpy(), forward_ref(x, net.params, cfg),
@@ -204,63 +206,114 @@ def test_attention_maps_shape_and_averaging():
 def test_checkpoint_round_trip(tmp_path):
     net = rand_params_model(TINY, seed=25)
     net.astype(np.float32)
-    save_checkpoint(tmp_path / "ckpt", net, step=17)
+    state = AdamState.init(net.params)
+    rng = np.random.default_rng(26)
+    for name in state.m:
+        state.m[name][...] = rng.standard_normal(state.m[name].shape)
+        state.v[name][...] = rng.uniform(0.0, 1.0, state.v[name].shape)
+    state.step = 17
+    save_checkpoint(tmp_path / "ckpt", net, state, step=17)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # one file, no ".npz" added
+    assert (tmp_path / "ckpt").is_file()
+    for dtype in (np.float32, np.float64):
+        loaded, opt, step = load_checkpoint(tmp_path / "ckpt", dtype=dtype)
+        assert step == 17 and loaded.cfg == net.cfg and loaded.dtype == dtype
+        restored = AdamState(**opt)
+        assert restored.step == 17
+        for name, t in net.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, t.data.astype(dtype))
+            for got, want in ((restored.m, state.m), (restored.v, state.v)):
+                assert got[name].dtype == dtype
+                np.testing.assert_array_equal(got[name], want[name].astype(dtype))
+
+    save_checkpoint(tmp_path / "ckpt", net, step=3)  # no moments
     loaded, opt, step = load_checkpoint(tmp_path / "ckpt")
-    assert step == 17 and opt is None
-    assert loaded.cfg == net.cfg
+    assert opt is None and step == 3
     for name, t in net.params.items():
-        np.testing.assert_array_equal(loaded.params[name].data,
-                                      t.data.astype(np.float64))
+        np.testing.assert_array_equal(loaded.params[name].data, t.data.astype(np.float64))
 
 
-def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+def _assert_holds(path, net, step):
+    loaded, _, got_step = load_checkpoint(path)
+    assert got_step == step
+    for name, t in net.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+
+class _FillingFile(io.BufferedWriter):
+    """A file on a disk that is full after `room` bytes."""
+
+    room = 4096
+
+    def write(self, data):
+        if self.tell() + len(data) > self.room:
+            raise OSError(28, "No space left on device")
+        return super().write(data)
+
+
+def _failed_save_keeps_the_previous(tmp_path, break_save):
     old = rand_params_model(TINY, seed=28).astype(np.float32)
     save_checkpoint(tmp_path / "ckpt", old, step=1)
+    before = (tmp_path / "ckpt").read_bytes()
+    assert len(before) > _FillingFile.room
     new = rand_params_model(TINY, seed=29).astype(np.float32)
-    write_bytes, writes = Path.write_bytes, []
-
-    def failing_write(self, data):
-        writes.append(self)
-        if len(writes) == 3:
-            raise OSError("disk full")
-        return write_bytes(self, data)
-
-    monkeypatch.setattr(Path, "write_bytes", failing_write)
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(tmp_path / "ckpt", new, step=2)
-    monkeypatch.undo()
-    assert writes[0].parent.parent != tmp_path / "ckpt"  # written beside it, not into it
+    with pytest.MonkeyPatch.context() as mp:
+        break_save(mp)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "ckpt", new, step=2)
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # no temporary left behind
-    loaded, _, step = load_checkpoint(tmp_path / "ckpt")
-    assert step == 1
-    for name, t in old.params.items():
-        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+    assert (tmp_path / "ckpt").read_bytes() == before
+    _assert_holds(tmp_path / "ckpt", old, 1)
 
     save_checkpoint(tmp_path / "ckpt", new, step=2)  # a complete write replaces it
-    loaded, _, step = load_checkpoint(tmp_path / "ckpt")
-    assert step == 2 and [p.name for p in tmp_path.iterdir()] == ["ckpt"]
-    for name, t in new.params.items():
-        np.testing.assert_array_equal(loaded.params[name].data, t.data)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    _assert_holds(tmp_path / "ckpt", new, 2)
 
 
-def test_checkpoint_without_ff_residual_keeps_its_wiring(tmp_path):
-    # checkpoints trained before the feed-forward residual became the default
-    # record "ff_residual": false and must still run through that wiring
-    cfg = ModelConfig(**{**TINY.__dict__, "ff_residual": False})
-    net = rand_params_model(cfg, seed=26)
-    net.astype(np.float32).astype(np.float64)  # the values a checkpoint stores
-    x = np.random.default_rng(27).standard_normal((4, 8))
-    before = net.forward(x).numpy()
-    save_checkpoint(tmp_path / "ckpt", net)
-    assert '"ff_residual": false' in (tmp_path / "ckpt" / "manifest.json").read_text()
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path):
+    # the disk fills while np.savez is part way through the temporary file
+    _failed_save_keeps_the_previous(tmp_path, lambda mp: mp.setattr(
+        model_mod.os, "fdopen", lambda fd, mode: _FillingFile(io.FileIO(fd, mode))))
 
-    loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
-    assert loaded.cfg.ff_residual is False
-    got = loaded.forward(x).numpy()
-    np.testing.assert_allclose(got, forward_ref(x, loaded.params, loaded.cfg), atol=1e-10)
-    np.testing.assert_allclose(got, before, atol=1e-12)
-    with_residual = NarrowBandModel(TINY, params=loaded.params).forward(x).numpy()
-    assert np.max(np.abs(with_residual - got)) > 1e-3
+
+def test_failed_checkpoint_replace_keeps_the_previous_checkpoint(tmp_path):
+    def failing_replace(src, dst):
+        assert Path(src).parent == tmp_path and Path(src).stat().st_size > _FillingFile.room
+        raise OSError("rename failed")
+
+    _failed_save_keeps_the_previous(
+        tmp_path, lambda mp: mp.setattr(model_mod.os, "replace", failing_replace))
+
+
+def _without_entry(src, dst, entry):
+    with np.load(src) as z:
+        np.savez(dst, **{k: z[k] for k in z.files if k != entry})
+    return dst
+
+
+@pytest.mark.parametrize("case", ["directory", "half_length", "foreign", "empty",
+                                  "no_meta", "no_adam_v"])
+def test_unreadable_checkpoint_is_a_value_error_naming_it(tmp_path, case):
+    net = rand_params_model(TINY, seed=30)
+    good = tmp_path / "good"
+    save_checkpoint(good, net, AdamState.init(net.params), step=4)
+    bad = tmp_path / case
+    if case == "directory":  # the layout of older checkpoints
+        bad.mkdir()
+        (bad / "manifest.json").write_text("{}")
+    elif case == "half_length":
+        data = good.read_bytes()
+        bad.write_bytes(data[: len(data) // 2])
+    elif case == "foreign":
+        bad.write_text("step,epoch\n1,1\n")
+    elif case == "empty":
+        bad.write_bytes(b"")
+    elif case == "no_meta":
+        bad = _without_entry(good, tmp_path / "no_meta.npz", "meta")
+    else:
+        bad = _without_entry(good, tmp_path / "no_adam_v.npz", "adam_v/in_conv.w")
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not a readable checkpoint")):
+        load_checkpoint(bad)
 
 
 def test_parameter_count_at_paper_scale():

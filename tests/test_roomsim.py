@@ -27,19 +27,23 @@ from nbsep.roomsim import (
 
 
 def mirror_axis_images(pos, length, order):
-    """[(coordinate, wall hits)] for all images of per-axis order <= `order`."""
-    images = {round(pos, 12): 0}
-    frontier = [pos]
+    """[(coordinate, wall hits)] for all images of per-axis order <= `order`.
+
+    Images are keyed by their mirror cell: a reflection across 0 maps cell i
+    to -i-1, one across `length` maps it to 1-i.  Each coordinate is the
+    reflections' own value, unrounded.
+    """
+    images = {0: (pos, 0)}
+    frontier = [(0, pos)]
     for depth in range(1, order + 1):
         new = []
-        for c in frontier:
-            for refl in (-c, 2.0 * length - c):
-                key = round(refl, 12)
-                if key not in images:
-                    images[key] = depth
-                    new.append(refl)
+        for cell, c in frontier:
+            for refl_cell, refl in ((-cell - 1, -c), (1 - cell, 2.0 * length - c)):
+                if refl_cell not in images:
+                    images[refl_cell] = (refl, depth)
+                    new.append((refl_cell, refl))
         frontier = new
-    return list(images.items())
+    return list(images.values())
 
 
 def windowed_sinc_taps(out, center, amp):
@@ -205,7 +209,7 @@ def test_matches_brute_force_enumeration(order):
         scene = random_scene(rng, n_mics=2)
         rir = simulate_rir(scene, max_order=order, n_taps=1500, sample_rate=16000)
         want = brute_force_rir(scene, order, 1500, 16000)
-        np.testing.assert_allclose(rir.taps, want, atol=1e-10)
+        np.testing.assert_allclose(rir.taps, want, rtol=0, atol=1e-14)
 
 
 def _one_pair(mic, spk, rt60=0.5, room=(5.0, 4.0, 3.0), sound_speed=SPEED_OF_SOUND):

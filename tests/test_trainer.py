@@ -3,7 +3,7 @@ import pytest
 
 from nbsep import parallel, stft
 from nbsep.autodiff import NumericError, Tensor
-from nbsep.model import ModelConfig, NarrowBandModel
+from nbsep.model import ModelConfig, NarrowBandModel, load_checkpoint
 from nbsep.trainer import (
     AdamState,
     TrainConfig,
@@ -445,8 +445,12 @@ def test_train_writes_log_and_checkpoints(tmp_path, probe_examples):
     result = train(net, probe_examples, probe_examples[:1], cfg, CFG8K, tmp_path)
     assert result.steps == 2
     assert (tmp_path / "train_log.csv").exists()
-    assert (tmp_path / "checkpoint_last" / "manifest.json").exists()
-    assert (tmp_path / "checkpoint_best" / "manifest.json").exists()
+    for name in ("checkpoint_best", "checkpoint_last"):
+        loaded, opt, step = load_checkpoint(tmp_path / name, dtype=cfg.dtype)
+        assert loaded.cfg == PROBE_MODEL and 1 <= step == opt["step"] <= 2
+    assert step == 2  # checkpoint_last, loaded last, holds the final parameters
+    for name, t in net.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
     lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
     assert lines[0] == "step,epoch,train_loss,val_loss,lr,grad_norm"
     assert len(lines) >= 5
