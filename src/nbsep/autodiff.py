@@ -2,8 +2,8 @@
 
 Every operation the separation network and its loss need is provided as a
 primitive with a hand-written backward rule.  The network's layers
-(`conv1d`, `conv_transpose1d`, `layer_norm`, `group_norm`) take
-channel-major activations (C, B, T): a whole stack of narrow-band
+(`conv1d`, `conv_transpose1d`, `layer_norm`, `group_norm`, `conv_norm_silu`)
+take channel-major activations (C, B, T): a whole stack of narrow-band
 sequences is one C x B·T matrix, so a shared weight meets every sequence
 in one GEMM.  Graphs are plain closures over saved forward
 values; `backward` runs them in reverse topological order and frees each
@@ -13,9 +13,13 @@ memory falls as gradients are produced.
 Inside ``with no_graph():`` ops build no graph: every output is a constant
 (no parents, no backward closure, ``requires_grad=False``) even when an
 input requires grad, so inference keeps only the values still referenced.
-Values that only a backward rule needs (silu's derivative, clip's mask,
-log10's reciprocal) are computed inside that rule, so a forward pass
-computes only what its output needs.  The mode is per thread.
+Values that only a backward rule needs (silu's sigmoid and derivative,
+clip's mask, log10's reciprocal, dropout's scaled mask, which it keeps as
+one bool per element) are computed inside that rule, so a forward pass
+computes only what its output needs and a graph holds only what backward
+cannot recompute.  `conv_norm_silu`, one conv sub-block of the network,
+keeps two arrays where the three ops it fuses keep six.  The mode is per
+thread.
 
 A graph must stay on one thread between construction and backward; distinct
 graphs are independent.
@@ -76,7 +80,7 @@ class Tensor:
     def _from_op(data, parents, vjp):
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = _GRAPH_MODE.record and any(p.requires_grad for p in parents)
+        out.requires_grad = _records(parents)
         out.grad = None
         if out.requires_grad:
             out._parents = parents
@@ -110,6 +114,11 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _records(parents) -> bool:
+    """Whether an op on `parents` builds a graph node."""
+    return _GRAPH_MODE.record and any(p.requires_grad for p in parents)
 
 
 def zero_grad(tensors) -> None:
@@ -273,18 +282,23 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor._from_op(out, (a,), vjp)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _silu_grad(g, z, out):
+    """g times the derivative of ``out = silu(z)``, s + out*(1-s), s recomputed from z."""
+    s = _sigmoid(z)
+    # a named operand: numpy would multiply into an unnamed temporary in
+    # place, and the gradient's memory layout (hence later sums) would change
+    deriv = s + out * (1.0 - s)
+    return g * deriv
+
+
 def silu(a: Tensor) -> Tensor:
-    # x * sigmoid(x); d/dx = s + x*s*(1-s) = s + out*(1-s)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
     out = a.data * s
-
-    def vjp(g):
-        # a named operand: numpy would multiply into an unnamed temporary in
-        # place, and the gradient's memory layout (hence later sums) would change
-        deriv = s + out * (1.0 - s)
-        return (g * deriv,)
-
-    return Tensor._from_op(out, (a,), vjp)
+    return Tensor._from_op(out, (a,), lambda g: (_silu_grad(g, a.data, out),))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -547,6 +561,43 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._from_op(out, (x, gamma, beta), vjp)
 
 
+def _group_shape(shape, groups):
+    """(groups, C/groups, ...) of a channel-major shape (C, ...)."""
+    if shape[0] % groups:
+        raise ValueError(f"groups={groups} does not divide {shape[0]} channels")
+    return (groups, shape[0] // groups) + tuple(shape[1:])
+
+
+def _group_mean(z):
+    # channels of a group, then frames: both sums run over long contiguous rows
+    return z.sum(axis=1, keepdims=True).sum(axis=-1, keepdims=True) / (z.shape[1] * z.shape[-1])
+
+
+def _group_centre(xr, eps, out=None):
+    """xr (groups, C/groups, ...) less its group means, into `out` if given, and 1/sigma."""
+    xc = np.subtract(xr, _group_mean(xr), out=out)
+    return xc, 1.0 / np.sqrt(_group_mean(xc * xc) + eps)  # inv: (groups, 1, B, 1)
+
+
+def _group_affine(xc, inv, gamma, beta, out=None):
+    """gamma * xc * inv + beta, into `out` if given."""
+    col = xc.shape[:2] + (1,) * (xc.ndim - 2)  # a channel's (groups, C/groups, 1, ..) entry
+    z = np.multiply(xc, gamma.reshape(col) * inv, out=out)  # gamma and 1/sigma as one factor
+    z += beta.reshape(col)
+    return z
+
+
+def _group_norm_grad(gr, xc, inv, gamma):
+    """(dx, dgamma, dbeta) of group norm for output gradient gr, in group shape."""
+    xh = xc * inv
+    red = tuple(range(2, gr.ndim))
+    dgamma = (gr * xh).sum(axis=red).reshape(-1)
+    dbeta = gr.sum(axis=red).reshape(-1)
+    dxh = gr * gamma.reshape(gr.shape[:2] + (1,) * (gr.ndim - 2))
+    dx = inv * (dxh - _group_mean(dxh) - xh * _group_mean(dxh * xh))
+    return dx, dgamma, dbeta
+
+
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float = 1e-5) -> Tensor:
     """Normalize channel-major x (C, B, T) per channel group and sequence.
 
@@ -554,34 +605,74 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
     and all T frames; a 2-D (C, T) input is one sequence.
     """
     xd = x.data
-    c = xd.shape[0]
-    if c % groups:
-        raise ValueError(f"groups={groups} does not divide {c} channels")
-    gshape = (groups, c // groups) + xd.shape[1:]
-    n = gshape[1] * gshape[-1]
-
-    def group_mean(z):
-        # channels of a group, then frames: both sums run over long contiguous rows
-        return z.sum(axis=1, keepdims=True).sum(axis=-1, keepdims=True) / n
-
-    xr = xd.reshape(gshape)
-    xc = xr - group_mean(xr)
-    inv = 1.0 / np.sqrt(group_mean(xc * xc) + eps)  # (groups, 1, B, 1)
-    gcol = gamma.data.reshape(gshape[:2] + (1,) * (len(gshape) - 2))
-    out = xc * (gcol * inv)  # gamma and 1/sigma as one (groups, C/groups, B, 1) factor
-    out += beta.data.reshape(gcol.shape)
+    gshape = _group_shape(xd.shape, groups)
+    xc, inv = _group_centre(xd.reshape(gshape), eps)
+    out = _group_affine(xc, inv, gamma.data, beta.data)
 
     def vjp(g):
-        xh = xc * inv
-        gr = g.reshape(gshape)
-        red = tuple(range(2, gr.ndim))
-        dgamma = (gr * xh).sum(axis=red).reshape(c)
-        dbeta = gr.sum(axis=red).reshape(c)
-        dxh = gr * gcol
-        dx = inv * (dxh - group_mean(dxh) - xh * group_mean(dxh * xh))
+        dx, dgamma, dbeta = _group_norm_grad(g.reshape(gshape), xc, inv, gamma.data)
         return dx.reshape(xd.shape), dgamma, dbeta
 
     return Tensor._from_op(out.reshape(xd.shape), (x, gamma, beta), vjp)
+
+
+def _conv_operands(x, wd, padding, groups):
+    """(x as (C_in, B, T), taps, padded x, Tp, T_out) of conv1d, once the shapes fit.
+
+    The taps are (K, groups, C_out/groups, C_in/groups) GEMM operands.  The
+    padded sequences lie end to end as (groups, C_in/groups, (B+1)·Tp), with
+    one zero sequence after the last: the K-1 columns the last taps read past it.
+    """
+    xd = x[:, None] if x.ndim == 2 else x
+    if xd.ndim != 3:
+        raise ValueError(f"conv1d expects channel-major (C, B, T) input, got {x.shape}")
+    (c_out, c_in_g, k), (c_in, n_batch, t_in) = wd.shape, xd.shape
+    if c_in_g * groups != c_in or c_out % groups:
+        raise ValueError(
+            f"conv1d shape mismatch: input {c_in} channels, weight {wd.shape}, groups {groups}"
+        )
+    pl, pr = padding
+    tp = t_in + pl + pr
+    if tp < k:
+        raise ValueError("conv1d input shorter than kernel")
+    taps = np.ascontiguousarray(wd.reshape(groups, c_out // groups, c_in_g, k).transpose(3, 0, 1, 2))
+    xp = np.zeros((c_in, n_batch + 1, tp), dtype=xd.dtype)
+    xp[:, :n_batch, pl : pl + t_in] = xd
+    return xd, taps, xp.reshape(groups, c_in_g, -1), tp, tp - k + 1
+
+
+def _conv(x, wd, bd, padding, groups):
+    """conv1d's output array for input array x (C_in, B, T) or (C_in, T)."""
+    xd, taps, xf, tp, t_out = _conv_operands(x, wd, padding, groups)
+    cols = xd.shape[1] * tp
+    yf = np.matmul(taps[0], xf[:, :, :cols])
+    for kk in range(1, len(taps)):
+        yf += np.matmul(taps[kk], xf[:, :, kk : kk + cols])
+    y = yf.reshape(wd.shape[0], xd.shape[1], tp)[:, :, :t_out]
+    y = y + bd.reshape(-1, 1, 1)
+    return y[:, 0] if x.ndim == 2 else y
+
+
+def _conv_grad(g, x, wd, padding, groups):
+    """(gx, gw, gb) of conv1d for output gradient g; the padded x is made again."""
+    xd, taps, xf, tp, t_out = _conv_operands(x, wd, padding, groups)
+    (c_out, c_in_g, k), (c_in, n_batch, t_in) = wd.shape, xd.shape
+    og, cols, pl = c_out // groups, n_batch * tp, padding[0]
+    # g in sequence slots 1..B of a zero buffer, zero in the dropped
+    # columns: gradient column tp + c belongs to forward column c
+    gp = np.zeros((c_out, n_batch + 1, tp), dtype=xd.dtype)
+    gp[:, 1:, :t_out] = g.reshape(c_out, n_batch, t_out)
+    gf = gp.reshape(groups, og, -1)
+    gy = gf[:, :, tp:]
+    gxf = np.matmul(taps[0].swapaxes(-1, -2), gy)
+    gw = np.empty((k, groups, og, c_in_g), dtype=xd.dtype)
+    gw[0] = np.matmul(gy, xf[:, :, :cols].swapaxes(-1, -2))
+    for kk in range(1, k):
+        gxf += np.matmul(taps[kk].swapaxes(-1, -2), gf[:, :, tp - kk : tp - kk + cols])
+        gw[kk] = np.matmul(gy, xf[:, :, kk : kk + cols].swapaxes(-1, -2))
+    gx = np.ascontiguousarray(gxf.reshape(c_in, n_batch, tp)[:, :, pl : pl + t_in])
+    gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
+    return gx[:, 0] if x.ndim == 2 else gx, gw, gp.sum(axis=(1, 2))
 
 
 def conv1d(
@@ -601,59 +692,42 @@ def conv1d(
     tap k is one GEMM per group over all its columns, shifted by k: output
     column b·Tp + t sums input columns b·Tp + t + k.  Of each sequence's Tp
     output columns the last K-1 read into the next sequence and are dropped.
-    There is no im2col copy.
+    There is no im2col copy, and backward pads x again instead of keeping
+    the padded copy.
     """
-    xd = x.data[:, None] if x.data.ndim == 2 else x.data
-    if xd.ndim != 3:
-        raise ValueError(f"conv1d expects channel-major (C, B, T) input, got {x.data.shape}")
-    wd = w.data
-    c_out, c_in_g, k = wd.shape
-    c_in, n_batch, t_in = xd.shape
-    if c_in_g * groups != c_in or c_out % groups:
-        raise ValueError(
-            f"conv1d shape mismatch: input {c_in} channels, weight {wd.shape}, groups {groups}"
-        )
-    pl, pr = padding
-    tp = t_in + pl + pr
-    t_out = tp - k + 1
-    if t_out < 1:
-        raise ValueError("conv1d input shorter than kernel")
-    og, cols = c_out // groups, n_batch * tp
-    # taps as (K, groups, C_out/groups, C_in/groups) GEMM operands
-    taps = np.ascontiguousarray(wd.reshape(groups, og, c_in_g, k).transpose(3, 0, 1, 2))
-    # one zero sequence after the last: the K-1 columns the last taps read past it
-    xp = np.zeros((c_in, n_batch + 1, tp), dtype=xd.dtype)
-    xp[:, :n_batch, pl : pl + t_in] = xd
-    xf = xp.reshape(groups, c_in_g, -1)
+    y = _conv(x.data, w.data, b.data, padding, groups)
+    return Tensor._from_op(y, (x, w, b), lambda g: _conv_grad(g, x.data, w.data, padding, groups))
 
-    yf = np.matmul(taps[0], xf[:, :, :cols])
-    for kk in range(1, k):
-        yf += np.matmul(taps[kk], xf[:, :, kk : kk + cols])
-    y = yf.reshape(c_out, n_batch, tp)[:, :, :t_out]
-    y = y + b.data.reshape(-1, 1, 1)
+
+def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, groups: int,
+                   eps: float = 1e-5) -> Tensor:
+    """``silu(group_norm(conv1d(x, w, b, (K//2, K//2), groups), gamma, beta, groups))``.
+
+    The same floating-point operations run in the same order as in the three
+    ops, so output and gradients are the same bits, but backward keeps only
+    the centred conv output, the group factors 1/sigma and the output: it
+    recomputes the norm's output and the sigmoid from them and pads x again.
+    Without a graph the conv output is centred, scaled and activated in place.
+    """
+    k = w.data.shape[-1]
+    padding = (k // 2, k // 2)
+    y = _conv(x.data, w.data, b.data, padding, groups)  # a fresh array, ours to overwrite
+    gshape = _group_shape(y.shape, groups)
+    yr = y.reshape(gshape)
+    xc, inv = _group_centre(yr, eps, out=yr)
+    z = _group_affine(xc, inv, gamma.data, beta.data,
+                      out=None if _records((x, w, b, gamma, beta)) else xc)
+    z *= _sigmoid(z)
+    out = z.reshape(y.shape)
 
     def vjp(g):
-        # g in sequence slots 1..B of a zero buffer, zero in the dropped
-        # columns: gradient column tp + c belongs to forward column c
-        gp = np.zeros((c_out, n_batch + 1, tp), dtype=xd.dtype)
-        gp[:, 1:, :t_out] = g.reshape(c_out, n_batch, t_out)
-        gf = gp.reshape(groups, og, -1)
-        gy = gf[:, :, tp:]
-        gxf = np.matmul(taps[0].swapaxes(-1, -2), gy)
-        gw = np.empty((k, groups, og, c_in_g), dtype=xd.dtype)
-        gw[0] = np.matmul(gy, xf[:, :, :cols].swapaxes(-1, -2))
-        for kk in range(1, k):
-            gxf += np.matmul(taps[kk].swapaxes(-1, -2), gf[:, :, tp - kk : tp - kk + cols])
-            gw[kk] = np.matmul(gy, xf[:, :, kk : kk + cols].swapaxes(-1, -2))
-        gx = np.ascontiguousarray(gxf.reshape(c_in, n_batch, tp)[:, :, pl : pl + t_in])
-        gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
-        if x.data.ndim == 2:
-            gx = gx[:, 0]
-        return gx, gw, gp.sum(axis=(1, 2))
+        z = _group_affine(xc, inv, gamma.data, beta.data).reshape(out.shape)
+        gz = _silu_grad(g, z, out).reshape(gshape)
+        dx, dgamma, dbeta = _group_norm_grad(gz, xc, inv, gamma.data)
+        del z, gz
+        return (*_conv_grad(dx.reshape(out.shape), x.data, w.data, padding, groups), dgamma, dbeta)
 
-    if x.data.ndim == 2:
-        y = y[:, 0]
-    return Tensor._from_op(y, (x, w, b), vjp)
+    return Tensor._from_op(out, (x, w, b, gamma, beta), vjp)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -685,8 +759,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return Tensor._from_op(x.data * mask, (x,), lambda g: (g * mask,))
+    keep = rng.random(x.data.shape) >= rate  # one bool per element: backward rebuilds the mask
+
+    def masked(a):
+        return a * (keep.astype(x.data.dtype) / (1.0 - rate))
+
+    return Tensor._from_op(masked(x.data), (x,), lambda g: (masked(g),))
 
 
 def overlap_add(frames: Tensor, hop: int, out_len: int) -> Tensor:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import resource
 import sys
 import time
@@ -33,13 +34,21 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e-5 is a (negative) number, not an unknown option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _non_negative_int(text: str) -> int:
     """An integer flag value of at least 0 (a seed, an image order)."""
-    value = int(text)  # argparse reports a ValueError as an invalid value of the flag
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
@@ -47,7 +56,10 @@ def _non_negative_int(text: str) -> int:
 
 def _positive_finite(text: str) -> float:
     """A flag value that is a finite number above 0."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
     if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
@@ -242,7 +254,7 @@ def _cmd_train(args) -> int:
                          f"training corpus {args.manifest} has {n_mics}")
     mcfg = _model_config(args, n_mics)
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
-    print(f"model parameters: {model_mod.parameter_count(net.params)} ({_workers_note(net)})")
+    print(f"model parameters: {model_mod.parameter_count(net.cfg)} ({_workers_note(net)})")
     result = trainer.train(net, train_examples, val_examples, tcfg, cfg, args.out)
     print(f"trained {result.steps} steps over {result.epochs} epochs, "
           f"best val loss {result.best_val:.3f}; log at {result.log_path}")

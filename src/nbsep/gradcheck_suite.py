@@ -102,6 +102,10 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
          lambda q, k, v, u, vb, r: head_a(ad.rel_attention(q, k, v, u, vb, r, 0.7)),
          _t(rng, 2, 2, 4, 3), _t(rng, 2, 2, 3, 4), _t(rng, 2, 2, 4, 3),
          _t(rng, 2, 1, 3), _t(rng, 2, 1, 3), _t(rng, 2, 3, 7))
+    head_c = linear_head((4, 2, 5))
+    case("conv_norm_silu",
+         lambda x, w, b3, gg, bt: head_c(ad.conv_norm_silu(x, w, b3, gg, bt, 2)),
+         _t(rng, 4, 2, 5), _t(rng, 4, 2, 3), _t(rng, 4), _t(rng, 4), _t(rng, 4))
     return checks
 
 

@@ -16,7 +16,10 @@ positional encoding: learned content/position bias vectors per head and a
 shared learned projection of sinusoidal relative-distance encodings.
 Scores, softmax and the weighted sum of values are one fused op,
 `autodiff.rel_attention`, whose graph keeps only the attention
-probabilities.
+probabilities.  Each conv sub-block is one fused op too,
+`autodiff.conv_norm_silu`, whose graph keeps only the centred conv
+output, the group factors and the SiLU output; its backward recomputes
+the rest.
 
 `forward` takes (2M, T) or a batch (B, 2M, T) of frequencies and returns
 (2N, T) or (B, 2N, T).  Between its input and output convolutions the
@@ -106,50 +109,49 @@ class SeparatedSpectra:
             raise ValueError(f"expected (N, F, T), got {self.data.shape}")
 
 
-def _uniform(rng, fan_in, shape, dtype):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | None]]:
+    """Each parameter's name, shape and fan-in, in `init_parameters`' draw order.
+
+    The fan-in is None for a constant: the norm gains (``.gamma``) start at
+    one, every other such parameter at zero.
+    """
+    h1, h2, dh, k = cfg.width, cfg.inner_width, cfg.head_dim, cfg.io_kernel
+    p = {"in_conv.w": ((h1, 2 * cfg.in_channels, k), 2 * cfg.in_channels * k),
+         "in_conv.b": ((h1,), None)}
+    for i in range(cfg.blocks):
+        b = f"block{i}"
+        p[f"{b}.attn_norm.gamma"] = p[f"{b}.attn_norm.beta"] = ((h1,), None)
+        for name in ("wq", "wk", "wv", "wr", "wo"):
+            p[f"{b}.attn.{name}"] = ((h1, h1), h1)
+        p[f"{b}.attn.u"] = p[f"{b}.attn.v"] = ((cfg.heads, dh), None)
+        p[f"{b}.ff_norm.gamma"] = p[f"{b}.ff_norm.beta"] = ((h1,), None)
+        p[f"{b}.ff_in.w"], p[f"{b}.ff_in.b"] = ((h2, h1), h1), ((h2,), None)
+        for j in range(cfg.conv_blocks):
+            c = f"{b}.conv{j}"
+            p[f"{c}.w"] = ((h2, h2 // cfg.groups, cfg.conv_kernel),
+                           (h2 // cfg.groups) * cfg.conv_kernel)
+            p[f"{c}.b"] = p[f"{c}.norm.gamma"] = p[f"{c}.norm.beta"] = ((h2,), None)
+        p[f"{b}.ff_out.w"], p[f"{b}.ff_out.b"] = ((h1, h2), h2), ((h1,), None)
+    p["out_conv.w"] = ((h1, 2 * cfg.speakers, k), h1 * k)
+    p["out_conv.b"] = ((2 * cfg.speakers,), None)
+    return p
 
 
 def init_parameters(cfg: ModelConfig, seed: int = 0, dtype=np.float64) -> dict[str, Tensor]:
     """Fan-in uniform weights, zero biases, unit/zero norm affines."""
     rng = np.random.default_rng(seed)
-    p: dict[str, np.ndarray] = {}
-    h1, h2, dh = cfg.width, cfg.inner_width, cfg.head_dim
-
-    p["in_conv.w"] = _uniform(rng, 2 * cfg.in_channels * cfg.io_kernel,
-                              (h1, 2 * cfg.in_channels, cfg.io_kernel), dtype)
-    p["in_conv.b"] = np.zeros(h1, dtype=dtype)
-    for i in range(cfg.blocks):
-        b = f"block{i}"
-        p[f"{b}.attn_norm.gamma"] = np.ones(h1, dtype=dtype)
-        p[f"{b}.attn_norm.beta"] = np.zeros(h1, dtype=dtype)
-        for name in ("wq", "wk", "wv", "wr", "wo"):
-            p[f"{b}.attn.{name}"] = _uniform(rng, h1, (h1, h1), dtype)
-        p[f"{b}.attn.u"] = np.zeros((cfg.heads, dh), dtype=dtype)
-        p[f"{b}.attn.v"] = np.zeros((cfg.heads, dh), dtype=dtype)
-        p[f"{b}.ff_norm.gamma"] = np.ones(h1, dtype=dtype)
-        p[f"{b}.ff_norm.beta"] = np.zeros(h1, dtype=dtype)
-        p[f"{b}.ff_in.w"] = _uniform(rng, h1, (h2, h1), dtype)
-        p[f"{b}.ff_in.b"] = np.zeros(h2, dtype=dtype)
-        for j in range(cfg.conv_blocks):
-            p[f"{b}.conv{j}.w"] = _uniform(
-                rng, (h2 // cfg.groups) * cfg.conv_kernel,
-                (h2, h2 // cfg.groups, cfg.conv_kernel), dtype,
-            )
-            p[f"{b}.conv{j}.b"] = np.zeros(h2, dtype=dtype)
-            p[f"{b}.conv{j}.norm.gamma"] = np.ones(h2, dtype=dtype)
-            p[f"{b}.conv{j}.norm.beta"] = np.zeros(h2, dtype=dtype)
-        p[f"{b}.ff_out.w"] = _uniform(rng, h2, (h1, h2), dtype)
-        p[f"{b}.ff_out.b"] = np.zeros(h1, dtype=dtype)
-    p["out_conv.w"] = _uniform(rng, h1 * cfg.io_kernel,
-                               (h1, 2 * cfg.speakers, cfg.io_kernel), dtype)
-    p["out_conv.b"] = np.zeros(2 * cfg.speakers, dtype=dtype)
+    p = {}
+    for name, (shape, fan_in) in parameter_shapes(cfg).items():
+        if fan_in is not None:
+            bound = 1.0 / np.sqrt(fan_in)
+            p[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        else:
+            p[name] = (np.ones if name.endswith(".gamma") else np.zeros)(shape, dtype=dtype)
     return {k: Tensor(v, requires_grad=True) for k, v in p.items()}
 
 
-def parameter_count(params: dict[str, Tensor]) -> int:
-    return int(sum(t.size for t in params.values()))
+def parameter_count(cfg: ModelConfig) -> int:
+    return sum(int(np.prod(shape)) for shape, _ in parameter_shapes(cfg).values())
 
 
 def relative_encoding_table(T: int, dim: int, dtype=np.float64) -> np.ndarray:
@@ -236,12 +238,9 @@ class NarrowBandModel:
             f = ad.layer_norm(h, p[f"{b}.ff_norm.gamma"], p[f"{b}.ff_norm.beta"])
             f = ad.silu(_linear(p[f"{b}.ff_in.w"], f, p[f"{b}.ff_in.b"]))
             for j in range(cfg.conv_blocks):
-                f = ad.conv1d(f, p[f"{b}.conv{j}.w"], p[f"{b}.conv{j}.b"],
-                              padding=(cfg.conv_kernel // 2, cfg.conv_kernel // 2),
-                              groups=cfg.groups)
-                f = ad.group_norm(f, p[f"{b}.conv{j}.norm.gamma"],
-                                  p[f"{b}.conv{j}.norm.beta"], cfg.groups)
-                f = ad.silu(f)
+                c = f"{b}.conv{j}"
+                f = ad.conv_norm_silu(f, p[f"{c}.w"], p[f"{c}.b"], p[f"{c}.norm.gamma"],
+                                      p[f"{c}.norm.beta"], cfg.groups)
             f = ad.dropout(f, drop, rng, train)
             f = _linear(p[f"{b}.ff_out.w"], f, p[f"{b}.ff_out.b"])
             f = ad.dropout(f, drop, rng, train)
@@ -406,7 +405,8 @@ def load_checkpoint(path, dtype=np.float64):
     """Load (model, optimizer, step); `trainer.AdamState(**optimizer)` restores the moments.
 
     `optimizer` is None when the file holds no Adam moments.  A path that
-    does not hold a checkpoint raises ValueError naming it.
+    does not hold a checkpoint, or whose parameter entries are not those of
+    its model config, raises ValueError naming it (and the entry).
     """
     path = Path(path)
     try:
@@ -424,4 +424,14 @@ def load_checkpoint(path, dtype=np.float64):
                          "step": step}
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a readable checkpoint ({type(e).__name__}: {e})") from None
+    shapes = {name: shape for name, (shape, _) in parameter_shapes(cfg).items()}
+    for name, shape in shapes.items():
+        if name not in params:
+            raise ValueError(f"{path} lacks entry params/{name} of shape {shape}")
+        if params[name].shape != shape:
+            raise ValueError(f"{path} has entry params/{name} of shape {params[name].shape}, "
+                             f"its model config needs {shape}")
+    extra = [name for name in params if name not in shapes]
+    if extra:
+        raise ValueError(f"{path} has entry params/{extra[0]}, which its model config has not")
     return NarrowBandModel(cfg, params), optimizer, step

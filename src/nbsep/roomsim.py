@@ -23,9 +23,9 @@ of the direct per-offset sum.
 threads once a pair has `PAIR_THREADS_MIN_IMAGES` images (from an RT60 of
 0.26-0.39 s in recipe rooms; 75 % of recipe scenes have more), and in
 order on the calling thread below that or when that thread is already a
-pool worker (a corpus making several mixtures at once).  Each pair writes
-only its own row of the taps, so the result does not depend on the thread
-count.  A pair adds its images to its moments in blocks of whole x-cells
+pool worker (a corpus making several mixtures at once); either way
+OpenBLAS runs at one thread.  Each pair writes only its own row of the
+taps, so the result does not depend on the thread count.  A pair adds its images to its moments in blocks of whole x-cells
 of about `IMAGE_BLOCK` images, so a worker's temporaries stay near eight
 arrays of that size plus 18 moment rows as long as the taps, whatever the
 RT60 and room size; the block edges follow from the image orders alone.
@@ -357,8 +357,11 @@ def simulate_rir(
         taps[m, n] = padded[SINC_HALF_WIDTH : SINC_HALF_WIDTH + n_taps]
 
     pairs = [(m, n) for n in range(scene.n_speakers) for m in range(scene.n_mics)]
-    for _ in parallel.parallel_map(pair, pairs, rir_threads(image_count(scene, max_order))):
-        pass
+    # also on the calling thread: next to a busy process the spinning threads
+    # of a multi-threaded BLAS made each pair's tap product 40x slower
+    with parallel._single_threaded_blas():
+        for _ in parallel.parallel_map(pair, pairs, rir_threads(image_count(scene, max_order))):
+            pass
     return Rir(taps, sample_rate)
 
 

@@ -17,7 +17,7 @@ from nbsep.audio import WaveBuffer
 from nbsep.autodiff import Tensor
 from nbsep.cli import export_attention_maps
 from nbsep.gradcheck_suite import full_pipeline_check, primitive_checks
-from nbsep.model import ModelConfig, NarrowBandModel, init_parameters, parameter_count
+from nbsep.model import ModelConfig, NarrowBandModel, parameter_count
 from nbsep.roomsim import SceneConfig, sabine_reflection, simulate_rir
 from nbsep.stft import StftConfig, all_frequency_sequences
 
@@ -215,7 +215,7 @@ def test_criterion_10_batch_arithmetic():
 
 def test_criterion_11_parameter_count():
     cfg = ModelConfig()
-    count = parameter_count(init_parameters(cfg, seed=0, dtype=np.float32))
+    count = parameter_count(cfg)
     rel = abs(count - 2.0e6) / 2.0e6
     report("11. parameter count at full config logged against 2.0 M (informational, +/-15%)",
            rel < 0.15, f"{count} parameters = {count / 1e6:.3f} M, {rel * 100:.1f}% from 2.0 M")

@@ -313,13 +313,60 @@ def test_pointwise_gradients_equal_saved_value_formulas_bit_for_bit():
     deriv = s + x.data * s * (1.0 - s)
     mask = ((x.data >= -0.5) & (x.data <= 0.5)).astype(x.dtype)
     inv = 1.0 / (np.abs(x.data) * np.log(10.0))
+    scaled = (np.random.default_rng(4).random(x.shape) >= 0.3).astype(x.dtype) / (1.0 - 0.3)
+    dropped = ad.dropout(x, 0.3, np.random.default_rng(4), training=True)
+    want_out = x.data * scaled
+    np.testing.assert_array_equal(dropped.data, want_out)
+    assert dropped.data.strides == want_out.strides
     cases = [(ad.silu(x), deriv), (ad.clip(x, -0.5, 0.5), mask),
-             (ad.log10(Tensor(np.abs(x.data), requires_grad=True)), inv)]
+             (ad.log10(Tensor(np.abs(x.data), requires_grad=True)), inv), (dropped, scaled)]
+    g_fortran = np.asfortranarray(g)  # an output gradient of another layout than x's
     for out, factor in cases:
-        (grad,) = out._vjp(g)
-        want = g * factor
-        np.testing.assert_array_equal(grad, want)
-        assert grad.strides == want.strides
+        for seed in (g, g_fortran):
+            (grad,) = out._vjp(seed)
+            want = seed * factor
+            np.testing.assert_array_equal(grad, want)
+            assert grad.strides == want.strides
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead,t_len,k", [((16,), 51, 3), ((1,), 257, 3), ((), 33, 5)])
+@pytest.mark.parametrize("seed_layout", ["contiguous", "transposed"])
+def test_conv_norm_silu_equals_conv_group_norm_silu_bit_for_bit(dtype, lead, t_len, k,
+                                                                seed_layout):
+    # 96 channels: arrays large enough for numpy to reuse temporaries in place,
+    # which would show as a different gradient layout
+    c, groups = 96, 8
+    rng = np.random.default_rng(t_len + k)
+    shape = (c,) + lead + (t_len,)
+    arrays = [rng.standard_normal(s).astype(dtype)
+              for s in (shape, (c, c // groups, k), (c,), (c,), (c,))]
+    seed = rng.standard_normal(shape).astype(dtype)
+    if seed_layout == "transposed":
+        seed = np.ascontiguousarray(seed.T).T
+
+    def unfused(x, w, b, gamma, beta):
+        y = ad.conv1d(x, w, b, padding=(k // 2, k // 2), groups=groups)
+        return ad.silu(ad.group_norm(y, gamma, beta, groups))
+
+    def fused(x, w, b, gamma, beta):
+        return ad.conv_norm_silu(x, w, b, gamma, beta, groups)
+
+    results = []
+    for op in (fused, unfused):
+        ins = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*ins)
+        ad.backward(out, seed)
+        results.append([out.data] + [t.grad for t in ins])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
+    # without a graph the op works in place and gives the same bits
+    with ad.no_graph():
+        free = fused(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert free._vjp is None
+    np.testing.assert_array_equal(free.data, results[0][0])
 
 
 def _unfused_rel_attention(q, k, v, u, vb, rel, scale):

@@ -280,7 +280,7 @@ def test_rtf_rejects_a_duration_that_is_not_positive(tmp_path, capsys, duration)
 
 @pytest.mark.parametrize("command", ["simulate", "train", "grad-check", "rtf"])
 @pytest.mark.parametrize("seed,message", [("-5", "must be at least 0, got -5"),
-                                          ("1.5", "invalid _non_negative_int value: '1.5'")])
+                                          ("1.5", "expected an integer of at least 0, got '1.5'")])
 def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(tmp_path, capsys, command,
                                                                     seed, message):
     # the data and the checkpoint named do not exist: the flag is rejected before either is read
@@ -294,11 +294,27 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(tmp_path, ca
     assert f"usage error: argument --seed: {message}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "tiny"])
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "tiny", "-1e-5"])
 def test_grad_check_step_must_be_a_positive_finite_number(capsys, step):
     assert main(["grad-check", "--step", step]) == 1
     err = capsys.readouterr().err
     assert "usage error: argument --step: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-order", "1.5", "expected an integer of at least 0, got '1.5'"),
+    ("--max-order", "two", "expected an integer of at least 0, got 'two'"),
+    ("--step", "tiny", "must be a positive finite number, got tiny"),
+    ("--step", "-1e-5", "must be a positive finite number, got -1e-5"),
+])
+def test_a_flag_value_of_the_wrong_kind_says_what_was_expected(tmp_path, capsys, flag, value,
+                                                               message):
+    argv = (["grad-check"] if flag == "--step" else
+            ["simulate", "--sources", str(tmp_path), "--out", str(tmp_path / "o"), "--n", "1"])
+    assert main([*argv, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: argument {flag}: {message}" in err and "Traceback" not in err
+    assert "_non_negative_int" not in err and "_positive_finite" not in err
 
 
 def test_a_config_file_seed_is_checked_like_the_flag(tmp_path, capsys):
@@ -324,6 +340,19 @@ def test_an_unreadable_checkpoint_is_a_data_error(tmp_path, capsys, checkpoint):
                  "--out", str(tmp_path / "sep"), *CFG8K_ARGS]) == 2
     err = capsys.readouterr().err
     assert f"error: {bad} is not a readable checkpoint" in err and "Traceback" not in err
+
+
+def test_a_checkpoint_without_a_parameter_is_a_data_error_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    with np.load(tiny_checkpoint(tmp_path)) as z:
+        np.savez(bad, **{k: z[k] for k in z.files if k != "params/block0.ff_out.w"})
+    wav = tmp_path / "mix.wav"
+    write_wav(wav, WaveBuffer(np.zeros((2, 4000)), 8000))
+    assert main(["separate", "--checkpoint", str(bad), "--input", str(wav),
+                 "--out", str(tmp_path / "sep"), *CFG8K_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad} lacks entry params/block0.ff_out.w" in err and "Traceback" not in err
+    assert not (tmp_path / "sep").exists()
 
 
 @pytest.mark.parametrize("flags,code,message", [

@@ -1,6 +1,7 @@
 import ctypes
 import io
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,9 +317,33 @@ def test_unreadable_checkpoint_is_a_value_error_naming_it(tmp_path, case):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("case,message", [
+    ("missing", "lacks entry params/block0.ff_out.w of shape (8, 16)"),
+    ("extra", "has entry params/block1.ff_out.w, which its model config has not"),
+    ("misshapen", "has entry params/in_conv.w of shape (4, 4, 4), its model config needs (8, 4, 4)"),
+])
+def test_a_checkpoint_whose_parameters_do_not_fit_its_config_names_the_entry(tmp_path, case,
+                                                                             message):
+    good = tmp_path / "good"
+    save_checkpoint(good, rand_params_model(TINY, seed=31), step=4)
+    with np.load(good) as z:
+        entries = {k: z[k] for k in z.files}
+    if case == "missing":
+        del entries["params/block0.ff_out.w"]
+    elif case == "extra":
+        entries["params/block1.ff_out.w"] = entries["params/block0.ff_out.w"]
+    else:
+        entries["params/in_conv.w"] = entries["params/in_conv.w"][:4]
+    bad = tmp_path / f"{case}.npz"
+    np.savez(bad, **entries)
+    with pytest.raises(ValueError, match=re.escape(f"{bad} {message}")):
+        load_checkpoint(bad)
+
+
 def test_parameter_count_at_paper_scale():
     cfg = ModelConfig()  # 8 mics, 2 speakers, 192/384, 4 blocks, 3 conv blocks
-    count = parameter_count(init_parameters(cfg, seed=0, dtype=np.float32))
+    count = parameter_count(cfg)  # from the shapes alone, no draws
+    assert count == sum(t.size for t in init_parameters(cfg, seed=0, dtype=np.float32).values())
     print(f"parameter count at full configuration: {count} ({count / 1e6:.2f} M)")
     assert abs(count - 2.0e6) / 2.0e6 < 0.15
 
@@ -478,6 +503,26 @@ def test_repeated_forward_does_not_fault_its_arrays_in_again():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         net.forward(x)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_a_training_graph_holds_two_arrays_per_conv_sub_block():
+    # 4 bins of 64 frames, float64: each (32, 4, 64) inner activation is 64 KB.
+    # The graph holds 1.56 MB with two such arrays per conv sub-block, no
+    # sigmoid and bool dropout masks, and 2.37 MB if each sub-block keeps six
+    # (padded input, conv output, centred output, norm output, sigmoid, SiLU
+    # output), silu its sigmoid and dropout a float64 mask
+    cfg = ModelConfig(in_channels=2, speakers=2, width=16, inner_width=32, blocks=1,
+                      conv_blocks=2, heads=2, dropout=0.1)
+    net = NarrowBandModel(cfg, seed=0)
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 4, 64)))
+    tracemalloc.start()
+    try:
+        y = net.forward(x, train=True, rng=np.random.default_rng(2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held < 1_800_000, f"the training graph holds {held} bytes"
 
 
 def test_heap_thresholds_are_left_alone_without_mallopt(monkeypatch):

@@ -313,6 +313,33 @@ def test_taps_are_bit_identical_on_one_and_two_pair_threads(monkeypatch):
     assert np.array_equal(parallel_taps, few_images_taps)
 
 
+def test_serial_pairs_run_their_tap_product_on_one_blas_thread(monkeypatch):
+    scene = sample_scene(12, n_mics=2)  # 12,375 images per pair: the pairs run serially
+    assert roomsim.rir_threads(roomsim.image_count(scene)) == 1
+    want = simulate_rir(scene).taps
+    blas = {"threads": 2}  # a fake thread control: the count the process runs at
+    monkeypatch.setattr(parallel, "_OPENBLAS", (lambda: blas["threads"],
+                                                lambda n: blas.update(threads=n)))
+    seen = []
+
+    class Rows:  # `_SINC_CHEB[...] @ moments` notes the BLAS thread count
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, index):
+            return Rows(self.rows[index])
+
+        def __matmul__(self, other):
+            seen.append(blas["threads"])
+            return self.rows @ other
+
+    monkeypatch.setattr(roomsim, "_SINC_CHEB", Rows(roomsim._SINC_CHEB))
+    taps = simulate_rir(scene).taps
+    assert seen and set(seen) == {1}
+    assert blas["threads"] == 2
+    assert np.array_equal(taps, want)
+
+
 def test_more_pair_threads_than_cores_with_fast_switching_write_every_row(monkeypatch):
     scene = sample_scene(12, n_mics=4)  # 8 rows, on 4 threads that switch every microsecond
     monkeypatch.setattr(roomsim, "IMAGE_BLOCK", 1000)
