@@ -616,16 +616,15 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
     return Tensor._from_op(out.reshape(xd.shape), (x, gamma, beta), vjp)
 
 
-def _conv_operands(x, wd, padding, groups):
-    """(x as (C_in, B, T), taps, padded x, Tp, T_out) of conv1d, once the shapes fit.
+def _conv_operands(xd, wd, padding, groups):
+    """(taps, padded x, Tp, T_out) of conv1d on x (C_in, B, T), once the shapes fit.
 
     The taps are (K, groups, C_out/groups, C_in/groups) GEMM operands.  The
     padded sequences lie end to end as (groups, C_in/groups, (B+1)·Tp), with
     one zero sequence after the last: the K-1 columns the last taps read past it.
     """
-    xd = x[:, None] if x.ndim == 2 else x
     if xd.ndim != 3:
-        raise ValueError(f"conv1d expects channel-major (C, B, T) input, got {x.shape}")
+        raise ValueError(f"conv1d expects channel-major (C, B, T) input, got {xd.shape}")
     (c_out, c_in_g, k), (c_in, n_batch, t_in) = wd.shape, xd.shape
     if c_in_g * groups != c_in or c_out % groups:
         raise ValueError(
@@ -638,24 +637,23 @@ def _conv_operands(x, wd, padding, groups):
     taps = np.ascontiguousarray(wd.reshape(groups, c_out // groups, c_in_g, k).transpose(3, 0, 1, 2))
     xp = np.zeros((c_in, n_batch + 1, tp), dtype=xd.dtype)
     xp[:, :n_batch, pl : pl + t_in] = xd
-    return xd, taps, xp.reshape(groups, c_in_g, -1), tp, tp - k + 1
+    return taps, xp.reshape(groups, c_in_g, -1), tp, tp - k + 1
 
 
-def _conv(x, wd, bd, padding, groups):
-    """conv1d's output array for input array x (C_in, B, T) or (C_in, T)."""
-    xd, taps, xf, tp, t_out = _conv_operands(x, wd, padding, groups)
+def _conv(xd, wd, bd, padding, groups):
+    """conv1d's output array for input array x (C_in, B, T)."""
+    taps, xf, tp, t_out = _conv_operands(xd, wd, padding, groups)
     cols = xd.shape[1] * tp
     yf = np.matmul(taps[0], xf[:, :, :cols])
     for kk in range(1, len(taps)):
         yf += np.matmul(taps[kk], xf[:, :, kk : kk + cols])
     y = yf.reshape(wd.shape[0], xd.shape[1], tp)[:, :, :t_out]
-    y = y + bd.reshape(-1, 1, 1)
-    return y[:, 0] if x.ndim == 2 else y
+    return y + bd.reshape(-1, 1, 1)
 
 
-def _conv_grad(g, x, wd, padding, groups):
+def _conv_grad(g, xd, wd, padding, groups):
     """(gx, gw, gb) of conv1d for output gradient g; the padded x is made again."""
-    xd, taps, xf, tp, t_out = _conv_operands(x, wd, padding, groups)
+    taps, xf, tp, t_out = _conv_operands(xd, wd, padding, groups)
     (c_out, c_in_g, k), (c_in, n_batch, t_in) = wd.shape, xd.shape
     og, cols, pl = c_out // groups, n_batch * tp, padding[0]
     # g in sequence slots 1..B of a zero buffer, zero in the dropped
@@ -672,7 +670,7 @@ def _conv_grad(g, x, wd, padding, groups):
         gw[kk] = np.matmul(gy, xf[:, :, kk : kk + cols].swapaxes(-1, -2))
     gx = np.ascontiguousarray(gxf.reshape(c_in, n_batch, tp)[:, :, pl : pl + t_in])
     gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
-    return gx[:, 0] if x.ndim == 2 else gx, gw, gp.sum(axis=(1, 2))
+    return gx, gw, gp.sum(axis=(1, 2))
 
 
 def conv1d(
@@ -684,9 +682,9 @@ def conv1d(
 ) -> Tensor:
     """1-D convolution along the last axis of channel-major input.
 
-    `x` is (C_in, B, T) or one sequence (C_in, T), `w` is
-    (C_out, C_in/groups, K) and `b` is (C_out,).  Padding is explicit
-    (left, right); the output is (C_out, B, T + pad_l + pad_r - K + 1).
+    `x` is (C_in, B, T), `w` is (C_out, C_in/groups, K) and `b` is
+    (C_out,).  Padding is explicit (left, right); the output is
+    (C_out, B, T + pad_l + pad_r - K + 1).
 
     The padded sequences lie end to end in one (C_in, B·Tp) matrix, and
     tap k is one GEMM per group over all its columns, shifted by k: output
@@ -733,7 +731,7 @@ def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
 def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """1-D transposed convolution along the last axis of channel-major input.
 
-    `x` is (C_in, B, T) or one sequence (C_in, T), `w` is (C_in, C_out, K);
+    `x` is (C_in, B, T), `w` is (C_in, C_out, K);
     the output is (C_out, B, T + K - 1).  It is `conv1d` with K-1 zero
     frames on both sides and the kernel transposed and reversed in time.
     """

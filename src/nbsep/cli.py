@@ -43,26 +43,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _non_negative_int(text: str) -> int:
-    """An integer flag value of at least 0 (a seed, an image order)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _flag_type(convert, ok, want: str):
+    """The argparse type of a flag value that `convert` reads and `ok` accepts."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+    return parse
 
 
-def _positive_finite(text: str) -> float:
-    """A flag value that is a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+_non_negative_int = _flag_type(int, lambda v: v >= 0, "an integer of at least 0")
+_positive_int = _flag_type(int, lambda v: v >= 1, "an integer of at least 1")
+_even_positive_int = _flag_type(int, lambda v: v >= 2 and v % 2 == 0,
+                                "an even integer of at least 2")
+_positive_finite = _flag_type(float, lambda v: np.isfinite(v) and v > 0,
+                              "a positive finite number")
+_rate = _flag_type(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _build_parser() -> _Parser:
@@ -72,27 +72,31 @@ def _build_parser() -> _Parser:
     parser.subcommands = sub.choices
 
     model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--mics", type=int, default=None, help="input channels M")
-    model_flags.add_argument("--speakers", type=int, default=None)
-    model_flags.add_argument("--width", type=int, default=None, help="block width H1")
-    model_flags.add_argument("--inner-width", type=int, default=None, help="inner width H2")
-    model_flags.add_argument("--blocks", type=int, default=None, help="Conformer blocks L1")
-    model_flags.add_argument("--conv-blocks", type=int, default=None,
+    model_flags.add_argument("--mics", type=_positive_int, default=None, help="input channels M")
+    model_flags.add_argument("--speakers", type=_positive_int, default=None)
+    model_flags.add_argument("--width", type=_positive_int, default=None, help="block width H1")
+    model_flags.add_argument("--inner-width", type=_positive_int, default=None,
+                             help="inner width H2")
+    model_flags.add_argument("--blocks", type=_non_negative_int, default=None,
+                             help="Conformer blocks L1")
+    model_flags.add_argument("--conv-blocks", type=_non_negative_int, default=None,
                              help="group-conv sub-blocks per block L2")
-    model_flags.add_argument("--heads", type=int, default=None)
+    model_flags.add_argument("--heads", type=_positive_int, default=None)
 
     stft_flags = argparse.ArgumentParser(add_help=False)
-    stft_flags.add_argument("--sample-rate", type=int, default=16000)
-    stft_flags.add_argument("--window-len", type=int, default=512)
-    stft_flags.add_argument("--hop", type=int, default=256)
+    stft_flags.add_argument("--sample-rate", type=_positive_int, default=16000)
+    stft_flags.add_argument("--window-len", type=_even_positive_int, default=512)
+    stft_flags.add_argument("--hop", type=_positive_int, default=256,
+                            help="at most --window-len")
 
     p = sub.add_parser("simulate", parents=[stft_flags], help="generate a mixture corpus")
     p.add_argument("--sources", required=True, help="directory of mono WAV files")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, required=True, help="number of mixtures")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of mixtures")
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--mics", type=int, default=8)
-    p.add_argument("--duration", type=float, default=4.0, help="mixture length in seconds")
+    p.add_argument("--mics", type=_positive_int, default=8)
+    p.add_argument("--duration", type=_positive_finite, default=4.0,
+                   help="mixture length in seconds")
     p.add_argument("--max-order", type=_non_negative_int, default=None,
                    help="images per axis (default: from RT60)")
 
@@ -100,11 +104,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--val-manifest", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=16, help="utterances per mini-batch")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=_non_negative_int, default=10)
+    p.add_argument("--batch", type=_positive_int, default=16, help="utterances per mini-batch")
+    p.add_argument("--lr", type=_positive_finite, default=1e-3)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--dropout", type=_rate, default=0.1)
     p.add_argument("--precision", choices=["float32", "float64"], default="float32")
 
     p = sub.add_parser("separate", parents=[stft_flags], help="separate a mixture WAV")
@@ -133,7 +137,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rtf", parents=[stft_flags], help="measure the real-time factor")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--duration", type=float, default=4.0)
+    p.add_argument("--duration", type=_positive_finite, default=4.0)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
@@ -163,6 +167,9 @@ def _apply_config_file(parser, argv, args):
 
 
 def _stft_config(args) -> stft.StftConfig:
+    if args.hop > args.window_len:
+        raise UsageError(f"--hop must be at most --window-len ({args.window_len}), "
+                         f"got {args.hop}")
     return stft.StftConfig(window_len=args.window_len, hop=args.hop,
                            sample_rate=args.sample_rate)
 
@@ -177,9 +184,7 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _duration_samples(args, cfg: stft.StftConfig) -> int:
-    """--duration in samples, a usage error unless it is finite and spans one STFT window."""
-    if not (np.isfinite(args.duration) and args.duration > 0):
-        raise UsageError(f"--duration must be a positive number of seconds, got {args.duration}")
+    """--duration in samples, a usage error unless it spans one STFT window."""
     n_samples = int(round(args.duration * cfg.sample_rate))
     if n_samples < cfg.window_len:
         raise UsageError(f"--duration must be at least one STFT window ({cfg.window_len} "
@@ -199,9 +204,6 @@ def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
 def _cmd_simulate(args) -> int:
     cfg = _stft_config(args)
     out_len = _duration_samples(args, cfg)
-    for flag, value in (("--n", args.n), ("--mics", args.mics)):
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
     src_dir = Path(args.sources)
     wavs = sorted(src_dir.glob("*.wav"))
     if len(wavs) < 2:
@@ -240,8 +242,6 @@ def _load_examples(manifest_path, cfg):
 def _cmd_train(args) -> int:
     cfg = _stft_config(args)
     tcfg = _train_config(args)
-    if args.mics is not None and args.mics < 1:
-        raise UsageError(f"--mics must be at least 1, got {args.mics}")
     _model_config(args, n_mics=1)  # reject bad model flags before any data is read
     train_examples = _load_examples(args.manifest, cfg)
     val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
@@ -262,8 +262,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     cfg = _stft_config(args)
+    net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     mixture = read_wav(args.input, expect_rate=cfg.sample_rate)
     estimates, _, seconds = net.separate(mixture, cfg)
     out_dir = Path(args.out)
@@ -342,8 +342,8 @@ def export_attention_maps(maps: np.ndarray, out_dir) -> list:
 
 
 def _cmd_attn_export(args) -> int:
-    net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     cfg = _stft_config(args)
+    net, _, _ = model_mod.load_checkpoint(args.checkpoint)
     mixture = read_wav(args.input, expect_rate=cfg.sample_rate)
     maps = net.attention_maps(mixture, cfg)
     export_attention_maps(maps, args.out)

@@ -32,13 +32,12 @@ attention op sees a (B, heads, T, head_dim) layout.
 Inference (`separate`, `attention_maps`) and training
 (`trainer.batch_loss`) run the network on chunks of frequency bins
 (`map_bin_chunks`).  Every frequency is processed on its own, so the chunks
-are independent work: with W workers (`parallel.worker_count`, set by
-`NBC_THREADS`) the F bins are cut into balanced chunks of at most
-`FREQUENCY_CHUNK` // W bins, a multiple of W of them, and W threads run them
-at once.  About `FREQUENCY_CHUNK` bins are in flight at a time, so memory is
-set by that constant instead of by F x T.  Chunking changes the outputs by
-round-off only, and the chunks, and so the outputs to the last bit, are the
-same whether they run in parallel or one after another.
+are independent work.  The F bins are cut into balanced chunks of at most
+`FREQUENCY_CHUNK` bins, a cut that depends on F alone; W workers
+(`parallel.worker_count`, set by `NBC_THREADS`) run W chunks at once, so
+W x `FREQUENCY_CHUNK` bins are in flight instead of F.  Chunking changes the
+outputs by round-off only, and since the chunks do not depend on W, the
+outputs are the same bits at every worker count.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from . import dataset, parallel, stft
 from .audio import WaveBuffer
 from .autodiff import Tensor
 
-FREQUENCY_CHUNK = 32  # bins in flight at once in inference and in a training step
+FREQUENCY_CHUNK = 15  # the most bins in one chunk of inference or of a training step
 
 
 @dataclass
@@ -344,14 +343,11 @@ class NarrowBandModel:
         """Yield ``fn(i, bins)`` for each bin chunk, in bin order, on the chunk workers.
 
         `bins` is chunk i's slice of range(n_bins).  The chunks depend on
-        the worker count only, not on whether they run in parallel.  A
-        worker thread starts in graph mode, so `fn` enters `ad.no_graph`
-        itself where it wants no graph; a graph it builds stays on its
-        thread.
+        `n_bins` alone, not on the worker count.  A worker thread starts in
+        graph mode, so `fn` enters `ad.no_graph` itself where it wants no
+        graph; a graph it builds stays on its thread.
         """
-        workers = parallel.worker_count()
-        n_chunks = -(-n_bins // max(1, FREQUENCY_CHUNK // workers))
-        n_chunks = min(n_bins, -(-n_chunks // workers) * workers)
+        n_chunks = -(-n_bins // FREQUENCY_CHUNK)
         size, extra = divmod(n_bins, n_chunks)  # np.array_split's balance
         starts = [i * size + min(i, extra) for i in range(n_chunks + 1)]
         chunks = list(enumerate(slice(a, b) for a, b in zip(starts, starts[1:])))

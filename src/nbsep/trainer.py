@@ -10,8 +10,9 @@ chunk then runs again with a graph, seeded with its rows of that output
 gradient (recomputation, Chen et al. 2016, arXiv:1604.06174).  Memory is
 set by the chunk, not by F, and the chunks run on the model's worker
 threads.  Nothing couples two utterances, so utterances of a batch may
-differ in length.  Gradients are summed in a fixed order, so a given seed
-and worker count (`NBC_THREADS`) give the same bits on every run.
+differ in length.  The chunks, and so the dropout masks drawn per chunk,
+depend on F alone, and gradients are summed in chunk order, so a given seed
+gives the same bits on every run at every worker count (`NBC_THREADS`).
 
 Examples wait as waveforms.  `train` prepares a batch's utterances (the
 mixture and target STFTs) just before its step and validates one
@@ -202,7 +203,8 @@ def batch_loss(model, utterances, cfg_stft, train=False, rng=None,
     The chunk gradients add up, in chunk order and utterance after
     utterance, to the batch-mean gradient.  Without `accumulate_grads`
     `grads` is empty.  Dropout masks come from one generator per chunk,
-    seeded from `rng`, so passes 1 and 3 draw the same masks.
+    seeded from `rng` and the chunk index, so passes 1 and 3 draw the same
+    masks, whatever the worker count.
     """
     n = len(utterances)
     dtype = model.dtype

@@ -218,6 +218,9 @@ def test_conv_shape_errors():
     x = Tensor(np.ones((3, 1, 8)))
     with pytest.raises(ValueError, match="conv1d"):
         ad.conv1d(x, Tensor(np.ones((4, 2, 3))), Tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match=r"conv1d expects channel-major \(C, B, T\) input, "
+                                         r"got \(3, 8\)"):
+        ad.conv1d(Tensor(np.ones((3, 8))), Tensor(np.ones((4, 3, 3))), Tensor(np.zeros(4)))
     with pytest.raises(ValueError, match="groups"):
         ad.group_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 2)
     with pytest.raises(ValueError, match="conv_transpose1d: input has 3 channels"):
@@ -330,7 +333,7 @@ def test_pointwise_gradients_equal_saved_value_formulas_bit_for_bit():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead,t_len,k", [((16,), 51, 3), ((1,), 257, 3), ((), 33, 5)])
+@pytest.mark.parametrize("lead,t_len,k", [((16,), 51, 3), ((1,), 257, 3), ((1,), 33, 5)])
 @pytest.mark.parametrize("seed_layout", ["contiguous", "transposed"])
 def test_conv_norm_silu_equals_conv_group_norm_silu_bit_for_bit(dtype, lead, t_len, k,
                                                                 seed_layout):
@@ -517,21 +520,22 @@ def _ref_conv_transpose1d(xd, wd, bd):
     return y, vjp
 
 
-LEADS = [(), (1,), (4,)]  # () is a 2-D (C, T) input: one sequence, as B = 1
+LEADS = [(), (1,), (4,)]  # () is a 2-D (C, T) input, which only the norms take
 
 
 def _layer_cases():
     for lead in LEADS:
         for t_len in (1, 7):
             for groups in (1, 3):
-                for padding, k in (((3, 0), 4), ((1, 1), 3)):
+                for padding, k in (((3, 0), 4), ((1, 1), 3)) if lead else ():
                     yield f"conv1d-g{groups}-p{padding[0]}{padding[1]}-B{lead}-T{t_len}", (
                         "conv1d", lead, t_len, groups, padding, k)
                 yield f"group_norm-g{groups}-B{lead}-T{t_len}", (
                     "group_norm", lead, t_len, groups, None, None)
             yield f"layer_norm-B{lead}-T{t_len}", ("layer_norm", lead, t_len, None, None, None)
-            yield f"conv_transpose1d-B{lead}-T{t_len}", (
-                "conv_transpose1d", lead, t_len, None, None, 4)
+            if lead:
+                yield f"conv_transpose1d-B{lead}-T{t_len}", (
+                    "conv_transpose1d", lead, t_len, None, None, 4)
 
 
 LAYER_CASES = dict(_layer_cases())

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nbsep import autodiff, model, objective, stft, trainer
 from nbsep.audio import WaveBuffer
@@ -102,7 +103,7 @@ def test_traced_separate_runs_its_threaded_chunks_serially(monkeypatch):
     # threads would close their spans out of order
     bt = load_perfbench("bench_trace")
     monkeypatch.setenv("NBC_THREADS", "2")
-    monkeypatch.setattr(model, "FREQUENCY_CHUNK", 2)  # one bin per chunk: 17 chunks
+    monkeypatch.setattr(model, "FREQUENCY_CHUNK", 1)  # one bin per chunk: 17 chunks
     cfg8k = stft.StftConfig(window_len=32, hop=16, sample_rate=8000)
     wave = WaveBuffer(np.random.default_rng(40).standard_normal((2, 128)), 8000)
     net = model.NarrowBandModel(
@@ -154,3 +155,13 @@ def test_traced_train_runs_its_threaded_chunks_serially(tmp_path, monkeypatch):
     assert not recorder._stack
     assert all(row[2] is not None for row in recorder.spans)
     assert got == want
+
+
+@pytest.mark.parametrize("workload", ["simulate", "train", "separate"])
+def test_one_benchmark_operation_passes_its_output_check(tmp_path, workload):
+    # the checks the benchmark applies to every operation (check_mixture_files,
+    # check_losses, check_separation): a change that trips one fails here too
+    w = load_perfbench("workloads").WORKLOADS[workload]
+    res = w.run(w.setup(0, tmp_path / workload), n_ops=1)
+    assert res.n_ops == 1 and res.attempted >= 1
+    assert res.failed == 0 and "problems" not in res.info, res.info.get("problems")

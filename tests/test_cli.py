@@ -91,8 +91,17 @@ def test_simulate_rejects_a_bad_duration_or_mic_count(tmp_path, capsys, flag, va
                "--n", "1", flag, value, *CFG8K_ARGS])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"{flag} must be" in err and f"got {value}" in err and "Traceback" not in err
-    assert not (tmp_path / "data").exists()
+    assert re.search(f"{flag}:? must be .*got {re.escape(value)}", err), err
+    assert "Traceback" not in err and not (tmp_path / "data").exists()
+
+
+def test_simulate_rejects_a_sample_rate_below_one(tmp_path, capsys):
+    rc = main(["simulate", "--sources", str(tmp_path / "absent"), "--out", str(tmp_path / "data"),
+               "--n", "1", "--sample-rate", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: argument --sample-rate: must be an integer of at least 1, got 0" in err
+    assert "Traceback" not in err and not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -101,7 +110,7 @@ def test_simulate_rejects_an_empty_corpus(tmp_path, capsys, n):
     rc = main(["simulate", "--sources", str(src), "--out", str(tmp_path / "data"),
                "--n", n, *CFG8K_ARGS])
     assert rc == 1
-    assert f"--n must be at least 1, got {n}" in capsys.readouterr().err
+    assert f"argument --n: must be an integer of at least 1, got {n}" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 
@@ -113,7 +122,8 @@ def test_simulate_rejects_a_negative_seed_or_max_order_before_writing(tmp_path, 
                "--n", "1", flag, value, *CFG8K_ARGS])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least 0, got {value}" in err and "Traceback" not in err
+    assert f"argument {flag}: must be an integer of at least 0, got {value}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "data").exists()  # no manifest.jsonl.partial either
 
 
@@ -275,11 +285,11 @@ def test_rtf_rejects_a_duration_that_is_not_positive(tmp_path, capsys, duration)
     # checked before the checkpoint is read: a missing one would exit 2
     rc = main(["rtf", "--checkpoint", str(tmp_path / "nope"), "--duration", duration])
     assert rc == 1
-    assert "--duration must be a positive number of seconds" in capsys.readouterr().err
+    assert "argument --duration: must be a positive finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "grad-check", "rtf"])
-@pytest.mark.parametrize("seed,message", [("-5", "must be at least 0, got -5"),
+@pytest.mark.parametrize("seed,message", [("-5", "must be an integer of at least 0, got -5"),
                                           ("1.5", "expected an integer of at least 0, got '1.5'")])
 def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(tmp_path, capsys, command,
                                                                     seed, message):
@@ -304,7 +314,7 @@ def test_grad_check_step_must_be_a_positive_finite_number(capsys, step):
 @pytest.mark.parametrize("flag,value,message", [
     ("--max-order", "1.5", "expected an integer of at least 0, got '1.5'"),
     ("--max-order", "two", "expected an integer of at least 0, got 'two'"),
-    ("--step", "tiny", "must be a positive finite number, got tiny"),
+    ("--step", "tiny", "expected a positive finite number, got 'tiny'"),
     ("--step", "-1e-5", "must be a positive finite number, got -1e-5"),
 ])
 def test_a_flag_value_of_the_wrong_kind_says_what_was_expected(tmp_path, capsys, flag, value,
@@ -321,7 +331,7 @@ def test_a_config_file_seed_is_checked_like_the_flag(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"seed": -5}))
     assert main(["--config", str(cfgfile), "grad-check"]) == 1
-    assert "argument --seed: must be at least 0, got -5" in capsys.readouterr().err
+    assert "argument --seed: must be an integer of at least 0, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("checkpoint", ["directory", "half_length"])
@@ -358,12 +368,33 @@ def test_a_checkpoint_without_a_parameter_is_a_data_error_naming_it(tmp_path, ca
 @pytest.mark.parametrize("flags,code,message", [
     pytest.param(["--graph-chunk", "1"], 1, "unrecognized arguments: --graph-chunk",
                  id="graph-chunk"),
-    pytest.param(["--lr", "0"], 2, "lr_init must be positive, got 0.0", id="lr-zero"),
-    pytest.param(["--dropout", "1.5"], 2, "dropout must be in [0, 1), got 1.5", id="dropout"),
-    pytest.param(["--heads", "0"], 2, "heads must be >= 1, got 0", id="heads-zero"),
-    pytest.param(["--blocks", "-1"], 2, "blocks must be >= 0, got -1", id="blocks-negative"),
-    pytest.param(["--speakers", "0"], 2, "speakers must be >= 1, got 0", id="speakers-zero"),
-    pytest.param(["--width", "0"], 2, "width must be >= 1, got 0", id="width-zero"),
+    pytest.param(["--batch", "0"], 1, "argument --batch: must be an integer of at least 1, got 0",
+                 id="batch"),
+    pytest.param(["--epochs", "-1"], 1,
+                 "argument --epochs: must be an integer of at least 0, got -1", id="epochs"),
+    pytest.param(["--lr", "0"], 1, "argument --lr: must be a positive finite number, got 0",
+                 id="lr-zero"),
+    pytest.param(["--lr", "nan"], 1, "argument --lr: must be a positive finite number, got nan",
+                 id="lr-nan"),
+    pytest.param(["--dropout", "1.5"], 1, "argument --dropout: must be a number in [0, 1), "
+                 "got 1.5", id="dropout"),
+    pytest.param(["--hop", "0"], 1, "argument --hop: must be an integer of at least 1, got 0",
+                 id="hop"),
+    pytest.param(["--window-len", "7"], 1,
+                 "argument --window-len: must be an even integer of at least 2, got 7",
+                 id="window-len"),
+    pytest.param(["--window-len", "64", "--hop", "65"], 1,
+                 "--hop must be at most --window-len (64), got 65", id="hop-above-window"),
+    pytest.param(["--heads", "0"], 1, "argument --heads: must be an integer of at least 1, "
+                 "got 0", id="heads-zero"),
+    pytest.param(["--blocks", "-1"], 1, "argument --blocks: must be an integer of at least 0, "
+                 "got -1", id="blocks-negative"),
+    pytest.param(["--speakers", "0"], 1, "argument --speakers: must be an integer of at least "
+                 "1, got 0", id="speakers-zero"),
+    pytest.param(["--width", "0"], 1, "argument --width: must be an integer of at least 1, "
+                 "got 0", id="width-zero"),
+    pytest.param(["--width", "10", "--heads", "4"], 2, "width 10 not divisible by heads 4",
+                 id="width-heads"),
 ])
 def test_train_rejects_bad_flags_before_reading_data(tmp_path, capsys, flags, code, message):
     rc = main(["train", "--manifest", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path),
@@ -379,7 +410,8 @@ def test_train_rejects_a_mic_count_below_one_before_reading_data(tmp_path, capsy
                "--mics", mics])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"--mics must be at least 1, got {mics}" in err and "Traceback" not in err
+    assert f"argument --mics: must be an integer of at least 1, got {mics}" in err
+    assert "Traceback" not in err
 
 
 def test_train_rejects_mics_that_differ_from_the_corpus(tmp_path, capsys, monkeypatch):
@@ -533,3 +565,37 @@ def test_worker_count_env(tmp_path, capsys, monkeypatch):
     # from the CLI a usage error, raised before the checkpoint is read (a missing one exits 2)
     assert main(["rtf", "--checkpoint", str(tmp_path / "nope"), "--duration", "1"]) == 1
     assert "NBC_THREADS must be an integer, got 'zero'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_train_and_separate_write_the_same_bits_at_one_and_two_workers(tmp_path, capsys,
+                                                                       monkeypatch, precision):
+    # the bin chunks, and so the dropout masks, depend on F alone: 257 bins
+    # are 18 chunks at any worker count
+    if parallel.usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    data = simulate(tmp_path, n=2)
+    mixture = str(data / dataset.read_manifest(data / "manifest.jsonl")[0]["mixture"])
+    runs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NBC_THREADS", workers)
+        run_dir, sep_dir = tmp_path / f"run{workers}", tmp_path / f"sep{workers}"
+        assert main(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--val-manifest", str(data / "manifest.jsonl"), "--out", str(run_dir),
+                     "--epochs", "1", "--batch", "1", "--width", "16", "--inner-width", "32",
+                     "--blocks", "1", "--conv-blocks", "1", "--heads", "2", "--dropout", "0.1",
+                     "--precision", precision, *CFG8K_ARGS]) == 0
+        assert main(["separate", "--checkpoint", str(run_dir / "checkpoint_last"),
+                     "--input", mixture, "--out", str(sep_dir), *CFG8K_ARGS]) == 0
+        assert f"workers {workers})" in capsys.readouterr().out
+        with np.load(run_dir / "checkpoint_last") as z:
+            entries = {k: z[k] for k in z.files}
+        wavs = {p.name: p.read_bytes() for p in sorted(sep_dir.glob("*.wav"))}
+        runs[workers] = ((run_dir / "train_log.csv").read_bytes(), entries, wavs)
+    (log1, entries1, wavs1), (log2, entries2, wavs2) = runs["1"], runs["2"]
+    assert log1 == log2
+    assert entries1.keys() == entries2.keys()
+    assert any(k.startswith("adam_m/") for k in entries1)
+    for k in entries1:
+        assert np.array_equal(entries1[k], entries2[k]), k
+    assert len(wavs1) == 2 and wavs1 == wavs2

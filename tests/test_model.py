@@ -421,23 +421,22 @@ def test_attention_maps_in_ragged_chunks_match_unchunked_mean(monkeypatch):
         np.testing.assert_allclose(net.attention_maps(wave, cfg8k), want, rtol=0, atol=1e-12)
 
 
-def _threaded_mixture(monkeypatch, workers, frequency_chunk):
+def _threaded_mixture(monkeypatch, workers):
     """17-bin mixture and model, with `workers` workers over chunks of 5 + 4 + 4 + 4 bins."""
     if workers > parallel.usable_cpus():
         pytest.skip(f"needs {workers} usable CPUs")
     monkeypatch.setenv("NBC_THREADS", str(workers))
-    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", frequency_chunk)
+    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)
     cfg8k, wave, spec = _eight_k_mixture(80, seed=34)
     return cfg8k, wave, spec, rand_params_model(TINY, seed=35)
 
 
 def test_parallel_separate_is_bit_identical_to_serial(monkeypatch):
     # the same four chunks, on two threads and then on one
-    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
+    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2)
     assert net.chunk_workers() == (2, None)
     waves, spectra, _ = net.separate(wave, cfg8k)
     monkeypatch.setenv("NBC_THREADS", "1")
-    monkeypatch.setattr(model_mod, "FREQUENCY_CHUNK", 5)
     assert net.chunk_workers() == (1, None)
     serial_waves, serial_spectra, _ = net.separate(wave, cfg8k)
     assert np.array_equal(spectra.data, serial_spectra.data)
@@ -452,7 +451,7 @@ def test_parallel_separate_is_bit_identical_to_serial(monkeypatch):
 
 
 def test_parallel_attention_maps_match_unchunked_mean(monkeypatch):
-    cfg8k, wave, spec, net = _threaded_mixture(monkeypatch, 2, 10)
+    cfg8k, wave, spec, net = _threaded_mixture(monkeypatch, 2)
     seqs, _ = dataset.normalize_spectrogram(spec)
     _, raw = net.forward(Tensor(seqs), collect_attention=True)
     want = np.stack([m.mean(axis=0) for m in raw])
@@ -462,7 +461,7 @@ def test_parallel_attention_maps_match_unchunked_mean(monkeypatch):
 def test_separate_without_blas_thread_control_runs_serially(monkeypatch):
     import nbsep.parallel
 
-    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
+    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2)
     _, want, _ = net.separate(wave, cfg8k)
     monkeypatch.setattr(nbsep.parallel, "_OPENBLAS", None)
     monkeypatch.setattr(nbsep.parallel, "ThreadPoolExecutor", None)  # a pool would fail
@@ -474,7 +473,7 @@ def test_separate_without_blas_thread_control_runs_serially(monkeypatch):
 def test_replaced_forward_runs_the_same_chunks_serially(monkeypatch):
     import threading
 
-    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2, 10)
+    cfg8k, wave, _, net = _threaded_mixture(monkeypatch, 2)
     _, want, _ = net.separate(wave, cfg8k)
     forward, threads = net.forward, []
 
