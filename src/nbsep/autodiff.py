@@ -5,10 +5,19 @@ primitive with a hand-written backward rule.  The network's layers
 (`conv1d`, `conv_transpose1d`, `layer_norm`, `group_norm`, `conv_norm_silu`)
 take channel-major activations (C, B, T): a whole stack of narrow-band
 sequences is one C x B·T matrix, so a shared weight meets every sequence
-in one GEMM.  Graphs are plain closures over saved forward
-values; `backward` runs them in reverse topological order and frees each
-node once its gradient has flowed, so a graph supports one backward and
-memory falls as gradients are produced.
+in one GEMM.
+
+A recorded op's output Tensor gets a graph node that holds its parents'
+nodes and its backward rule; a leaf's node is the leaf itself, and every
+parent that needs no gradient is one shared constant that holds nothing.
+A backward rule captures the arrays, shapes and dtypes it reads, never its
+input Tensors, and a node holds its own value only through a weak
+reference.  So an intermediate array lives on past the forward only where
+a rule captured it: once no forward code and no rule refers to it, it is
+freed (a node's `data` is then an empty array).  `backward` runs the nodes
+in reverse topological order and drops each node's rule once its gradient
+has flowed, so a graph supports one backward and memory falls as
+gradients are produced.
 
 Inside ``with no_graph():`` ops build no graph: every output is a constant
 (no parents, no backward closure, ``requires_grad=False``) even when an
@@ -28,6 +37,7 @@ graphs are independent.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -63,7 +73,7 @@ class Tensor:
     passes until `zero_grad` resets it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
@@ -71,24 +81,39 @@ class Tensor:
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._node = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _from_op(data, parents, vjp):
+        """The output of an op on `parents`; `vjp` must capture arrays, not Tensors."""
         out = Tensor.__new__(Tensor)
-        out.data = data
+        out.data = np.asarray(data)  # an op on 0-d arrays gives a numpy scalar
         out.requires_grad = _records(parents)
         out.grad = None
-        if out.requires_grad:
-            out._parents = parents
-            out._vjp = vjp
-        else:
-            out._parents = ()
-            out._vjp = None
+        out._node = (_Node(tuple(p._graph_node() for p in parents), vjp, out.data)
+                     if out.requires_grad else None)
         return out
+
+    def _graph_node(self):
+        """This tensor's place in a graph: its op's node, itself as a leaf, or `_CONSTANT`."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else _CONSTANT
+
+    # the graph seen from a tensor: its node's parents and backward rule
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node._vjp = vjp
 
     @property
     def shape(self):
@@ -114,6 +139,34 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+_GONE = np.empty(0)
+_GONE.flags.writeable = False
+
+
+class _Node:
+    """A recorded op in a graph: its parents' nodes and its backward rule.
+
+    The op's value is held weakly: `data` is the value while its Tensor or
+    a backward rule still refers to it, and an empty array once it is freed.
+    """
+
+    __slots__ = ("_parents", "_vjp", "_value")
+    requires_grad = True
+
+    def __init__(self, parents, vjp, value):
+        self._parents = parents
+        self._vjp = vjp
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self):
+        value = self._value()
+        return _GONE if value is None else value
+
+
+_CONSTANT = Tensor(_GONE)  # the one node of every parent that needs no gradient
 
 
 def _records(parents) -> bool:
@@ -171,10 +224,11 @@ def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
         raise ValueError(f"seed gradient of shape {grad.shape} for a {loss.shape} output")
     if not loss.requires_grad:
         return
-    order = _topo_order(loss)
+    root = loss._graph_node()
+    order = _topo_order(root)
     if any(node._vjp is _spent for node in order):
         raise RuntimeError("graph was already used by backward; build it again")
-    gmap = {id(loss): grad}
+    gmap = {id(root): grad}
     while order:
         node = order.pop()
         g = gmap.pop(id(node), None)
@@ -211,35 +265,39 @@ def _reduce_to(grad, shape):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape
     return Tensor._from_op(
         a.data + b.data,
         (a, b),
-        lambda g: (_reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)),
+        lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape
     return Tensor._from_op(
         a.data - b.data,
         (a, b),
-        lambda g: (_reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)),
+        lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
     return Tensor._from_op(
-        a.data * b.data,
+        ad * bd,
         (a, b),
-        lambda g: (_reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)),
+        lambda g: (_reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)),
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
+    ad, bd = a.data, b.data
+    out = ad / bd
 
     def vjp(g):
-        ga = _reduce_to(g / b.data, a.data.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _reduce_to(g / bd, ad.shape)
+        gb = _reduce_to(-g * ad / (bd * bd), bd.shape)
         return ga, gb
 
     return Tensor._from_op(out, (a, b), vjp)
@@ -256,27 +314,30 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def power(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    out = a.data**p
-    return Tensor._from_op(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+    ad = a.data
+    out = ad**p
+    return Tensor._from_op(out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
 
 
 def log10(a: Tensor) -> Tensor:
+    ad = a.data
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log10(a.data)
+        out = np.log10(ad)
 
     def vjp(g):
         with np.errstate(invalid="ignore", divide="ignore"):
-            inv = 1.0 / (a.data * np.log(10.0))
+            inv = 1.0 / (ad * np.log(10.0))
         return (g * inv,)
 
     return Tensor._from_op(out, (a,), vjp)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = np.clip(a.data, lo, hi)
+    ad = a.data
+    out = np.clip(ad, lo, hi)
 
     def vjp(g):
-        mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
+        mask = ((ad >= lo) & (ad <= hi)).astype(ad.dtype)
         return (g * mask,)
 
     return Tensor._from_op(out, (a,), vjp)
@@ -296,9 +357,10 @@ def _silu_grad(g, z, out):
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    out = a.data * s
-    return Tensor._from_op(out, (a,), lambda g: (_silu_grad(g, a.data, out),))
+    ad = a.data
+    s = _sigmoid(ad)
+    out = ad * s
+    return Tensor._from_op(out, (a,), lambda g: (_silu_grad(g, ad, out),))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -306,15 +368,16 @@ def silu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def vjp(g):
         g = np.asarray(g)
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         ax = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return Tensor._from_op(np.asarray(out), (a,), vjp)
 
@@ -367,13 +430,14 @@ def split(a: Tensor, sizes, axis=0):
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    axis = axis % a.data.ndim
+    shape, dtype = a.data.shape, a.data.dtype
+    axis = axis % len(shape)
     idx = tuple(
-        slice(start, start + length) if i == axis else slice(None) for i in range(a.data.ndim)
+        slice(start, start + length) if i == axis else slice(None) for i in range(len(shape))
     )
 
     def vjp(g):
-        gx = np.zeros_like(a.data)
+        gx = np.zeros(shape, dtype)
         gx[idx] = g
         return (gx,)
 
@@ -419,11 +483,11 @@ def relative_shift(a: Tensor) -> Tensor:
     ``out[..., q, k] = a[..., q, (k - q) + (T - 1)]`` (see `_pair_view`);
     both directions are plain strided copies.
     """
-    xd = np.ascontiguousarray(a.data)
-    out = np.ascontiguousarray(_pair_view(xd))
+    shape, dtype = a.data.shape, a.data.dtype
+    out = np.ascontiguousarray(_pair_view(np.ascontiguousarray(a.data)))
 
     def vjp(g):
-        gx = np.zeros_like(xd)
+        gx = np.zeros(shape, dtype)
         _pair_view(gx)[...] = g
         return (gx,)
 
@@ -443,17 +507,17 @@ def rel_gather(a: Tensor, idx: np.ndarray) -> Tensor:
     full_idx = np.broadcast_to(idx, a.data.shape[:-1] + (idx.shape[1],))
     out = np.take_along_axis(a.data, full_idx, axis=-1)
 
-    r, s = a.data.shape[-2], a.data.shape[-1]
-    c = idx.shape[1]
+    shape, dtype = a.data.shape, a.data.dtype
+    r, s = shape[-2], shape[-1]
 
     def vjp(g):
-        batch = int(np.prod(a.data.shape[:-2], dtype=np.int64))
+        batch = int(np.prod(shape[:-2], dtype=np.int64))
         rows = batch * r
         flat = np.arange(rows, dtype=np.int64)[:, None] * s + np.tile(idx, (batch, 1))
         gx = np.bincount(
             flat.reshape(-1), weights=g.reshape(-1).astype(np.float64), minlength=rows * s
         )
-        return (gx.reshape(a.data.shape).astype(a.data.dtype),)
+        return (gx.reshape(shape).astype(dtype),)
 
     return Tensor._from_op(np.ascontiguousarray(out), (a,), vjp)
 
@@ -462,10 +526,10 @@ def rel_gather(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
 
     def vjp(g):
-        ad, bd = a.data, b.data
         ga = _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
         gb = _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
         return ga, gb
@@ -500,33 +564,33 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     probabilities P.  With `probs_sink`, P (read-only) is appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
-    probs = np.matmul((q.data + u.data) * s, k.data)
-    probs += _pair_view(np.matmul((q.data + vb.data) * s, rel.data))
+    qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
+    probs = np.matmul((qd + ud) * s, kd)
+    probs += _pair_view(np.matmul((qd + vbd) * s, reld))
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.matmul(probs, v.data)
+    out = np.matmul(probs, vd)
     if probs_sink is not None:
         probs.flags.writeable = False
         probs_sink.append(probs)
 
     def vjp(g):
-        kd, vd, reld = k.data, v.data, rel.data
         dv = _reduce_to(np.matmul(probs.swapaxes(-1, -2), g), vd.shape)
         # d logits = P * (dP - rowsum(dP * P)), and rowsum(dP * P) = rowsum(g * out)
         dlogits = np.matmul(g, vd.swapaxes(-1, -2))
         dlogits -= (g * out).sum(axis=-1, keepdims=True)
         dlogits *= probs
-        dk = _reduce_to(np.matmul(((q.data + u.data) * s).swapaxes(-1, -2), dlogits), kd.shape)
+        dk = _reduce_to(np.matmul(((qd + ud) * s).swapaxes(-1, -2), dlogits), kd.shape)
         dqu = np.matmul(dlogits, kd.swapaxes(-1, -2)) * s
         dpos = np.zeros(dlogits.shape[:-1] + (reld.shape[-1],), dtype=dlogits.dtype)
         _pair_view(dpos)[...] = dlogits
         del dlogits
         dqv = np.matmul(dpos, reld.swapaxes(-1, -2)) * s
-        qv = (q.data + vb.data) * s
+        qv = (qd + vbd) * s
         drel = _reduce_to(np.matmul(qv.swapaxes(-1, -2), dpos), reld.shape)
-        return (_reduce_to(dqu + dqv, q.data.shape), dk, dv,
-                _reduce_to(dqu, u.data.shape), _reduce_to(dqv, vb.data.shape), drel)
+        return (_reduce_to(dqu + dqv, qd.shape), dk, dv,
+                _reduce_to(dqu, ud.shape), _reduce_to(dqv, vbd.shape), drel)
 
     return Tensor._from_op(out, (q, k, v, u, vb, rel), vjp)
 
@@ -604,16 +668,16 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
     The statistics of group g of sequence b run over the group's channels
     and all T frames; a 2-D (C, T) input is one sequence.
     """
-    xd = x.data
-    gshape = _group_shape(xd.shape, groups)
-    xc, inv = _group_centre(xd.reshape(gshape), eps)
-    out = _group_affine(xc, inv, gamma.data, beta.data)
+    shape, gd = x.data.shape, gamma.data
+    gshape = _group_shape(shape, groups)
+    xc, inv = _group_centre(x.data.reshape(gshape), eps)
+    out = _group_affine(xc, inv, gd, beta.data)
 
     def vjp(g):
-        dx, dgamma, dbeta = _group_norm_grad(g.reshape(gshape), xc, inv, gamma.data)
-        return dx.reshape(xd.shape), dgamma, dbeta
+        dx, dgamma, dbeta = _group_norm_grad(g.reshape(gshape), xc, inv, gd)
+        return dx.reshape(shape), dgamma, dbeta
 
-    return Tensor._from_op(out.reshape(xd.shape), (x, gamma, beta), vjp)
+    return Tensor._from_op(out.reshape(shape), (x, gamma, beta), vjp)
 
 
 def _conv_operands(xd, wd, padding, groups):
@@ -693,8 +757,9 @@ def conv1d(
     There is no im2col copy, and backward pads x again instead of keeping
     the padded copy.
     """
-    y = _conv(x.data, w.data, b.data, padding, groups)
-    return Tensor._from_op(y, (x, w, b), lambda g: _conv_grad(g, x.data, w.data, padding, groups))
+    xd, wd = x.data, w.data
+    y = _conv(xd, wd, b.data, padding, groups)
+    return Tensor._from_op(y, (x, w, b), lambda g: _conv_grad(g, xd, wd, padding, groups))
 
 
 def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, groups: int,
@@ -707,23 +772,23 @@ def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     recomputes the norm's output and the sigmoid from them and pads x again.
     Without a graph the conv output is centred, scaled and activated in place.
     """
-    k = w.data.shape[-1]
+    xd, wd, gd, bd = x.data, w.data, gamma.data, beta.data
+    k = wd.shape[-1]
     padding = (k // 2, k // 2)
-    y = _conv(x.data, w.data, b.data, padding, groups)  # a fresh array, ours to overwrite
+    y = _conv(xd, wd, b.data, padding, groups)  # a fresh array, ours to overwrite
     gshape = _group_shape(y.shape, groups)
     yr = y.reshape(gshape)
     xc, inv = _group_centre(yr, eps, out=yr)
-    z = _group_affine(xc, inv, gamma.data, beta.data,
-                      out=None if _records((x, w, b, gamma, beta)) else xc)
+    z = _group_affine(xc, inv, gd, bd, out=None if _records((x, w, b, gamma, beta)) else xc)
     z *= _sigmoid(z)
     out = z.reshape(y.shape)
 
     def vjp(g):
-        z = _group_affine(xc, inv, gamma.data, beta.data).reshape(out.shape)
+        z = _group_affine(xc, inv, gd, bd).reshape(out.shape)
         gz = _silu_grad(g, z, out).reshape(gshape)
-        dx, dgamma, dbeta = _group_norm_grad(gz, xc, inv, gamma.data)
+        dx, dgamma, dbeta = _group_norm_grad(gz, xc, inv, gd)
         del z, gz
-        return (*_conv_grad(dx.reshape(out.shape), x.data, w.data, padding, groups), dgamma, dbeta)
+        return (*_conv_grad(dx.reshape(out.shape), xd, wd, padding, groups), dgamma, dbeta)
 
     return Tensor._from_op(out, (x, w, b, gamma, beta), vjp)
 
@@ -758,9 +823,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     keep = rng.random(x.data.shape) >= rate  # one bool per element: backward rebuilds the mask
+    dtype = x.data.dtype
 
     def masked(a):
-        return a * (keep.astype(x.data.dtype) / (1.0 - rate))
+        return a * (keep.astype(dtype) / (1.0 - rate))
 
     return Tensor._from_op(masked(x.data), (x,), lambda g: (masked(g),))
 
@@ -782,12 +848,14 @@ def overlap_add(frames: Tensor, hop: int, out_len: int) -> Tensor:
     elif out_len > synth:
         y = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(0, out_len - synth)])
 
+    shape, dtype = fd.shape, fd.dtype
+
     def vjp(g):
         if out_len < synth:
             g = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(0, synth - out_len)])
         elif out_len > synth:
             g = g[..., :synth]
-        gf = np.empty_like(fd)
+        gf = np.empty(shape, dtype)
         for ti in range(t):
             gf[..., :, ti] = g[..., ti * hop : ti * hop + w]
         return (gf,)

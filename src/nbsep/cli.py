@@ -256,8 +256,11 @@ def _cmd_train(args) -> int:
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
     print(f"model parameters: {model_mod.parameter_count(net.cfg)} ({_workers_note(net)})")
     result = trainer.train(net, train_examples, val_examples, tcfg, cfg, args.out)
+    step_s = float(np.median(result.step_seconds)) if result.step_seconds else 0.0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"trained {result.steps} steps over {result.epochs} epochs, "
-          f"best val loss {result.best_val:.3f}; log at {result.log_path}")
+          f"best val loss {result.best_val:.3f}; median step {step_s:.3f} s, "
+          f"peak RSS {peak_mb:.0f} MB; log at {result.log_path}")
     return 0
 
 

@@ -154,11 +154,11 @@ def parameter_count(cfg: ModelConfig) -> int:
 
 
 def relative_encoding_table(T: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Sinusoidal encodings of relative offsets -(T-1)..(T-1), shape (2T-1, dim)."""
+    """Sinusoidal encodings of relative offsets -(T-1)..(T-1), shape (dim, 2T-1)."""
     offsets = np.arange(-(T - 1), T, dtype=np.float64)
     inv_freq = 1.0 / (10000.0 ** (np.arange(0, dim, 2, dtype=np.float64) / dim))
     angles = offsets[:, None] * inv_freq[None, :]
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1).astype(dtype)
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1).T.astype(dtype, order="C")
 
 
 def relative_index_table(T: int) -> np.ndarray:
@@ -256,7 +256,7 @@ class NarrowBandModel:
 
     def _rpsa(self, p: dict[str, Tensor], xn: Tensor, block: int, rel_table: Tensor,
               attn_sink: list | None) -> Tensor:
-        """Self-attention of channel-major xn (width, B, T)."""
+        """Self-attention of channel-major xn (width, B, T); rel_table is (width, 2T-1)."""
         cfg = self.cfg
         b = f"block{block}"
         heads, dh = cfg.heads, cfg.head_dim
@@ -271,7 +271,7 @@ class NarrowBandModel:
 
         u = ad.reshape(p[f"{b}.attn.u"], (heads, 1, dh))
         vb = ad.reshape(p[f"{b}.attn.v"], (heads, 1, dh))
-        rel = ad.matmul(p[f"{b}.attn.wr"], ad.transpose(rel_table, (1, 0)))
+        rel = ad.matmul(p[f"{b}.attn.wr"], rel_table)
         rel = ad.reshape(rel, (heads, dh, 2 * t_len - 1))
         o = ad.rel_attention(q, k, v, u, vb, rel, 1.0 / np.sqrt(dh),
                              probs_sink=attn_sink)  # (B, heads, T, dh)

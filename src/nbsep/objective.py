@@ -86,12 +86,12 @@ def istft_graph(pred: Tensor, cfg: stft.StftConfig, out_len: int) -> Tensor:
     real DFT's bin weights, 1/W at DC and Nyquist and 2/W elsewhere, and
     encoded back into rows by `stft.all_frequency_sequences`.
     """
-    dtype, n_frames = pred.dtype, pred.shape[-1]
+    dtype, shape, n_frames = pred.dtype, pred.shape, pred.shape[-1]
     out = stft.istft(stft.spectra_of_sequences(pred.data), cfg, out_len).data.astype(dtype)
 
     def vjp(g):
         if not np.all(np.isfinite(g)):  # stft rejects it; let adam_step report it
-            return (np.full(pred.shape, np.nan, dtype=dtype),)
+            return (np.full(shape, np.nan, dtype=dtype),)
         synth = cfg.covered_len(n_frames)
         g = np.pad(g[:, :synth], [(0, 0), (0, max(synth - out_len, 0))])
         g = g / np.maximum(stft.synthesis_envelope(cfg, n_frames), stft.ENVELOPE_FLOOR)

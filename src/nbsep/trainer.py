@@ -22,6 +22,7 @@ utterance at a time, so at most one batch is held in prepared form.
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,17 +168,18 @@ def schedule_lr(history, lr_init: float = 1e-3,
 class Utterance:
     """One example prepared for the network: normalized sequences + targets."""
 
-    sequences: np.ndarray  # (F, 2M, T) normalized
+    sequences: np.ndarray  # (F, 2M, T) normalized, in the model's dtype
     norm: dataset.NormState
     target_spectra: np.ndarray  # complex (N, F, T)
     out_len: int
 
 
-def prepare_utterance(example: dataset.MixtureExample, stft_cfg: stft.StftConfig) -> Utterance:
-    """Take the mixture's and the targets' STFTs and normalize the mixture's."""
+def prepare_utterance(example: dataset.MixtureExample, stft_cfg: stft.StftConfig,
+                      dtype=np.float64) -> Utterance:
+    """Take the mixture's and the targets' STFTs and normalize the mixture's into `dtype`."""
     seqs, norm = dataset.normalize_spectrogram(stft.stft(example.mixture_wave, stft_cfg))
     return Utterance(
-        sequences=seqs,
+        sequences=seqs.astype(dtype, copy=False),
         norm=norm,
         target_spectra=stft.stft(example.target_waves, stft_cfg),
         out_len=example.mixture_wave.n_samples,
@@ -211,7 +213,7 @@ def batch_loss(model, utterances, cfg_stft, train=False, rng=None,
     total = 0.0
     grads: dict[str, np.ndarray] = {}
     for u in utterances:
-        seqs = u.sequences.astype(dtype)
+        seqs = u.sequences.astype(dtype, copy=False)
         seed = int(rng.integers(2**63)) if train and rng is not None else None
 
         def chunk_rng(i):
@@ -251,6 +253,7 @@ class TrainResult:
     steps: int
     best_val: float
     log_path: Path
+    step_seconds: list[float]  # wall time of each step: batch preparation, loss, Adam
 
 
 def train(model, train_examples, val_examples, cfg: TrainConfig,
@@ -267,6 +270,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
     history: list[float] = []
     best_val = np.inf
     step = 0
+    step_seconds = []
     log_path = out_dir / "train_log.csv"
     with log_path.open("w", newline="") as fh:
         log = csv.writer(fh)
@@ -275,17 +279,21 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
             order = order_rng.permutation(len(train_examples))
             for b0 in range(0, len(order), cfg.utterances_per_batch):
                 batch = order[b0 : b0 + cfg.utterances_per_batch]
+                t0 = time.perf_counter()
                 loss, grads = batch_loss(
-                    model, [prepare_utterance(train_examples[i], stft_cfg) for i in batch],
+                    model, [prepare_utterance(train_examples[i], stft_cfg, cfg.dtype)
+                            for i in batch],
                     stft_cfg, train=True, rng=rng, accumulate_grads=True)
                 norm = adam_step(model.params, grads, state, lr, cfg.clip_norm)
+                step_seconds.append(time.perf_counter() - t0)
                 step += 1
                 log.writerow([step, epoch, f"{loss:.6f}", "", f"{lr:.6g}", f"{norm:.6f}"])
 
             val_loss = np.nan
             if val_examples:
                 # summed in example order, then over n: the bits of one batch_loss over all
-                val_loss = sum(batch_loss(model, [prepare_utterance(ex, stft_cfg)], stft_cfg)[0]
+                val_loss = sum(batch_loss(model, [prepare_utterance(ex, stft_cfg, cfg.dtype)],
+                                          stft_cfg)[0]
                                for ex in val_examples) / len(val_examples)
                 history.append(val_loss)
                 lr = schedule_lr(history, lr_init=cfg.lr_init,
@@ -297,8 +305,8 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
             if val_examples and val_loss < best_val:
                 best_val = val_loss
                 model_mod.save_checkpoint(out_dir / "checkpoint_best", model, state, step)
-    return TrainResult(epochs=cfg.max_epochs, steps=step,
-                       best_val=float(best_val), log_path=log_path)
+    return TrainResult(epochs=cfg.max_epochs, steps=step, best_val=float(best_val),
+                       log_path=log_path, step_seconds=step_seconds)
 
 
 # -- overfit probe ------------------------------------------------------------------
@@ -355,7 +363,7 @@ def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
     cfg = TrainConfig()
     model = model_mod.NarrowBandModel(model_cfg, seed=seed, dtype=cfg.dtype)
     state = AdamState.init(model.params)
-    utterances = [prepare_utterance(ex, stft_cfg) for ex in examples]
+    utterances = [prepare_utterance(ex, stft_cfg, cfg.dtype) for ex in examples]
 
     def improvement() -> float:
         vals = []

@@ -173,6 +173,96 @@ def test_backward_frees_the_graph_as_it_goes_and_refuses_a_second_pass():
         ad.backward(ad.tsum(ad.mul(h, h)))
 
 
+def _istft_graph(pred):
+    from nbsep import objective, stft
+
+    cfg = stft.StftConfig(window_len=8, hop=4, sample_rate=8000)
+    return objective.istft_graph(pred, cfg, cfg.covered_len(pred.shape[-1]))
+
+
+# every graph-recording op that the model or the loss calls: its operand
+# shapes, which operands its backward rule reads, and whether it reads its output
+GRAPH_OPS = {
+    "add": (ad.add, [(3, 4), (3, 4)], (False, False), False),
+    "sub": (ad.sub, [(3, 4), (1, 4)], (False, False), False),
+    "mul": (ad.mul, [(3, 4), (3, 4)], (True, True), False),
+    "div": (ad.div, [(3, 4), (3, 4)], (True, True), False),
+    "neg": (ad.neg, [(3, 4)], (False,), False),
+    "scale": (lambda a: ad.scale(a, 3.0), [(3, 4)], (False,), False),
+    "power": (lambda a: ad.power(a, 2.0), [(3, 4)], (True,), False),
+    "log10": (ad.log10, [(3, 4)], (True,), False),
+    "clip": (lambda a: ad.clip(a, 0.8, 1.2), [(3, 4)], (True,), False),
+    "silu": (ad.silu, [(3, 4)], (True,), True),
+    "tsum": (lambda a: ad.tsum(a, axis=1), [(3, 4)], (False,), False),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)], (False,), False),
+    "transpose": (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)], (False,), False),
+    "narrow": (lambda a: ad.narrow(a, -1, 1, 2), [(3, 4)], (False,), False),
+    "matmul": (ad.matmul, [(3, 4), (4, 5)], (True, True), False),
+    "layer_norm": (ad.layer_norm, [(4, 2, 5), (4,), (4,)], (False, True, False), False),
+    "conv1d": (lambda x, w, b: ad.conv1d(x, w, b, (1, 1), groups=2),
+               [(4, 2, 6), (6, 2, 3), (6,)], (True, True, False), False),
+    "conv_norm_silu": (lambda x, w, b, gamma, beta: ad.conv_norm_silu(x, w, b, gamma, beta, 2),
+                       [(4, 2, 6), (4, 2, 3), (4,), (4,), (4,)],
+                       (True, True, False, True, True), True),
+    # the kernel is flipped into a copy of its own, which conv1d then reads
+    "conv_transpose1d": (ad.conv_transpose1d, [(3, 2, 5), (3, 4, 2), (4,)],
+                         (True, False, False), False),
+    "rel_attention": (lambda *qkv: ad.rel_attention(*qkv, scale=0.5),
+                      [(2, 2, 5, 3), (2, 2, 3, 5), (2, 2, 5, 3), (2, 1, 3), (2, 1, 3), (2, 3, 9)],
+                      (True,) * 6, True),
+    "dropout": (lambda a: ad.dropout(a, 0.3, np.random.default_rng(1), training=True),
+                [(3, 4)], (False,), False),
+    "istft_graph": (_istft_graph, [(5, 4, 3)], (False,), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_OPS))
+def test_a_graph_keeps_only_the_values_its_backward_rule_reads(name):
+    import weakref
+
+    op, shapes, reads_inputs, reads_output = GRAPH_OPS[name]
+    rng = np.random.default_rng(23)
+    arrays = [rng.uniform(0.5, 1.5, s) for s in shapes]
+
+    def build():
+        # each operand an interior value: an op output, kept only by what refers to it
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        ins = [ad.scale(t, 1.0) for t in leaves]
+        out = op(*ins)
+        return leaves, ins, out, ad.scale(out, 1.0)  # a consumer whose rule reads nothing
+
+    leaves, ins, out, top = build()
+    seed = rng.standard_normal(top.shape)
+    ad.backward(top, seed)
+    want = [t.grad for t in leaves]
+
+    leaves, ins, out, top = build()
+    refs = [weakref.ref(t.data) for t in ins]
+    out_ref = weakref.ref(out.data)
+    del ins, out
+    assert [r() is not None for r in refs] == list(reads_inputs)
+    assert (out_ref() is not None) == reads_output
+    # the values kept are all the backward needs: the same gradients, bit for bit
+    ad.backward(top, seed)
+    for leaf, grad in zip(leaves, want):
+        np.testing.assert_array_equal(leaf.grad, grad)
+    assert all(r() is None for r in refs) and out_ref() is None
+
+
+def test_graph_nodes_report_the_values_they_still_hold():
+    import weakref
+
+    w = Tensor(np.ones((3, 3)), requires_grad=True)
+    h = ad.matmul(w, Tensor(np.ones((3, 4))))
+    y = ad.add(h, Tensor(np.ones((3, 1))))  # add reads no value: only the Tensor h keeps it
+    node = y._parents[0]
+    assert node.data is h.data and node._parents == (w, ad._CONSTANT)
+    value = weakref.ref(h.data)
+    del h
+    assert value() is None
+    assert node.data.shape == (0,) and node.data.nbytes == 0
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
@@ -281,7 +371,8 @@ def test_no_graph_outputs_of_grad_params_are_constants():
         assert out.requires_grad is False
     # the same ops outside the mode build a graph and give identical values
     h_graph = ad.matmul(w, x)
-    assert h_graph.requires_grad and h_graph._parents == (w, x)
+    # parents are graph nodes: the leaf w itself and, for the constant x, a stand-in
+    assert h_graph.requires_grad and h_graph._parents == (w, ad._CONSTANT)
     graph_outs = [h_graph, ad.silu(h_graph), ad.clip(h_graph, -0.5, 0.5),
                   ad.log10(ad.power(h_graph, 2.0))]
     for free, built in zip(outs, graph_outs):

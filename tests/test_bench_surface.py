@@ -165,3 +165,27 @@ def test_one_benchmark_operation_passes_its_output_check(tmp_path, workload):
     res = w.run(w.setup(0, tmp_path / workload), n_ops=1)
     assert res.n_ops == 1 and res.attempted >= 1
     assert res.failed == 0 and "problems" not in res.info, res.info.get("problems")
+
+
+def test_a_train_workload_chunk_graph_holds_at_most_19_mib():
+    # the benchmark's train peak RSS is set by the chunk graphs its workers
+    # hold: one 15-bin training-mode chunk of its reduced model at T = 124 in
+    # float32 holds 18.5 MiB (24.0 MiB while every node pinned its value)
+    import tracemalloc
+
+    wl = load_perfbench("workloads")
+    t_len = wl.STFT.n_frames(wl.TRAIN_SAMPLES)
+    assert (t_len, model.FREQUENCY_CHUNK) == (124, 15)
+    cfg = wl.TRAIN_MODEL
+    net = model.NarrowBandModel(cfg, seed=1, dtype=np.float32)
+    x = autodiff.Tensor(np.random.default_rng(0).standard_normal(
+        (model.FREQUENCY_CHUNK, 2 * cfg.in_channels, t_len)).astype(np.float32))
+    leaves = {k: autodiff.Tensor(t.data, requires_grad=True) for k, t in net.params.items()}
+    tracemalloc.start()
+    try:
+        y = net.forward(x, train=True, rng=np.random.default_rng(1), params=leaves)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held <= 19 * 2**20, f"{held / 2**20:.2f} MiB"

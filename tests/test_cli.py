@@ -201,8 +201,15 @@ def test_train_subcommand_smoke(tmp_path, capsys, monkeypatch):
                "--conv-blocks", "1", "--heads", "2", "--dropout", "0.0",
                "--seed", "0", *CFG8K_ARGS])
     assert rc == 0
+    printed = capsys.readouterr().out
     assert re.search(r"^model parameters: \d+ \(workers 1, serial: OpenBLAS thread control "
-                     r"not found\)$", capsys.readouterr().out, re.M)
+                     r"not found\)$", printed, re.M)
+    # the closing line reports the median step time and the process's peak RSS
+    done = re.search(r"^trained 1 steps over 1 epochs, best val loss -?[\d.]+; "
+                     r"median step ([\d.]+) s, peak RSS (\d+) MB; log at (.+)$", printed, re.M)
+    assert done, printed
+    assert float(done[1]) > 0 and int(done[2]) > 0
+    assert done[3] == str(run_dir / "train_log.csv")
     assert (run_dir / "train_log.csv").exists()
     net, opt, step = load_checkpoint(run_dir / "checkpoint_last")
     assert step == opt["step"] == 1 and net.cfg.width == 16 and net.cfg.in_channels == 2

@@ -374,10 +374,10 @@ def test_train_holds_one_prepared_batch_whatever_the_corpus_size(tmp_path, monke
 
     _workers(monkeypatch, 1)
     examples = build_probe_examples(8, CFG8K, seed=2, n_mics=2)
-    u = prepare_utterance(examples[0], CFG8K)
+    cfg = TrainConfig(utterances_per_batch=1, max_epochs=1, seed=0)
+    u = prepare_utterance(examples[0], CFG8K, cfg.dtype)  # as train prepares it
     utterance_bytes = u.sequences.nbytes + u.target_spectra.nbytes + u.norm.scale.nbytes
     del u
-    cfg = TrainConfig(utterances_per_batch=1, max_epochs=1, seed=0)
     peaks = []
     for n in (8, 2):
         net = NarrowBandModel(PROBE_MODEL, seed=18, dtype=cfg.dtype)
