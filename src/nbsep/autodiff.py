@@ -14,10 +14,13 @@ A backward rule captures the arrays, shapes and dtypes it reads, never its
 input Tensors, and a node holds its own value only through a weak
 reference.  So an intermediate array lives on past the forward only where
 a rule captured it: once no forward code and no rule refers to it, it is
-freed (a node's `data` is then an empty array).  `backward` runs the nodes
-in reverse topological order and drops each node's rule once its gradient
-has flowed, so a graph supports one backward and memory falls as
-gradients are produced.
+freed (a node's `data` is then an empty array).  `matmul`, `conv1d` and
+`conv_norm_silu` note at op time which operands need a gradient, and their
+rules return None for the others (the constant position table, the network
+input) without computing it.  `backward` runs the nodes in reverse
+topological order and drops each node's rule once its gradient has
+flowed, so a graph supports one backward and memory falls as gradients
+are produced.
 
 Inside ``with no_graph():`` ops build no graph: every output is a constant
 (no parents, no backward closure, ``requires_grad=False``) even when an
@@ -172,6 +175,11 @@ _CONSTANT = Tensor(_GONE)  # the one node of every parent that needs no gradient
 def _records(parents) -> bool:
     """Whether an op on `parents` builds a graph node."""
     return _GRAPH_MODE.record and any(p.requires_grad for p in parents)
+
+
+def _needs_grad(*tensors) -> tuple[bool, ...]:
+    """Which operands of an op a backward rule must return a gradient for; None for the rest."""
+    return tuple(t.requires_grad for t in tensors)
 
 
 def zero_grad(tensors) -> None:
@@ -526,12 +534,15 @@ def rel_gather(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``; backward keeps only the operand that the other's gradient reads."""
     ad, bd = a.data, b.data
     out = np.matmul(ad, bd)
+    sa, sb = ad.shape, bd.shape
+    ad, bd = (ad if b.requires_grad else None), (bd if a.requires_grad else None)
 
     def vjp(g):
-        ga = _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
-        gb = _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
+        ga = None if bd is None else _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), sa)
+        gb = None if ad is None else _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), sb)
         return ga, gb
 
     return Tensor._from_op(out, (a, b), vjp)
@@ -715,26 +726,33 @@ def _conv(xd, wd, bd, padding, groups):
     return y + bd.reshape(-1, 1, 1)
 
 
-def _conv_grad(g, xd, wd, padding, groups):
-    """(gx, gw, gb) of conv1d for output gradient g; the padded x is made again."""
+def _conv_grad(g, xd, wd, padding, groups, needs=(True, True, True)):
+    """(gx, gw, gb) of conv1d for output gradient g; the padded x is made again.
+
+    A gradient whose entry of `needs` is False is not computed and is None.
+    """
     taps, xf, tp, t_out = _conv_operands(xd, wd, padding, groups)
     (c_out, c_in_g, k), (c_in, n_batch, t_in) = wd.shape, xd.shape
     og, cols, pl = c_out // groups, n_batch * tp, padding[0]
+    need_x, need_w, need_b = needs
     # g in sequence slots 1..B of a zero buffer, zero in the dropped
     # columns: gradient column tp + c belongs to forward column c
     gp = np.zeros((c_out, n_batch + 1, tp), dtype=xd.dtype)
     gp[:, 1:, :t_out] = g.reshape(c_out, n_batch, t_out)
     gf = gp.reshape(groups, og, -1)
     gy = gf[:, :, tp:]
-    gxf = np.matmul(taps[0].swapaxes(-1, -2), gy)
-    gw = np.empty((k, groups, og, c_in_g), dtype=xd.dtype)
-    gw[0] = np.matmul(gy, xf[:, :, :cols].swapaxes(-1, -2))
-    for kk in range(1, k):
-        gxf += np.matmul(taps[kk].swapaxes(-1, -2), gf[:, :, tp - kk : tp - kk + cols])
-        gw[kk] = np.matmul(gy, xf[:, :, kk : kk + cols].swapaxes(-1, -2))
-    gx = np.ascontiguousarray(gxf.reshape(c_in, n_batch, tp)[:, :, pl : pl + t_in])
-    gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
-    return gx, gw, gp.sum(axis=(1, 2))
+    gx = gw = None
+    if need_x:
+        gxf = np.matmul(taps[0].swapaxes(-1, -2), gy)
+        for kk in range(1, k):
+            gxf += np.matmul(taps[kk].swapaxes(-1, -2), gf[:, :, tp - kk : tp - kk + cols])
+        gx = np.ascontiguousarray(gxf.reshape(c_in, n_batch, tp)[:, :, pl : pl + t_in])
+    if need_w:
+        gw = np.empty((k, groups, og, c_in_g), dtype=xd.dtype)
+        for kk in range(k):
+            gw[kk] = np.matmul(gy, xf[:, :, kk : kk + cols].swapaxes(-1, -2))
+        gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(wd.shape)
+    return gx, gw, (gp.sum(axis=(1, 2)) if need_b else None)
 
 
 def conv1d(
@@ -759,7 +777,8 @@ def conv1d(
     """
     xd, wd = x.data, w.data
     y = _conv(xd, wd, b.data, padding, groups)
-    return Tensor._from_op(y, (x, w, b), lambda g: _conv_grad(g, xd, wd, padding, groups))
+    needs = _needs_grad(x, w, b)
+    return Tensor._from_op(y, (x, w, b), lambda g: _conv_grad(g, xd, wd, padding, groups, needs))
 
 
 def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor, groups: int,
@@ -782,13 +801,15 @@ def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     z = _group_affine(xc, inv, gd, bd, out=None if _records((x, w, b, gamma, beta)) else xc)
     z *= _sigmoid(z)
     out = z.reshape(y.shape)
+    needs = _needs_grad(x, w, b, gamma, beta)
 
     def vjp(g):
         z = _group_affine(xc, inv, gd, bd).reshape(out.shape)
         gz = _silu_grad(g, z, out).reshape(gshape)
         dx, dgamma, dbeta = _group_norm_grad(gz, xc, inv, gd)
         del z, gz
-        return (*_conv_grad(dx.reshape(out.shape), xd, wd, padding, groups), dgamma, dbeta)
+        conv = _conv_grad(dx.reshape(out.shape), xd, wd, padding, groups, needs[:3])
+        return (*conv, dgamma if needs[3] else None, dbeta if needs[4] else None)
 
     return Tensor._from_op(out, (x, w, b, gamma, beta), vjp)
 

@@ -4,11 +4,11 @@ Subcommands: simulate, train, separate, eval, attn-export, grad-check, rtf.
 Flags can also come from a JSON config file (--config); explicit flags win.
 NBC_THREADS sets the worker threads (default: one per usable CPU) that
 `simulate` generates mixtures on (or, for a single mixture, the
-mic-speaker pairs of its RIR) and that `train`, `separate`, `eval`,
-`attn-export` and `rtf` run frequency chunks on; `simulate`, `train`,
-`separate` and `rtf` print how they used them, and the last three why they
-ran serially if they fell back.  Exit codes: 0 ok, 1 usage, 2 data error,
-3 numeric failure.
+mic-speaker pairs of its RIR and its two speakers' convolutions) and that
+`train`, `separate`, `eval`, `attn-export` and `rtf` run frequency chunks
+on; `simulate`, `train`, `separate` and `rtf` print how they used them, and
+the last three why they ran serially if they fell back.  Exit codes: 0 ok,
+1 usage, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations

@@ -75,6 +75,11 @@ def _peak_normalize(x: np.ndarray) -> np.ndarray:
     return x / peak
 
 
+# spatialize's own code, which a replacement has not (a tracer also rebinds
+# every module-level name of the function itself)
+_SPATIALIZE_CODE = roomsim.spatialize.__code__
+
+
 def mix_pair(
     s1: WaveBuffer,
     s2: WaveBuffer,
@@ -89,7 +94,10 @@ def mix_pair(
 
     Dry signals must be mono at `stft_cfg`'s sample rate and at least as
     long as their placed span; they are peak-normalized and trimmed from
-    the front.
+    the front.  The two speakers' `roomsim.spatialize` calls run on
+    `roomsim.rir_threads` workers, the rule the RIR's mic-speaker pairs
+    follow: short RIRs keep them in order on the calling thread, and so
+    does a worker of another pool or a replaced `roomsim.spatialize`.
     """
     cfg = stft_cfg or stft.StftConfig()
     if s1.n_channels != 1 or s2.n_channels != 1:
@@ -110,9 +118,16 @@ def mix_pair(
     placed[1, onset2:] = _peak_normalize(s2.data[0][:span])
 
     rir = roomsim.simulate_rir(scene, max_order=max_order, sample_rate=cfg.sample_rate)
-    images = [
-        roomsim.spatialize(WaveBuffer(placed[n], cfg.sample_rate), rir, n) for n in range(2)
-    ]
+
+    def image(n: int) -> WaveBuffer:
+        return roomsim.spatialize(WaveBuffer(placed[n], cfg.sample_rate), rir, n)
+
+    # the two convolutions share the workers where the RIR's pairs do, unless a
+    # tracer or a test spy replaced spatialize: it may not expect two threads
+    threads = roomsim.rir_threads(roomsim.image_count(scene, max_order))
+    if getattr(roomsim.spatialize, "__code__", None) is not _SPATIALIZE_CODE:
+        threads = 1
+    images = list(parallel.parallel_map(image, range(2), min(threads, 2)))
     return MixtureExample(
         mixture_wave=WaveBuffer(images[0].data + images[1].data, cfg.sample_rate),
         target_waves=WaveBuffer(
@@ -201,6 +216,8 @@ def _generate_one(
     drys = []
     for path in (source_paths[i], source_paths[j]):
         wav = read_wav(path, expect_rate=cfg.sample_rate)
+        if wav.n_channels != 1:
+            raise ValueError(f"{path}: {wav.n_channels} channels, a source must be mono")
         mono = wav.data[0]
         if mono.shape[0] < span:
             raise ValueError(f"{path}: {mono.shape[0]} samples, need at least {span}")

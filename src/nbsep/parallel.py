@@ -10,7 +10,8 @@ workers.  For the same reason pools do not nest: a `parallel_map` called on
 a worker of another pool runs its items in order on that worker's thread.
 So when `generate_dataset` makes several mixtures at once, each mixture's
 room simulation runs on its own worker, and when it makes one at a time,
-the simulation spreads its mic-speaker pairs over all the workers.
+the simulation spreads its mic-speaker pairs over all the workers and its
+two speakers' convolutions over two of them.
 """
 
 from __future__ import annotations

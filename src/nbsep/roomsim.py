@@ -29,6 +29,10 @@ taps, so the result does not depend on the thread count.  A pair adds its images
 of about `IMAGE_BLOCK` images, so a worker's temporaries stay near eight
 arrays of that size plus 18 moment rows as long as the taps, whatever the
 RT60 and room size; the block edges follow from the image orders alone.
+
+`spatialize` convolves a dry signal with one speaker's RIRs through
+numpy's FFT at a 5-smooth length (`next_fast_len`).  `dataset.mix_pair`
+runs its two speakers' calls at once by the `rir_threads` rule.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import parallel
 from .audio import WaveBuffer
@@ -53,6 +56,10 @@ IMAGE_BLOCK = 2**16  # images per moment update, rounded to whole x-cells
 # threads against one: -31 to -41 % at 4k-9k images a pair, up to -18 % at
 # 14k-18k, about even at 20k, +13 to +39 % from 26k on).
 PAIR_THREADS_MIN_IMAGES = 20_000
+# `spatialize` inverts the mics' spectra in blocks of up to this many bytes (at
+# least one mic): numpy's inverse real FFT costs about 80 us a call besides its
+# rows at 2 s clips, and 4 s clips still hold one mic's spectrum at a time
+SPECTRA_BYTES = 2**20
 
 ROOM_LW_RANGE = (3.0, 8.0)
 ROOM_H_RANGE = (3.0, 4.0)
@@ -411,12 +418,32 @@ def _scatter_moments(moments: np.ndarray, centers: np.ndarray, amps: np.ndarray)
         moments[d] += np.bincount(base, weights=cur, minlength=n_base)
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth length ``2**a * 3**b * 5**c >= n``, the sizes pocketfft does fastest.
+
+    Equals ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-n // p35)  # p35 times the next power of two >= n / p35
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     """Convolve a mono dry signal with one speaker's RIRs, one output per mic.
 
     The full linear convolution is truncated to the dry signal's length.
-    The dry signal is transformed once; each mic then costs the transform of
-    its taps and one inverse, so only one mic's spectra are held at a time.
+    The dry signal is transformed once, at the 5-smooth length
+    `next_fast_len` of the full convolution; each mic then costs the
+    transform of its taps, and one inverse serves a block of mics whose
+    spectra fit `SPECTRA_BYTES`.  Each row of a block gets the bits it gets
+    alone.
     """
     if dry.n_channels != 1:
         raise ValueError("dry signal must be mono")
@@ -427,9 +454,18 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     if not 0 <= speaker < rir.n_speakers:
         raise ValueError(f"speaker index {speaker} out of range [0, {rir.n_speakers})")
     n = dry.n_samples
-    n_fft = sp_fft.next_fast_len(n + rir.n_taps - 1, real=True)
-    dry_spectrum = sp_fft.rfft(dry.data[0], n_fft)
+    n_fft = next_fast_len(n + rir.n_taps - 1)
+    dry_spectrum = np.fft.rfft(dry.data[0], n_fft)
+    rows = min(rir.n_mics, max(1, SPECTRA_BYTES // dry_spectrum.nbytes))
+    spectra = np.empty((rows, dry_spectrum.size), dtype=dry_spectrum.dtype)
     out = np.empty((rir.n_mics, n))
-    for m in range(rir.n_mics):
-        out[m] = sp_fft.irfft(dry_spectrum * sp_fft.rfft(rir.taps[m, speaker], n_fft), n_fft)[:n]
+    for lo in range(0, rir.n_mics, rows):
+        taps = rir.taps[lo : lo + rows, speaker]
+        block = spectra[: len(taps)]
+        for i, row in enumerate(taps):
+            # keep this form: numpy computes `a * temporary` from 256 KB on in the
+            # temporary with the operands swapped, and a complex product's last
+            # bit depends on the operand order
+            block[i] = dry_spectrum * np.fft.rfft(row, n_fft)
+        out[lo : lo + len(taps)] = np.fft.irfft(block, n_fft)[:, :n]
     return WaveBuffer(out, dry.sample_rate)

@@ -249,6 +249,43 @@ def test_a_graph_keeps_only_the_values_its_backward_rule_reads(name):
     assert all(r() is None for r in refs) and out_ref() is None
 
 
+# the ops whose backward rules skip the gradients that no operand needs
+SKIPPING_OPS = ("matmul", "conv1d", "conv_norm_silu")
+
+
+@pytest.mark.parametrize("name", SKIPPING_OPS)
+def test_a_backward_rule_returns_none_for_a_constant_operand(name):
+    op, shapes, _, _ = GRAPH_OPS[name]
+    rng = np.random.default_rng(24)
+    arrays = [rng.uniform(0.5, 1.5, s) for s in shapes]
+    full = op(*(Tensor(a, requires_grad=True) for a in arrays))
+    g = rng.standard_normal(full.shape)
+    want = full._vjp(g)
+    for const in range(len(arrays)):
+        out = op(*(Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)))
+        np.testing.assert_array_equal(out.data, full.data)
+        got = out._vjp(g)
+        assert got[const] is None
+        for i, (gi, wi) in enumerate(zip(got, want)):
+            if i != const:
+                np.testing.assert_array_equal(gi, wi)
+
+
+def test_matmul_keeps_no_operand_that_only_a_constants_gradient_reads():
+    import weakref
+
+    rng = np.random.default_rng(25)
+    w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    table = Tensor(rng.standard_normal((4, 5)))  # a constant, like the position table
+    x = ad.scale(w, 1.0)
+    out = ad.matmul(x, table)
+    x_value = weakref.ref(x.data)
+    del x
+    assert x_value() is None  # only the table's gradient would read it
+    ad.backward(out, np.ones(out.shape))
+    np.testing.assert_array_equal(w.grad, np.ones((3, 5)) @ table.data.T)
+
+
 def test_graph_nodes_report_the_values_they_still_hold():
     import weakref
 

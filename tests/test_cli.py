@@ -114,6 +114,19 @@ def test_simulate_rejects_an_empty_corpus(tmp_path, capsys, n):
     assert not (tmp_path / "data").exists()
 
 
+def test_simulate_rejects_a_stereo_source_naming_it(tmp_path, capsys):
+    src = make_sources(tmp_path)
+    for path in src.glob("*.wav"):
+        mono = read_wav(path).data
+        write_wav(path, WaveBuffer(np.concatenate([mono, mono]), 8000))
+    rc = main(["simulate", "--sources", str(src), "--out", str(tmp_path / "data"),
+               "--n", "2", "--max-order", "1", "--duration", "1.024", *CFG8K_ARGS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.search(r"src\d\.wav: 2 channels, a source must be mono", err), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--max-order", "-1"), ("--seed", "-5")])
 def test_simulate_rejects_a_negative_seed_or_max_order_before_writing(tmp_path, capsys, flag,
                                                                       value):

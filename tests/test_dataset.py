@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from nbsep import dataset, roomsim, stft
+from nbsep import dataset, parallel, roomsim, stft
 from nbsep.audio import WaveBuffer, read_wav, write_wav
 
 CFG8K = stft.StftConfig(sample_rate=8000)
@@ -243,3 +245,50 @@ def test_wav_round_trip(tmp_path):
     np.testing.assert_allclose(back.data, wav.data, atol=1e-7)  # float32 quantization
     with pytest.raises(ValueError, match="sample rate"):
         read_wav(tmp_path / "x.wav", expect_rate=8000)
+
+
+def test_generate_dataset_rejects_a_multichannel_source(tmp_path):
+    rng = np.random.default_rng(10)
+    paths = [tmp_path / "mono.wav", tmp_path / "stereo.wav"]
+    write_wav(paths[0], speechish(rng, 16000, 8000))
+    write_wav(paths[1], WaveBuffer(np.stack([speechish(rng, 16000, 8000).data[0]] * 2), 8000))
+    with pytest.raises(ValueError, match=r"stereo\.wav: 2 channels, a source must be mono"):
+        dataset.generate_dataset(paths, tmp_path / "out", 1, seed=3, stft_cfg=CFG8K,
+                                 out_len=7936, n_mics=2, max_order=1)
+
+
+def test_mix_pair_spreads_its_two_convolutions_where_its_rir_spreads(monkeypatch):
+    if parallel.usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    rng = np.random.default_rng(12)
+    s1, s2 = speechish(rng, 7000, 8000), speechish(rng, 7000, 8000)
+    scene = tiny_scene(5)
+    main, threads = threading.get_ident(), []
+    real = roomsim.next_fast_len  # called once by each spatialize
+
+    def spy(n):
+        threads.append(threading.get_ident())
+        return real(n)
+
+    def mix():
+        threads.clear()
+        ex = dataset.mix_pair(s1, s2, 0.5, scene, out_len=7936, stft_cfg=CFG8K)
+        return ex.mixture_wave.data, ex.target_waves.data
+
+    monkeypatch.setattr(roomsim, "next_fast_len", spy)
+    monkeypatch.setenv("NBC_THREADS", "2")
+    few_images = mix()  # below PAIR_THREADS_MIN_IMAGES: in order on this thread
+    assert threads == [main, main]
+    monkeypatch.setattr(roomsim, "PAIR_THREADS_MIN_IMAGES", roomsim.image_count(scene))
+    spread = mix()  # on pool workers; a fast worker may take both
+    assert len(threads) == 2 and main not in threads
+    library = roomsim.spatialize
+    monkeypatch.setattr(roomsim, "spatialize", lambda *args: library(*args))  # a tracer, say
+    replaced = mix()  # a wrapper may not expect two threads: in order on this thread
+    assert threads == [main, main]
+    monkeypatch.setattr(roomsim, "spatialize", library)
+    monkeypatch.setenv("NBC_THREADS", "1")
+    serial = mix()
+    assert threads == [main, main]
+    for got in (spread, replaced, serial):
+        assert all(np.array_equal(a, b) for a, b in zip(got, few_images))

@@ -475,3 +475,30 @@ def test_spatialize_errors():
         spatialize(WaveBuffer(np.zeros(100), 8000), rir, 0)
     with pytest.raises(ValueError, match="mono"):
         spatialize(WaveBuffer(np.zeros((2, 100)), 16000), rir, 0)
+
+
+def test_next_fast_len_equals_scipys_real_fast_length():
+    from scipy import fft as sp_fft
+
+    lengths = list(range(1, 5000)) + [64_000 + 7_000 * i + 1 for i in range(40)]
+    lengths += [2**40 + 1, 3**25 + 7, 10**12 + 3]
+    assert [roomsim.next_fast_len(n) for n in lengths] == [
+        sp_fft.next_fast_len(n, real=True) for n in lengths
+    ]
+
+
+# 4 s: one mic per inverse; 2 s: blocks of 3 and 2 mics, each spectrum over
+# numpy's 256 KB elision size; 0.5 s and shorter: all 5 mics in one block
+@pytest.mark.parametrize("n,k", [(64_000, 11_207), (32_000, 3_600), (7_936, 3_343), (501, 64)])
+def test_spatialize_gives_the_bits_of_scipy_fft(n, k):
+    from scipy import fft as sp_fft
+
+    rng = np.random.default_rng(16)
+    dry = WaveBuffer(rng.standard_normal(n), 16000)
+    taps = rng.standard_normal((5, 2, k)) * np.exp(-np.arange(k) / (k / 6))
+    out = spatialize(dry, Rir(taps, 16000), 1).data
+    n_fft = sp_fft.next_fast_len(n + k - 1, real=True)
+    spectrum = sp_fft.rfft(dry.data[0], n_fft)
+    for m in range(5):
+        want = sp_fft.irfft(spectrum * sp_fft.rfft(taps[m, 1], n_fft), n_fft)[:n]
+        assert np.array_equal(out[m], want)
