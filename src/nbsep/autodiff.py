@@ -569,29 +569,52 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     q, v of shape (..., H, T, dh), keys as columns k (..., H, dh, T), biases
     u, vb broadcastable to q (e.g. (H, 1, dh)), and the projected encodings
     of offsets -(T-1)..(T-1) as rel (H, dh, 2T-1); `shift` is
-    `relative_shift`.  The scale is folded into the (T, dh) queries, the
-    position scores are added through a strided view and the softmax runs
-    in place, so no other (T, T) array is made.  Backward keeps only the
-    probabilities P.  With `probs_sink`, P (read-only) is appended to it.
+    `relative_shift`.  The scale is folded into the (T, dh) queries and the
+    position scores are added through a strided view.  The softmax is left
+    unnormalized: the logits are exponentiated in place, unshifted, into
+    E, their row sums come from one GEMV, and the (T, dh) output E v is
+    scaled by the reciprocal sums r, so P = E r is never formed and no
+    other (T, T) array is made.  Only where a row sum leaves
+    [sqrt(tiny), 1/sqrt(tiny)] of the dtype (exp overflowed, a whole row
+    underflowed, or E v could overflow) are the logits rebuilt and shifted
+    by their row max first.  Backward keeps E and r, the bytes of P.  With
+    `probs_sink`, P = E r (read-only) is appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
     qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
-    probs = np.matmul((qd + ud) * s, kd)
-    probs += _pair_view(np.matmul((qd + vbd) * s, reld))
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.matmul(probs, vd)
+
+    def logits(out=None):
+        z = np.matmul((qd + ud) * s, kd, out=out)
+        z += _pair_view(np.matmul((qd + vbd) * s, reld))
+        return z
+
+    exps = logits()
+    ones = np.ones((exps.shape[-1], 1), exps.dtype)
+    with np.errstate(over="ignore"):
+        np.exp(exps, out=exps)
+    sums = np.matmul(exps, ones)
+    lo = np.sqrt(np.finfo(exps.dtype).tiny)
+    if not (lo <= sums.min() and sums.max() <= 1 / lo):  # a NaN fails too
+        logits(out=exps)
+        exps -= exps.max(axis=-1, keepdims=True)
+        np.exp(exps, out=exps)
+        sums = np.matmul(exps, ones)
+    r = 1 / sums
+    out = np.matmul(exps, vd)
+    out *= r
     if probs_sink is not None:
+        probs = exps * r
         probs.flags.writeable = False
         probs_sink.append(probs)
 
     def vjp(g):
-        dv = _reduce_to(np.matmul(probs.swapaxes(-1, -2), g), vd.shape)
-        # d logits = P * (dP - rowsum(dP * P)), and rowsum(dP * P) = rowsum(g * out)
-        dlogits = np.matmul(g, vd.swapaxes(-1, -2))
-        dlogits -= (g * out).sum(axis=-1, keepdims=True)
-        dlogits *= probs
+        gr = g * r
+        dv = _reduce_to(np.matmul(exps.swapaxes(-1, -2), gr), vd.shape)
+        # d logits = P * (dP - rowsum(dP * P)) with P = E r, dP = g v^T and
+        # rowsum(dP * P) = rowsum(g * out): E * ((g r) v^T - rowsum((g r) * out))
+        dlogits = np.matmul(gr, vd.swapaxes(-1, -2))
+        dlogits -= (gr * out).sum(axis=-1, keepdims=True)
+        dlogits *= exps
         dk = _reduce_to(np.matmul(((qd + ud) * s).swapaxes(-1, -2), dlogits), kd.shape)
         dqu = np.matmul(dlogits, kd.swapaxes(-1, -2)) * s
         dpos = np.zeros(dlogits.shape[:-1] + (reld.shape[-1],), dtype=dlogits.dtype)

@@ -15,11 +15,14 @@ RPSA is multi-head self-attention with Transformer-XL style relative
 positional encoding: learned content/position bias vectors per head and a
 shared learned projection of sinusoidal relative-distance encodings.
 Scores, softmax and the weighted sum of values are one fused op,
-`autodiff.rel_attention`, whose graph keeps only the attention
-probabilities.  Each conv sub-block is one fused op too,
-`autodiff.conv_norm_silu`, whose graph keeps only the centred conv
-output, the group factors and the SiLU output; its backward recomputes
-the rest.
+`autodiff.rel_attention`.  It exponentiates the unshifted logits, scales
+the output rows by the reciprocal row sums instead of normalizing the
+scores, and rebuilds the logits shifted by their row max only where exp
+overflows or a row underflows; its graph keeps the exponentials and the
+reciprocal sums, the bytes of the attention probabilities.  Each conv
+sub-block is one fused op too, `autodiff.conv_norm_silu`, whose graph
+keeps only the centred conv output, the group factors and the SiLU
+output; its backward recomputes the rest.
 
 `forward` takes (2M, T) or a batch (B, 2M, T) of frequencies and returns
 (2N, T) or (B, 2N, T).  Between its input and output convolutions the

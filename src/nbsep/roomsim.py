@@ -56,10 +56,12 @@ IMAGE_BLOCK = 2**16  # images per moment update, rounded to whole x-cells
 # threads against one: -31 to -41 % at 4k-9k images a pair, up to -18 % at
 # 14k-18k, about even at 20k, +13 to +39 % from 26k on).
 PAIR_THREADS_MIN_IMAGES = 20_000
-# `spatialize` inverts the mics' spectra in blocks of up to this many bytes (at
-# least one mic): numpy's inverse real FFT costs about 80 us a call besides its
-# rows at 2 s clips, and 4 s clips still hold one mic's spectrum at a time
+# `spatialize` transforms the mics' taps and inverts their spectra in blocks of
+# up to this many bytes (at least one mic): numpy's inverse real FFT costs about
+# 80 us a call besides its rows at 2 s clips, and 4 s clips still hold one mic's
+# spectrum at a time
 SPECTRA_BYTES = 2**20
+ELIDE_BYTES = 256 * 1024  # numpy's NPY_MIN_ELIDE_BYTES
 
 ROOM_LW_RANGE = (3.0, 8.0)
 ROOM_H_RANGE = (3.0, 4.0)
@@ -440,10 +442,9 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
 
     The full linear convolution is truncated to the dry signal's length.
     The dry signal is transformed once, at the 5-smooth length
-    `next_fast_len` of the full convolution; each mic then costs the
-    transform of its taps, and one inverse serves a block of mics whose
-    spectra fit `SPECTRA_BYTES`.  Each row of a block gets the bits it gets
-    alone.
+    `next_fast_len` of the full convolution; then one forward transform of
+    the taps and one inverse serve a block of mics whose spectra fit
+    `SPECTRA_BYTES`.  Each row of a block gets the bits it gets alone.
     """
     if dry.n_channels != 1:
         raise ValueError("dry signal must be mono")
@@ -459,13 +460,17 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     rows = min(rir.n_mics, max(1, SPECTRA_BYTES // dry_spectrum.nbytes))
     spectra = np.empty((rows, dry_spectrum.size), dtype=dry_spectrum.dtype)
     out = np.empty((rir.n_mics, n))
+    # the operand order of `dry_spectrum * np.fft.rfft(row)`, the form the
+    # corpora were made with: numpy computes `a * temporary` in the temporary,
+    # with the operands swapped, from ELIDE_BYTES on, and a complex product's
+    # last bit depends on the operand order
+    elided = dry_spectrum.nbytes >= ELIDE_BYTES
     for lo in range(0, rir.n_mics, rows):
         taps = rir.taps[lo : lo + rows, speaker]
-        block = spectra[: len(taps)]
-        for i, row in enumerate(taps):
-            # keep this form: numpy computes `a * temporary` from 256 KB on in the
-            # temporary with the operands swapped, and a complex product's last
-            # bit depends on the operand order
-            block[i] = dry_spectrum * np.fft.rfft(row, n_fft)
+        block = np.fft.rfft(taps, n_fft, axis=-1, out=spectra[: len(taps)])
+        if elided:
+            block *= dry_spectrum
+        else:
+            np.multiply(dry_spectrum, block, out=block)
         out[lo : lo + len(taps)] = np.fft.irfft(block, n_fft)[:, :n]
     return WaveBuffer(out, dry.sample_rate)

@@ -1,3 +1,8 @@
+import functools
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -500,10 +505,14 @@ def test_conv_norm_silu_equals_conv_group_norm_silu_bit_for_bit(dtype, lead, t_l
     np.testing.assert_array_equal(free.data, results[0][0])
 
 
-def _unfused_rel_attention(q, k, v, u, vb, rel, scale):
+def _unfused_probs(q, k, u, vb, rel, scale):
     content = ad.matmul(ad.add(q, u), k)
     position = ad.relative_shift(ad.matmul(ad.add(q, vb), rel))
-    return ad.matmul(ad.softmax(ad.scale(ad.add(content, position), scale)), v)
+    return ad.softmax(ad.scale(ad.add(content, position), scale))
+
+
+def _unfused_rel_attention(q, k, v, u, vb, rel, scale):
+    return ad.matmul(_unfused_probs(q, k, u, vb, rel, scale), v)
 
 
 def _rel_attention_inputs(rng, lead, heads, t_len, dh, dtype):
@@ -541,6 +550,88 @@ def test_rel_attention_matches_unfused_composition(lead, t_len):
     assert out.dtype == np.float32 and sink[0].dtype == np.float32
     assert all(t.grad.dtype == np.float32 for t in ins)
     np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-6)
+
+
+def _extreme_logit_inputs(case, dtype):
+    """rel_attention inputs whose logits are near +100 (float32), near +800
+    (float64) or, in one query row, all below -100, so exp overflows or a
+    whole row underflows.  Every entry but v's is a multiple of 1/4 and the
+    scale is 1/2, so both forms compute the same logits exactly."""
+    rng = np.random.default_rng(77)
+    lead, heads, t_len, dh = (3,), 2, 7, 4
+    q, k, rel = (rng.integers(-4, 5, s) / 4
+                 for s in (lead + (heads, t_len, dh), lead + (heads, dh, t_len),
+                           (heads, dh, 2 * t_len - 1)))
+    u, vb = (rng.integers(-4, 5, (heads, 1, dh)) / 4 for _ in range(2))
+    v = rng.standard_normal(lead + (heads, t_len, dh))
+    # axis 0 of the head carries the offset: content logit 0.5 * (q0 + u0) * 4
+    k[..., 0, :] = 4
+    rel[:, 0, :] = 0
+    if case == "underflow":
+        q[..., 2, 0] = -60  # row 2: logits about -120, exp 0 in float32
+    else:
+        u[..., 0] = {"overflow32": 50, "overflow64": 400}[case]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v, u, vb, rel)]
+
+
+@pytest.mark.parametrize("case,dtype,tol", [("overflow32", np.float32, 1e-6),
+                                            ("underflow", np.float32, 1e-6),
+                                            ("overflow64", np.float64, 1e-12)])
+def test_rel_attention_rebuilds_shifted_logits_where_exp_overflows_or_underflows(case, dtype,
+                                                                                  tol):
+    head = np.random.default_rng(5).standard_normal((3, 2, 7, 4)).astype(dtype)
+    sink, results = [], []
+    for op in (functools.partial(ad.rel_attention, probs_sink=sink), _unfused_rel_attention):
+        ins = _extreme_logit_inputs(case, dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = op(*ins, 0.5)
+            ad.backward(ad.tsum(ad.mul(out, Tensor(head))))
+        results.append([out.data] + [t.grad for t in ins])
+    for fused, unfused in zip(*results):
+        assert fused.dtype == dtype and np.all(np.isfinite(fused))
+        assert np.max(np.abs(fused - unfused)) <= tol * np.max(np.abs(unfused))
+    with ad.no_graph():
+        probs = _unfused_probs(*[ins[i] for i in (0, 1, 3, 4, 5)], 0.5).data
+    np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=0, atol=10 * tol)
+    np.testing.assert_allclose(sink[0], probs, rtol=0, atol=10 * tol)
+
+
+def _peak_bytes_per_line(fn, *args):
+    """{line of fn: peak traced bytes, above those at the call, while that line ran}."""
+    peaks, line = {}, [None]
+
+    def local(frame, event, arg):
+        if line[0] is not None:
+            peaks[line[0]] = max(peaks.get(line[0], 0), tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.reset_peak()
+        line[0] = frame.f_lineno
+        return local
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+        tracemalloc.stop()
+    return peaks
+
+
+def test_rel_attention_holds_a_second_score_array_only_where_it_adds_positions():
+    lead, heads, t_len, dh = (15,), 4, 124, 8
+    ins = _rel_attention_inputs(np.random.default_rng(3), lead, heads, t_len, dh, np.float32)
+    rows = lead[0] * heads * t_len * np.dtype(np.float32).itemsize
+    scores, per_offset, small = rows * t_len, rows * (2 * t_len - 1), 4 * rows * dh
+    with ad.no_graph():
+        peaks = _peak_bytes_per_line(ad.rel_attention, *ins, 1.0 / np.sqrt(dh))
+    assert max(peaks.values()) <= scores + per_offset + small
+    # the position add holds the (T, 2T-1) scores beside the (T, T) ones; any
+    # other line holding two score-sized arrays (an exp out of place, say)
+    # would raise a step's memory where many chunks run at once
+    assert sum(p > scores + small for p in peaks.values()) == 1
 
 
 # -- the channel-major layers against the batch-major forms they replaced -------
