@@ -574,18 +574,25 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     unnormalized: the logits are exponentiated in place, unshifted, into
     E, their row sums come from one GEMV, and the (T, dh) output E v is
     scaled by the reciprocal sums r, so P = E r is never formed and no
-    other (T, T) array is made.  Only where a row sum leaves
-    [sqrt(tiny), 1/sqrt(tiny)] of the dtype (exp overflowed, a whole row
-    underflowed, or E v could overflow) are the logits rebuilt and shifted
-    by their row max first.  Backward keeps E and r, the bytes of P.  With
-    `probs_sink`, P = E r (read-only) is appended to it.
+    other (T, T) array is made.  Each row whose sum leaves
+    [sqrt(tiny), 1/sqrt(tiny)] of the dtype is fixed alone, so no row's
+    result depends on the other rows in the call: where the sum is finite
+    but so large that E v could overflow, the row is divided by it in
+    place; where exp overflowed or the whole row underflowed, the row is
+    rebuilt from its logits shifted by their max, and only the matrices
+    holding such a row recompute their logits.  Backward keeps E and r, the
+    bytes of P.  With `probs_sink`, P = E r (read-only) is appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
     qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
 
-    def logits(out=None):
-        z = np.matmul((qd + ud) * s, kd, out=out)
-        z += _pair_view(np.matmul((qd + vbd) * s, reld))
+    def logits(mats=None):
+        """The logits of every (T, T) matrix, or of those a mask over the leading axes picks."""
+        def pick(x):
+            return x if mats is None else np.broadcast_to(x, mats.shape + x.shape[-2:])[mats]
+
+        z = np.matmul(pick((qd + ud) * s), pick(kd))
+        z += _pair_view(np.matmul(pick((qd + vbd) * s), pick(reld)))
         return z
 
     exps = logits()
@@ -594,12 +601,19 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         np.exp(exps, out=exps)
     sums = np.matmul(exps, ones)
     lo = np.sqrt(np.finfo(exps.dtype).tiny)
-    if not (lo <= sums.min() and sums.max() <= 1 / lo):  # a NaN fails too
-        logits(out=exps)
-        exps -= exps.max(axis=-1, keepdims=True)
-        np.exp(exps, out=exps)
-        sums = np.matmul(exps, ones)
-    r = 1 / sums
+    big = ((1 / lo < sums) & (sums < np.inf))[..., 0]
+    if big.any():  # exp stayed finite: normalize these rows where they are
+        exps[big] /= sums[big]
+        sums[big] = 1
+    redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
+    if redo.any():
+        mats = redo.any(axis=-1)
+        z = logits(mats)[redo[mats]]
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        exps[redo] = z
+        sums[redo] = np.matmul(z, ones)
+    r = np.reciprocal(sums, out=sums)
     out = np.matmul(exps, vd)
     out *= r
     if probs_sink is not None:
@@ -614,6 +628,7 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         # rowsum(dP * P) = rowsum(g * out): E * ((g r) v^T - rowsum((g r) * out))
         dlogits = np.matmul(gr, vd.swapaxes(-1, -2))
         dlogits -= (gr * out).sum(axis=-1, keepdims=True)
+        del gr
         dlogits *= exps
         dk = _reduce_to(np.matmul(((qd + ud) * s).swapaxes(-1, -2), dlogits), kd.shape)
         dqu = np.matmul(dlogits, kd.swapaxes(-1, -2)) * s

@@ -17,12 +17,12 @@ shared learned projection of sinusoidal relative-distance encodings.
 Scores, softmax and the weighted sum of values are one fused op,
 `autodiff.rel_attention`.  It exponentiates the unshifted logits, scales
 the output rows by the reciprocal row sums instead of normalizing the
-scores, and rebuilds the logits shifted by their row max only where exp
-overflows or a row underflows; its graph keeps the exponentials and the
-reciprocal sums, the bytes of the attention probabilities.  Each conv
-sub-block is one fused op too, `autodiff.conv_norm_silu`, whose graph
-keeps only the centred conv output, the group factors and the SiLU
-output; its backward recomputes the rest.
+scores, and rebuilds the logits shifted by their max only in the rows
+where exp overflows or the row underflows; its graph keeps the
+exponentials and the reciprocal sums, the bytes of the attention
+probabilities.  Each conv sub-block is one fused op too,
+`autodiff.conv_norm_silu`, whose graph keeps only the centred conv output,
+the group factors and the SiLU output; its backward recomputes the rest.
 
 `forward` takes (2M, T) or a batch (B, 2M, T) of frequencies and returns
 (2N, T) or (B, 2N, T).  Between its input and output convolutions the
@@ -34,8 +34,9 @@ attention op sees a (B, heads, T, head_dim) layout.
 
 Inference (`separate`, `attention_maps`) and training
 (`trainer.batch_loss`) run the network on chunks of frequency bins
-(`map_bin_chunks`).  Every frequency is processed on its own, so the chunks
-are independent work.  The F bins are cut into balanced chunks of at most
+(`map_bin_chunks`).  Every frequency is processed on its own (the attention
+decides its overflow rebuild row by row, not per chunk), so the chunks are
+independent work.  The F bins are cut into balanced chunks of at most
 `FREQUENCY_CHUNK` bins, a cut that depends on F alone; W workers
 (`parallel.worker_count`, set by `NBC_THREADS`) run W chunks at once, so
 W x `FREQUENCY_CHUNK` bins are in flight instead of F.  Chunking changes the

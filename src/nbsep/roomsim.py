@@ -458,7 +458,6 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     n_fft = next_fast_len(n + rir.n_taps - 1)
     dry_spectrum = np.fft.rfft(dry.data[0], n_fft)
     rows = min(rir.n_mics, max(1, SPECTRA_BYTES // dry_spectrum.nbytes))
-    spectra = np.empty((rows, dry_spectrum.size), dtype=dry_spectrum.dtype)
     out = np.empty((rir.n_mics, n))
     # the operand order of `dry_spectrum * np.fft.rfft(row)`, the form the
     # corpora were made with: numpy computes `a * temporary` in the temporary,
@@ -467,7 +466,7 @@ def spatialize(dry: WaveBuffer, rir: Rir, speaker: int) -> WaveBuffer:
     elided = dry_spectrum.nbytes >= ELIDE_BYTES
     for lo in range(0, rir.n_mics, rows):
         taps = rir.taps[lo : lo + rows, speaker]
-        block = np.fft.rfft(taps, n_fft, axis=-1, out=spectra[: len(taps)])
+        block = np.fft.rfft(taps, n_fft, axis=-1)
         if elided:
             block *= dry_spectrum
         else:

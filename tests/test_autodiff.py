@@ -553,9 +553,9 @@ def test_rel_attention_matches_unfused_composition(lead, t_len):
 
 
 def _extreme_logit_inputs(case, dtype):
-    """rel_attention inputs whose logits are near +100 (float32), near +800
-    (float64) or, in one query row, all below -100, so exp overflows or a
-    whole row underflows.  Every entry but v's is a multiple of 1/4 and the
+    """rel_attention inputs whose logits are near +60 or +100 (float32), near
+    +800 (float64) or, in one query row, all below -100, so the row sums
+    exceed 1/sqrt(tiny), exp overflows or a whole row underflows.  Every entry but v's is a multiple of 1/4 and the
     scale is 1/2, so both forms compute the same logits exactly."""
     rng = np.random.default_rng(77)
     lead, heads, t_len, dh = (3,), 2, 7, 4
@@ -570,11 +570,12 @@ def _extreme_logit_inputs(case, dtype):
     if case == "underflow":
         q[..., 2, 0] = -60  # row 2: logits about -120, exp 0 in float32
     else:
-        u[..., 0] = {"overflow32": 50, "overflow64": 400}[case]
+        u[..., 0] = {"large32": 30, "overflow32": 50, "overflow64": 400}[case]
     return [Tensor(a.astype(dtype), requires_grad=True) for a in (q, k, v, u, vb, rel)]
 
 
-@pytest.mark.parametrize("case,dtype,tol", [("overflow32", np.float32, 1e-6),
+@pytest.mark.parametrize("case,dtype,tol", [("large32", np.float32, 1e-6),
+                                            ("overflow32", np.float32, 1e-6),
                                             ("underflow", np.float32, 1e-6),
                                             ("overflow64", np.float64, 1e-12)])
 def test_rel_attention_rebuilds_shifted_logits_where_exp_overflows_or_underflows(case, dtype,
@@ -595,6 +596,29 @@ def test_rel_attention_rebuilds_shifted_logits_where_exp_overflows_or_underflows
         probs = _unfused_probs(*[ins[i] for i in (0, 1, 3, 4, 5)], 0.5).data
     np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=0, atol=10 * tol)
     np.testing.assert_allclose(sink[0], probs, rtol=0, atol=10 * tol)
+
+
+def test_rel_attention_rebuilds_only_the_rows_that_overflow():
+    ins = _rel_attention_inputs(np.random.default_rng(8), (3,), 2, 7, 4, np.float32)
+    with ad.no_graph():
+        calm = ad.rel_attention(*ins, 0.5).data
+        hot_q = ins[0].data.copy()
+        hot_q[0, 1, 2] *= 1000  # bin 0, head 1, query row 2
+        ins[0] = Tensor(hot_q)
+        logits = ad.scale(ad.add(ad.matmul(ad.add(ins[0], ins[3]), ins[1]),
+                                 ad.relative_shift(ad.matmul(ad.add(ins[0], ins[4]), ins[5]))),
+                          0.5).data
+        assert logits[0, 1, 2].max() > 100 and np.abs(np.delete(logits[0, 1], 2, 0)).max() < 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hot = ad.rel_attention(*ins, 0.5).data
+        want = _unfused_rel_attention(*ins, 0.5).data
+    # every other row keeps the bits it had while nothing overflowed, so a
+    # frequency's result does not depend on the other bins of its chunk
+    others = np.ones(calm.shape[:-1], bool)
+    others[0, 1, 2] = False
+    np.testing.assert_array_equal(hot[others], calm[others])
+    np.testing.assert_allclose(hot[0, 1, 2], want[0, 1, 2], rtol=1e-6)
 
 
 def _peak_bytes_per_line(fn, *args):
