@@ -575,13 +575,12 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     E, their row sums come from one GEMV, and the (T, dh) output E v is
     scaled by the reciprocal sums r, so P = E r is never formed and no
     other (T, T) array is made.  Each row whose sum leaves
-    [sqrt(tiny), 1/sqrt(tiny)] of the dtype is fixed alone, so no row's
-    result depends on the other rows in the call: where the sum is finite
-    but so large that E v could overflow, the row is divided by it in
-    place; where exp overflowed or the whole row underflowed, the row is
-    rebuilt from its logits shifted by their max, and only the matrices
-    holding such a row recompute their logits.  Backward keeps E and r, the
-    bytes of P.  With `probs_sink`, P = E r (read-only) is appended to it.
+    [sqrt(tiny), 1/sqrt(tiny)] of the dtype, so that exp overflowed, the
+    whole row underflowed or E v could overflow, is rebuilt alone from its
+    logits shifted by their max, so no row's result depends on the other
+    rows in the call; only the matrices holding such a row recompute their
+    logits.  Backward keeps E and r, the bytes of P.  With `probs_sink`,
+    P = E r (read-only) is appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
     qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
@@ -601,10 +600,6 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         np.exp(exps, out=exps)
     sums = np.matmul(exps, ones)
     lo = np.sqrt(np.finfo(exps.dtype).tiny)
-    big = ((1 / lo < sums) & (sums < np.inf))[..., 0]
-    if big.any():  # exp stayed finite: normalize these rows where they are
-        exps[big] /= sums[big]
-        sums[big] = 1
     redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
     if redo.any():
         mats = redo.any(axis=-1)

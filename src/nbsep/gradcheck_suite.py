@@ -1,8 +1,8 @@
 """Finite-difference verification battery for the engine and the full pipeline.
 
-`run_battery` exercises every primitive the network uses on small random
-shapes in double precision, then differentiates the complete narrow-band
-model + permutation-invariant SI-SDR loss at a tiny configuration.
+`run_battery` checks every primitive the network uses, and the ops only the
+benchmark's tracer still wraps, on small random shapes in double precision,
+then differentiates the complete model + fPIT loss at a tiny configuration.
 """
 
 from __future__ import annotations

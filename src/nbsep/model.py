@@ -40,8 +40,8 @@ independent work.  The F bins are cut into balanced chunks of at most
 `FREQUENCY_CHUNK` bins, a cut that depends on F alone; W workers
 (`parallel.worker_count`, set by `NBC_THREADS`) run W chunks at once, so
 W x `FREQUENCY_CHUNK` bins are in flight instead of F.  Chunking changes the
-outputs by round-off only, and since the chunks do not depend on W, the
-outputs are the same bits at every worker count.
+outputs by round-off only; the chunks do not depend on W, and OpenBLAS
+runs at one thread, so the outputs are the same bits at every worker count.
 """
 
 from __future__ import annotations

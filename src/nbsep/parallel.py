@@ -4,10 +4,13 @@
 process may run on.  `parallel_map` runs a function over items on that many
 threads and hands the results back in item order; numpy's element-wise ops
 and OpenBLAS release the interpreter lock, so numerical work overlaps.
-Inside the pool numpy's bundled OpenBLAS runs one thread per call where its
-thread control is found, so the process uses no more threads than it has
-workers.  For the same reason pools do not nest: a `parallel_map` called on
-a worker of another pool runs its items in order on that worker's thread.
+While a map runs, at one worker too, numpy's bundled OpenBLAS runs one
+thread per call where its thread control is found: the process uses no more
+threads than it has workers, results do not depend on the worker count, and
+no spinning BLAS thread slows a busy neighbour process (40x, for a
+room-simulation pair's tap product).  Nor do pools nest: a `parallel_map`
+called on a worker of another pool runs its items in order on that worker's
+thread.
 So when `generate_dataset` makes several mixtures at once, each mixture's
 room simulation runs on its own worker, and when it makes one at a time,
 the simulation spreads its mic-speaker pairs over all the workers and its
@@ -72,8 +75,8 @@ _OPENBLAS = _openblas_thread_control()
 
 @contextmanager
 def _single_threaded_blas():
-    """OpenBLAS at one thread inside, its former count restored after; no-op without control."""
-    if _OPENBLAS is None:
+    """OpenBLAS at one thread inside, then restored; no-op without control or in a pool."""
+    if _OPENBLAS is None or getattr(_THREAD, "in_pool", False):  # a pool holds it at one
         yield
         return
     get_threads, set_threads = _OPENBLAS
@@ -97,12 +100,12 @@ def parallel_map(fn, items, workers: int):
 
     With one worker, or when the caller is itself a worker of a
     `parallel_map` pool, the items run in order on the calling thread.
-    Otherwise OpenBLAS runs at one thread until the pool is done, where its
-    control is found.  An exception of `fn` is raised when its item's
-    result is reached.
+    OpenBLAS runs at one thread until the map is done, where its control is
+    found.  An exception of `fn` is raised when its item's result is reached.
     """
     if workers <= 1 or getattr(_THREAD, "in_pool", False):
-        yield from map(fn, items)
+        with _single_threaded_blas():
+            yield from map(fn, items)
         return
     pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker)
     with _single_threaded_blas(), pool:

@@ -366,11 +366,8 @@ def simulate_rir(
         taps[m, n] = padded[SINC_HALF_WIDTH : SINC_HALF_WIDTH + n_taps]
 
     pairs = [(m, n) for n in range(scene.n_speakers) for m in range(scene.n_mics)]
-    # also on the calling thread: next to a busy process the spinning threads
-    # of a multi-threaded BLAS made each pair's tap product 40x slower
-    with parallel._single_threaded_blas():
-        for _ in parallel.parallel_map(pair, pairs, rir_threads(image_count(scene, max_order))):
-            pass
+    for _ in parallel.parallel_map(pair, pairs, rir_threads(image_count(scene, max_order))):
+        pass
     return Rir(taps, sample_rate)
 
 

@@ -11,8 +11,8 @@ gradient (recomputation, Chen et al. 2016, arXiv:1604.06174).  Memory is
 set by the chunk, not by F, and the chunks run on the model's worker
 threads.  Nothing couples two utterances, so utterances of a batch may
 differ in length.  The chunks, and so the dropout masks drawn per chunk,
-depend on F alone, and gradients are summed in chunk order, so a given seed
-gives the same bits on every run at every worker count (`NBC_THREADS`).
+depend on F alone, OpenBLAS runs at one thread, and gradients are summed in
+chunk order: a seed gives the same bits on every run at every `NBC_THREADS`.
 
 Examples wait as waveforms.  `train` prepares a batch's utterances (the
 mixture and target STFTs) just before its step and validates one

@@ -185,8 +185,20 @@ def _istft_graph(pred):
     return objective.istft_graph(pred, cfg, cfg.covered_len(pred.shape[-1]))
 
 
-# every graph-recording op that the model or the loss calls: its operand
-# shapes, which operands its backward rule reads, and whether it reads its output
+def _fpit_loss(pred):
+    from nbsep import objective, stft
+
+    cfg = stft.StftConfig(window_len=8, hop=4, sample_rate=8000)
+    rng = np.random.default_rng(26)
+    targets = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
+    loss, _ = objective.fpit(pred, targets, cfg, cfg.covered_len(pred.shape[-1]))
+    return loss  # its node keeps G alone, and the iSTFT node nothing
+
+
+# every graph-recording op that the model or the loss calls, and the seven
+# that only the benchmark's tracer and the grad-check battery still call (sub,
+# div, neg, power, log10, clip, tsum): its operand shapes, which operands its
+# backward rule reads, and whether it reads its output
 GRAPH_OPS = {
     "add": (ad.add, [(3, 4), (3, 4)], (False, False), False),
     "sub": (ad.sub, [(3, 4), (1, 4)], (False, False), False),
@@ -218,6 +230,7 @@ GRAPH_OPS = {
     "dropout": (lambda a: ad.dropout(a, 0.3, np.random.default_rng(1), training=True),
                 [(3, 4)], (False,), False),
     "istft_graph": (_istft_graph, [(5, 4, 3)], (False,), False),
+    "fpit": (_fpit_loss, [(5, 4, 3)], (False,), False),
 }
 
 

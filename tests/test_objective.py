@@ -9,16 +9,52 @@ from nbsep import dataset, stft
 from nbsep.audio import WaveBuffer
 from nbsep.autodiff import NumericError, Tensor
 from nbsep.objective import (
+    SDR_CLAMP_DB,
     MetricRecord,
+    best_permutation,
     evaluate,
     fpit,
     istft_graph,
     si_sdr,
-    si_sdr_loss,
+    si_sdr_table,
 )
 from nbsep.trainer import AdamState, adam_step
 
 CFG = stft.StftConfig(window_len=16, hop=8, sample_rate=16000)
+
+
+def si_sdr_loss(reference, estimate):
+    """Tape reference: negated clamped SI-SDR of a Tensor estimate, from generic ops.
+
+    With ``alpha = (estimate . reference) / ||reference||^2``, SI-SDR is
+    ``10 log10(||alpha ref||^2 / ||alpha ref - estimate||^2)``, clamped to +/-60 dB.
+    """
+    eps = Tensor(np.asarray(1e-30, dtype=estimate.dtype))
+    ref = Tensor(np.asarray(reference, dtype=estimate.dtype))
+    alpha = ad.scale(ad.tsum(ad.mul(estimate, ref)), 1.0 / float(ref.data @ ref.data))
+    target = ad.mul(alpha, ref)
+    num = ad.tsum(ad.power(target, 2.0))
+    den = ad.tsum(ad.power(ad.sub(target, estimate), 2.0))
+    ratio = ad.div(ad.add(num, eps), ad.add(den, eps))
+    return ad.neg(ad.clip(ad.scale(ad.log10(ratio), 10.0), -SDR_CLAMP_DB, SDR_CLAMP_DB))
+
+
+def tape_fpit(predictions, targets, cfg, out_len):
+    """Tape reference of `fpit`: one `si_sdr_loss` graph per pair, the chosen ones summed."""
+    signals = istft_graph(predictions, cfg, out_len)
+    references = stft.istft(targets, cfg, out_len).data
+    n = references.shape[0]
+    estimates = [ad.reshape(ad.narrow(signals, 0, j, 1), (out_len,)) for j in range(n)]
+    pair = [[si_sdr_loss(references[i], estimates[j]) for j in range(n)] for i in range(n)]
+    perm, value = best_permutation(np.array([[t.data for t in row] for row in pair]))
+    return functools.reduce(ad.add, [pair[i][perm[i]] for i in range(n)]), perm, value
+
+
+def closed_form_loss(reference, estimate):
+    """Negated SI-SDR of a Tensor estimate as one node with `si_sdr_table`'s gradient."""
+    table, grad = si_sdr_table(reference[None], estimate.data[None])
+    g_est = -grad((0,))[0]
+    return Tensor._from_op(-table[0, 0], (estimate,), lambda g: (g * g_est,))
 
 
 def direct_si_sdr(y, y_hat):
@@ -77,22 +113,35 @@ def test_silent_estimate_ranks_below_poor_estimate():
     assert si_sdr(y, np.zeros(200)) == -60.0
     assert -60.0 < si_sdr(y, poor) < -10.0
     # the training loss keeps its eps/eps value for silence
-    assert si_sdr_loss(y, Tensor(np.zeros(200))).item() == 0.0
+    table, grad = si_sdr_table(y[None], np.zeros((1, 200)))
+    assert table[0, 0] == 0.0
+    np.testing.assert_array_equal(grad((0,)), np.zeros((1, 200)))
 
 
-def test_si_sdr_loss_matches_metric():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_si_sdr_table_matches_tape_reference_and_metric(dtype):
     rng = np.random.default_rng(4)
-    y = rng.standard_normal(100)
-    y_hat = rng.standard_normal(100)
-    loss = si_sdr_loss(y, Tensor(y_hat))
-    assert abs(loss.item() + si_sdr(y, y_hat)) < 1e-9
+    refs = rng.standard_normal((3, 100))
+    ests = rng.standard_normal((2, 100)).astype(dtype)
+    ests[1] = 4.0 * refs[2]  # a pair at the +60 dB clamp
+    table, _ = si_sdr_table(refs, ests)
+    assert table.dtype == dtype and table.shape == (3, 2)
+    for i, j in np.ndindex(table.shape):
+        assert table[i, j] == -si_sdr_loss(refs[i], Tensor(ests[j])).data  # bit for bit
+        if dtype == np.float64:
+            assert abs(table[i, j] - si_sdr(refs[i], ests[j])) < 1e-9
+    assert table[2, 1] == SDR_CLAMP_DB
 
 
-def test_si_sdr_loss_gradient():
+def test_si_sdr_table_gradient():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(32)
     est = Tensor(rng.standard_normal(32), requires_grad=True)
-    assert ad.grad_check(lambda e: si_sdr_loss(y, e), est) < 1e-7
+    assert ad.grad_check(lambda e: closed_form_loss(y, e), est) < 1e-7
+    ad.zero_grad([est])
+    ad.backward(si_sdr_loss(y, est))
+    _, grad = si_sdr_table(y[None], est.data[None])
+    np.testing.assert_allclose(-grad((0,))[0], est.grad, rtol=1e-12, atol=0)
 
 
 # -- differentiable iSTFT ---------------------------------------------------------
@@ -283,6 +332,80 @@ def test_fpit_differentiable_through_chosen_branch():
         return loss
 
     assert ad.grad_check(f, pred) < 1e-5
+
+
+def _fpit_case(rng, n, case, out_len):
+    """Target and estimate waves for one `fpit` reference case."""
+    targets = rng.standard_normal((n, out_len))
+    ests = rng.standard_normal((n, out_len))
+    if case == "tie":  # every permutation of two equal estimates ties
+        ests[-1] = ests[0]
+    elif case == "clamped":  # a scaled target: the pair sits at the +60 dB clamp
+        ests[0] = 3.0 * stft.istft(spectra_of(targets), CFG, out_len).data[0]
+    elif case == "silent":
+        ests[-1] = 0.0
+    return targets, ests
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", ["random", "tie", "clamped", "silent"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fpit_matches_the_tape_reference(n, case, dtype):
+    rng = np.random.default_rng(30 + n)
+    out_len = CFG.covered_len(9)
+    targets, ests = _fpit_case(rng, n, case, out_len)
+    x = stft.all_frequency_sequences(spectra_of(ests)).astype(dtype)
+    pred = Tensor(x, requires_grad=True)
+    loss, assignment = fpit(pred, spectra_of(targets), CFG, out_len)
+    ad.backward(loss)
+    ref_pred = Tensor(x.copy(), requires_grad=True)
+    ref_loss, ref_perm, ref_value = tape_fpit(ref_pred, spectra_of(targets), CFG, out_len)
+    assert loss.dtype == dtype and loss.data.tobytes() == ref_loss.data.tobytes()
+    assert assignment.mapping == ref_perm and assignment.loss == ref_value
+    assert pred.grad.dtype == dtype and np.all(np.isfinite(pred.grad))
+    if dtype == np.float64:
+        ad.backward(ref_loss)
+        err = np.max(np.abs(pred.grad - ref_pred.grad))
+        assert err <= 1e-12 * np.max(np.abs(ref_pred.grad))
+
+
+def test_float32_fpit_gradient_is_finite_for_silent_and_near_silent_estimates():
+    # the tape's div backward squares ||e||^2 + 1e-30, which underflows to 0
+    # in float32, so its gradient here was non-finite and adam_step refused it
+    rng = np.random.default_rng(21)
+    out_len = CFG.covered_len(6)
+    targets = spectra_of(rng.standard_normal((2, out_len)))
+    ests = rng.standard_normal((2, out_len))
+    ests[0] = 0.0
+    ests[1] *= 1e-20
+    pred = Tensor(stft.all_frequency_sequences(spectra_of(ests)).astype(np.float32),
+                  requires_grad=True)
+    loss, assignment = fpit(pred, targets, CFG, out_len)
+    ad.backward(loss)
+    assert pred.grad.dtype == np.float32 and np.all(np.isfinite(pred.grad))
+    signals = istft_graph(Tensor(pred.data), CFG, out_len).data
+    table, _ = si_sdr_table(stft.istft(targets, CFG, out_len).data, signals)
+    np.testing.assert_array_equal(table[:, 0], 0.0)  # the silent pairs' eps/eps
+    assert loss.item() == -sum(table[i, j] for i, j in enumerate(assignment.mapping))
+    params = {"p": pred}
+    adam_step(params, {"p": pred.grad}, AdamState.init(params), 1e-3)
+
+
+def test_fpit_loss_is_one_node_on_the_istft_output():
+    # a 4 s, float32, two-speaker loss: the network output, the iSTFT, the loss
+    cfg = stft.StftConfig(window_len=512, hop=256, sample_rate=16000)
+    out_len = 4 * cfg.sample_rate
+    rng = np.random.default_rng(22)
+    targets = stft.stft(WaveBuffer(rng.standard_normal((2, out_len)), cfg.sample_rate), cfg)
+    x = rng.standard_normal((cfg.n_bins, 4, cfg.n_frames(out_len))).astype(np.float32)
+    pred = Tensor(x, requires_grad=True)
+    loss, _ = fpit(pred, targets, cfg, out_len)
+    (signals,) = loss._parents
+    assert signals._parents == (pred,)
+    assert signals.data.size == 0  # the loss keeps G, not the signals it scored
+    with ad.no_graph():
+        free, _ = fpit(Tensor(x), targets, cfg, out_len)
+    assert free._parents == () and free.data.tobytes() == loss.data.tobytes()
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_parallel_map_serial_cases_stay_on_the_calling_thread(workers):
     assert idents == [threading.get_ident()] * 4
 
 
+def test_a_one_worker_map_runs_blas_single_threaded_too(monkeypatch):
+    blas = {"threads": 2}  # a fake thread control: the count the process runs at
+    monkeypatch.setattr(parallel, "_OPENBLAS", (lambda: blas["threads"],
+                                                lambda n: blas.update(threads=n)))
+    assert list(parallel.parallel_map(lambda _: blas["threads"], range(3), 1)) == [1, 1, 1]
+    assert blas["threads"] == 2
+
+
 def test_work_that_is_not_blas_bound_runs_on_threads_without_blas_control(monkeypatch):
     monkeypatch.setattr(parallel, "_OPENBLAS", None)
     idents = list(parallel.parallel_map(lambda _: threading.get_ident(), range(4), 2))
