@@ -463,40 +463,44 @@ def pad_last(a: Tensor, left: int, right: int) -> Tensor:
     return Tensor._from_op(np.pad(a.data, width), (a,), vjp)
 
 
-def _pair_view(per_offset):
-    """(..., T, T) view of C-contiguous per-offset scores (..., T, 2T-1).
+def _band_view(per_offset):
+    """(..., b, T) view of C-contiguous per-offset scores (..., b, T+b-1).
 
-    ``view[..., q, k] = per_offset[..., q, (k - q) + (T - 1)]``: offset entry
-    k-q of row q.  In the row-major flattening of the last two axes, row q
-    of the view is the window of length T starting at ``q*(2T-2) + (T-1)``;
-    windows of distinct rows never overlap, so writing through the view is
-    safe.
+    ``view[..., i, k] = per_offset[..., i, k + (b - 1 - i)]``.  For a block
+    of b query rows q0 ... q0+b-1, the per-offset scores against the window
+    ``rel[..., T-q0-b : 2T-1-q0]`` of the 2T-1 offsets -(T-1) ... T-1 hold,
+    in row i, the offsets -(q0+i) ... T-1-(q0+i) of its T keys; with b = T
+    (q0 = 0, the whole table) this is ``view[..., q, k] = per_offset[...,
+    q, (k - q) + (T - 1)]``, Transformer-XL's relative shift.  In the
+    row-major flattening of the last two axes, row i of the view is the
+    window of length T starting at ``i*(T+b-2) + (b-1)``; windows of
+    distinct rows never overlap, so writing through the view is safe.
     """
-    t, s = per_offset.shape[-2], per_offset.shape[-1]
-    if s != 2 * t - 1:
-        raise ValueError(f"per-offset scores must be (..., T, 2T-1), got {per_offset.shape}")
+    b, w = per_offset.shape[-2:]
     lead = per_offset.shape[:-2]
-    flat = per_offset.reshape(lead + (t * s,))
+    flat = per_offset.reshape(lead + (b * w,))
     it = flat.strides[-1]
     return np.lib.stride_tricks.as_strided(
-        flat[..., t - 1 :],
-        shape=lead + (t, t),
-        strides=flat.strides[:-1] + ((2 * t - 2) * it, it),
+        flat[..., b - 1 :],
+        shape=lead + (b, w - b + 1),
+        strides=flat.strides[:-1] + ((w - 1) * it, it),
     )
 
 
 def relative_shift(a: Tensor) -> Tensor:
     """Turn per-offset scores (..., T, 2T-1) into per-pair scores (..., T, T).
 
-    ``out[..., q, k] = a[..., q, (k - q) + (T - 1)]`` (see `_pair_view`);
-    both directions are plain strided copies.
+    ``out[..., q, k] = a[..., q, (k - q) + (T - 1)]`` (`_band_view` of the
+    whole table); both directions are plain strided copies.
     """
     shape, dtype = a.data.shape, a.data.dtype
-    out = np.ascontiguousarray(_pair_view(np.ascontiguousarray(a.data)))
+    if len(shape) < 2 or shape[-1] != 2 * shape[-2] - 1:
+        raise ValueError(f"per-offset scores must be (..., T, 2T-1), got {shape}")
+    out = np.ascontiguousarray(_band_view(np.ascontiguousarray(a.data)))
 
     def vjp(g):
         gx = np.zeros(shape, dtype)
-        _pair_view(gx)[...] = g
+        _band_view(gx)[...] = g
         return (gx,)
 
     return Tensor._from_op(out, (a,), vjp)
@@ -561,6 +565,18 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor._from_op(y, (a,), vjp)
 
 
+# Query rows per attention block, at least: a length-T call runs max(1, T // 32)
+# blocks of balanced size, so the cut depends on T alone.
+QUERY_BLOCK = 32
+
+
+def _query_blocks(t):
+    """Row ranges (q0, q1) of the attention query blocks of a length-t sequence."""
+    n = max(1, t // QUERY_BLOCK)
+    edges = [i * t // n for i in range(n + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: Tensor,
                   scale: float, probs_sink: list | None = None) -> Tensor:
     """Attention with Transformer-XL relative positions, as one op.
@@ -569,72 +585,110 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     q, v of shape (..., H, T, dh), keys as columns k (..., H, dh, T), biases
     u, vb broadcastable to q (e.g. (H, 1, dh)), and the projected encodings
     of offsets -(T-1)..(T-1) as rel (H, dh, 2T-1); `shift` is
-    `relative_shift`.  The scale is folded into the (T, dh) queries and the
-    position scores are added through a strided view.  The softmax is left
-    unnormalized: the logits are exponentiated in place, unshifted, into
-    E, their row sums come from one GEMV, and the (T, dh) output E v is
-    scaled by the reciprocal sums r, so P = E r is never formed and no
-    other (T, T) array is made.  Each row whose sum leaves
-    [sqrt(tiny), 1/sqrt(tiny)] of the dtype, so that exp overflowed, the
-    whole row underflowed or E v could overflow, is rebuilt alone from its
-    logits shifted by their max, so no row's result depends on the other
-    rows in the call; only the matrices holding such a row recompute their
-    logits.  Backward keeps E and r, the bytes of P.  With `probs_sink`,
-    P = E r (read-only) is appended to it.
+    `relative_shift`.  The scale is folded into the (T, dh) queries.
+
+    The query rows run in blocks of `QUERY_BLOCK` to 2 `QUERY_BLOCK` - 1
+    rows (one block below T = 2 `QUERY_BLOCK`); the softmax is per row, so
+    the blocks are independent.  A block of b rows starting at q0 reads only
+    the T+b-1 offset columns ``rel[..., T-q0-b : 2T-1-q0]`` its rows need:
+    its position scores are one (b, T+b-1) GEMM, added to its (b, T)
+    content scores through `_band_view`, so no (T, 2T-1) array is made.
+    The softmax is left unnormalized: a block's logits are exponentiated in
+    place, unshifted, into E, their row sums come from one GEMV, and the
+    block's (b, dh) output E v is scaled by the reciprocal sums r, so
+    P = E r is never formed.  Each row whose sum leaves [sqrt(tiny),
+    1/sqrt(tiny)] of the dtype, so that exp overflowed, the whole row
+    underflowed or E v could overflow, is rebuilt alone from its logits
+    shifted by their max, so no row's result depends on the other rows in
+    the call; only the block rows of the matrices holding such a row
+    recompute their logits.  With a graph, backward keeps each block's E
+    and r, the bytes of P, and forms its (b, T) logit gradient and
+    (b, T+b-1) position gradient one block at a time; without one, each
+    block's E is dropped once its output rows are written.  With
+    `probs_sink`, P = E r (read-only) is appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
     qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
+    t = qd.shape[-2]
+    blocks = _query_blocks(t)
+    lead = np.broadcast_shapes(*(x.shape[:-2] for x in (qd, kd, ud, vbd, reld)))
+    dtype = np.result_type(qd, kd, vd, ud, vbd, reld)
+    out = np.empty(np.broadcast_shapes(lead, vd.shape[:-2]) + (t, vd.shape[-1]), dtype)
+    r = np.empty(lead + (t, 1), dtype)
+    probs = None if probs_sink is None else np.empty(lead + (t, t), dtype)
+    ones = np.ones((t, 1), dtype)
+    lo = np.sqrt(np.finfo(dtype).tiny)
+    keep = _records((q, k, v, u, vb, rel))
+    exps = []
 
-    def logits(mats=None):
-        """The logits of every (T, T) matrix, or of those a mask over the leading axes picks."""
+    def logits(q0, q1, mats=None):
+        """Logits of rows q0..q1-1 of every (T, T) matrix, or of those a mask over
+        the leading axes picks."""
         def pick(x):
             return x if mats is None else np.broadcast_to(x, mats.shape + x.shape[-2:])[mats]
 
-        z = np.matmul(pick((qd + ud) * s), pick(kd))
-        z += _pair_view(np.matmul(pick((qd + vbd) * s), pick(reld)))
+        rows = qd[..., q0:q1, :]
+        z = np.matmul(pick((rows + ud) * s), pick(kd))
+        window = reld[..., t - q1 : 2 * t - 1 - q0]
+        z += _band_view(np.matmul(pick((rows + vbd) * s), pick(window)))
         return z
 
-    exps = logits()
-    ones = np.ones((exps.shape[-1], 1), exps.dtype)
-    with np.errstate(over="ignore"):
-        np.exp(exps, out=exps)
-    sums = np.matmul(exps, ones)
-    lo = np.sqrt(np.finfo(exps.dtype).tiny)
-    redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
-    if redo.any():
-        mats = redo.any(axis=-1)
-        z = logits(mats)[redo[mats]]
-        z -= z.max(axis=-1, keepdims=True)
-        np.exp(z, out=z)
-        exps[redo] = z
-        sums[redo] = np.matmul(z, ones)
-    r = np.reciprocal(sums, out=sums)
-    out = np.matmul(exps, vd)
-    out *= r
-    if probs_sink is not None:
-        probs = exps * r
+    for q0, q1 in blocks:
+        e = logits(q0, q1)
+        with np.errstate(over="ignore"):
+            np.exp(e, out=e)
+        sums = np.matmul(e, ones)
+        redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
+        if redo.any():
+            mats = redo.any(axis=-1)
+            z = logits(q0, q1, mats)[redo[mats]]
+            z -= z.max(axis=-1, keepdims=True)
+            np.exp(z, out=z)
+            e[redo] = z
+            sums[redo] = np.matmul(z, ones)
+        rb = np.reciprocal(sums, out=r[..., q0:q1, :])
+        np.matmul(e, vd, out=out[..., q0:q1, :])
+        out[..., q0:q1, :] *= rb
+        if probs is not None:
+            np.multiply(e, rb, out=probs[..., q0:q1, :])
+        if keep:
+            exps.append(e)
+        del e
+    if probs is not None:
         probs.flags.writeable = False
         probs_sink.append(probs)
 
     def vjp(g):
-        gr = g * r
-        dv = _reduce_to(np.matmul(exps.swapaxes(-1, -2), gr), vd.shape)
-        # d logits = P * (dP - rowsum(dP * P)) with P = E r, dP = g v^T and
-        # rowsum(dP * P) = rowsum(g * out): E * ((g r) v^T - rowsum((g r) * out))
-        dlogits = np.matmul(gr, vd.swapaxes(-1, -2))
-        dlogits -= (gr * out).sum(axis=-1, keepdims=True)
-        del gr
-        dlogits *= exps
-        dk = _reduce_to(np.matmul(((qd + ud) * s).swapaxes(-1, -2), dlogits), kd.shape)
-        dqu = np.matmul(dlogits, kd.swapaxes(-1, -2)) * s
-        dpos = np.zeros(dlogits.shape[:-1] + (reld.shape[-1],), dtype=dlogits.dtype)
-        _pair_view(dpos)[...] = dlogits
-        del dlogits
-        dqv = np.matmul(dpos, reld.swapaxes(-1, -2)) * s
-        qv = (qd + vbd) * s
-        drel = _reduce_to(np.matmul(qv.swapaxes(-1, -2), dpos), reld.shape)
-        return (_reduce_to(dqu + dqv, qd.shape), dk, dv,
-                _reduce_to(dqu, ud.shape), _reduce_to(dqv, vbd.shape), drel)
+        dqu = np.empty(lead + qd.shape[-2:], dtype)
+        dqv = np.empty_like(dqu)
+        drel = np.zeros(reld.shape, dtype)
+        dk = dv = None  # the first block's parts, then their sums over the blocks
+        for (q0, q1), e in zip(blocks, exps):
+            rows, window = np.s_[..., q0:q1, :], np.s_[..., t - q1 : 2 * t - 1 - q0]
+            gr = g[rows] * r[rows]
+            part = np.matmul(e.swapaxes(-1, -2), gr)
+            dv = part if dv is None else np.add(dv, part, out=dv)
+            # d logits = P * (dP - rowsum(dP * P)) with P = E r, dP = g v^T and
+            # rowsum(dP * P) = rowsum(g * out): E * ((g r) v^T - rowsum((g r) * out))
+            dl = np.matmul(gr, vd.swapaxes(-1, -2))
+            dl -= (gr * out[rows]).sum(axis=-1, keepdims=True)
+            del gr
+            dl *= e
+            part = np.matmul(((qd[rows] + ud) * s).swapaxes(-1, -2), dl)
+            dk = part if dk is None else np.add(dk, part, out=dk)
+            np.matmul(dl, kd.swapaxes(-1, -2), out=dqu[rows])
+            dpos = np.zeros(dl.shape[:-1] + (t + q1 - q0 - 1,), dtype)
+            _band_view(dpos)[...] = dl
+            del dl
+            np.matmul(dpos, reld[window].swapaxes(-1, -2), out=dqv[rows])
+            qv = (qd[rows] + vbd) * s
+            drel[window] += _reduce_to(np.matmul(qv.swapaxes(-1, -2), dpos), drel[window].shape)
+            del dpos
+        dqu *= s
+        dqv *= s
+        return (_reduce_to(dqu + dqv, qd.shape), _reduce_to(dk, kd.shape),
+                _reduce_to(dv, vd.shape), _reduce_to(dqu, ud.shape), _reduce_to(dqv, vbd.shape),
+                drel)
 
     return Tensor._from_op(out, (q, k, v, u, vb, rel), vjp)
 

@@ -106,6 +106,15 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
     case("conv_norm_silu",
          lambda x, w, b3, gg, bt: head_c(ad.conv_norm_silu(x, w, b3, gg, bt, 2)),
          _t(rng, 4, 2, 5), _t(rng, 4, 2, 3), _t(rng, 4), _t(rng, 4), _t(rng, 4))
+    # two query blocks, so the gradients cross a block seam; at this length a
+    # milder scale keeps every coordinate's gradient clear of the central
+    # difference's noise floor
+    t_seam = 2 * ad.QUERY_BLOCK
+    head_s = linear_head((1, t_seam, 2))
+    case("rel_attention across query blocks",
+         lambda q, k, v, u, vb, r: head_s(ad.rel_attention(q, k, v, u, vb, r, 0.3)),
+         _t(rng, 1, t_seam, 2), _t(rng, 1, 2, t_seam), _t(rng, 1, t_seam, 2),
+         _t(rng, 1, 1, 2), _t(rng, 1, 1, 2), _t(rng, 1, 2, 2 * t_seam - 1))
     return checks
 
 

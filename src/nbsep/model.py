@@ -15,12 +15,15 @@ RPSA is multi-head self-attention with Transformer-XL style relative
 positional encoding: learned content/position bias vectors per head and a
 shared learned projection of sinusoidal relative-distance encodings.
 Scores, softmax and the weighted sum of values are one fused op,
-`autodiff.rel_attention`.  It exponentiates the unshifted logits, scales
-the output rows by the reciprocal row sums instead of normalizing the
-scores, and rebuilds the logits shifted by their max only in the rows
-where exp overflows or the row underflows; its graph keeps the
-exponentials and the reciprocal sums, the bytes of the attention
-probabilities.  Each conv sub-block is one fused op too,
+`autodiff.rel_attention`.  It runs the query rows in blocks of at least
+`autodiff.QUERY_BLOCK` rows, a cut that depends on T alone, and each block
+reads only the T+b-1 relative offsets its b rows need, so no (T, 2T-1)
+array is made.  It exponentiates the unshifted logits, scales the output
+rows by the reciprocal row sums instead of normalizing the scores, and
+rebuilds the logits shifted by their max only in the rows where exp
+overflows or the row underflows; its graph keeps the exponentials and the
+reciprocal sums, the bytes of the attention probabilities, and without a
+graph it holds one block of scores at a time.  Each conv sub-block is one fused op too,
 `autodiff.conv_norm_silu`, whose graph keeps only the centred conv output,
 the group factors and the SiLU output; its backward recomputes the rest.
 

@@ -534,14 +534,16 @@ def _rel_attention_inputs(rng, lead, heads, t_len, dh, dtype):
     return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
 
 
-@pytest.mark.parametrize("lead,t_len", [((3,), 7), ((2, 3), 7), ((3,), 1), ((), 7)])
+# T = 64 runs two query blocks of 32 rows, T = 97 three of 32, 32 and 33
+@pytest.mark.parametrize("lead,t_len", [((3,), 7), ((2, 3), 7), ((3,), 1), ((), 7),
+                                        ((2,), 64), ((2,), 97)])
 def test_rel_attention_matches_unfused_composition(lead, t_len):
     rng = np.random.default_rng(30 + t_len + len(lead))
     heads, dh = 2, 3
     scale = 1.0 / np.sqrt(dh)  # a numpy float64, as the model passes it
     head = rng.standard_normal(lead + (heads, t_len, dh))
-    results = []
-    for op in (ad.rel_attention, _unfused_rel_attention):
+    sink, results = [], []
+    for op in (functools.partial(ad.rel_attention, probs_sink=sink), _unfused_rel_attention):
         ins = _rel_attention_inputs(np.random.default_rng(t_len), lead, heads, t_len, dh,
                                     np.float64)
         out = op(*ins, scale)
@@ -554,6 +556,9 @@ def test_rel_attention_matches_unfused_composition(lead, t_len):
         # of O(1) terms in the fused one: measure those against 1
         rel_err = np.max(np.abs(fused - unfused)) / max(np.max(np.abs(unfused)), 1.0)
         assert rel_err <= 1e-12
+    with ad.no_graph():
+        probs = _unfused_probs(*[ins[i] for i in (0, 1, 3, 4, 5)], scale).data
+    np.testing.assert_allclose(sink[0], probs, rtol=0, atol=1e-12)
 
     # float32 in, float32 out: neither the output nor a gradient is promoted
     ins = _rel_attention_inputs(rng, lead, heads, t_len, dh, np.float32)
@@ -611,17 +616,20 @@ def test_rel_attention_rebuilds_shifted_logits_where_exp_overflows_or_underflows
     np.testing.assert_allclose(sink[0], probs, rtol=0, atol=10 * tol)
 
 
-def test_rel_attention_rebuilds_only_the_rows_that_overflow():
-    ins = _rel_attention_inputs(np.random.default_rng(8), (3,), 2, 7, 4, np.float32)
+# query row 2 of one block, and row 90 in the last of three blocks (T = 97)
+@pytest.mark.parametrize("t_len,row", [(7, 2), (97, 90)])
+def test_rel_attention_rebuilds_only_the_rows_that_overflow(t_len, row):
+    ins = _rel_attention_inputs(np.random.default_rng(8), (3,), 2, t_len, 4, np.float32)
     with ad.no_graph():
         calm = ad.rel_attention(*ins, 0.5).data
         hot_q = ins[0].data.copy()
-        hot_q[0, 1, 2] *= 1000  # bin 0, head 1, query row 2
+        hot_q[0, 1, row] *= 1000  # bin 0, head 1
         ins[0] = Tensor(hot_q)
         logits = ad.scale(ad.add(ad.matmul(ad.add(ins[0], ins[3]), ins[1]),
                                  ad.relative_shift(ad.matmul(ad.add(ins[0], ins[4]), ins[5]))),
                           0.5).data
-        assert logits[0, 1, 2].max() > 100 and np.abs(np.delete(logits[0, 1], 2, 0)).max() < 20
+        assert logits[0, 1, row].max() > 100
+        assert np.abs(np.delete(logits[0, 1], row, 0)).max() < 20
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             hot = ad.rel_attention(*ins, 0.5).data
@@ -629,9 +637,9 @@ def test_rel_attention_rebuilds_only_the_rows_that_overflow():
     # every other row keeps the bits it had while nothing overflowed, so a
     # frequency's result does not depend on the other bins of its chunk
     others = np.ones(calm.shape[:-1], bool)
-    others[0, 1, 2] = False
+    others[0, 1, row] = False
     np.testing.assert_array_equal(hot[others], calm[others])
-    np.testing.assert_allclose(hot[0, 1, 2], want[0, 1, 2], rtol=1e-6)
+    np.testing.assert_allclose(hot[0, 1, row], want[0, 1, row], rtol=1e-6)
 
 
 def _peak_bytes_per_line(fn, *args):
@@ -660,15 +668,25 @@ def _peak_bytes_per_line(fn, *args):
 def test_rel_attention_holds_a_second_score_array_only_where_it_adds_positions():
     lead, heads, t_len, dh = (15,), 4, 124, 8
     ins = _rel_attention_inputs(np.random.default_rng(3), lead, heads, t_len, dh, np.float32)
-    rows = lead[0] * heads * t_len * np.dtype(np.float32).itemsize
-    scores, per_offset, small = rows * t_len, rows * (2 * t_len - 1), 4 * rows * dh
+    entry = lead[0] * heads * np.dtype(np.float32).itemsize  # one entry of every (bin, head)
+    b = 42  # T = 124 runs query blocks of 41, 41 and 42 rows
+    block, band, qsize = entry * b * t_len, entry * b * (t_len + b - 1), entry * t_len * dh
     with ad.no_graph():
         peaks = _peak_bytes_per_line(ad.rel_attention, *ins, 1.0 / np.sqrt(dh))
-    assert max(peaks.values()) <= scores + per_offset + small
-    # the position add holds the (T, 2T-1) scores beside the (T, T) ones; any
-    # other line holding two score-sized arrays (an exp out of place, say)
-    # would raise a step's memory where many chunks run at once
-    assert sum(p > scores + small for p in peaks.values()) == 1
+    small = 4 * qsize  # the output and (T, dh)-sized temporaries
+    assert max(peaks.values()) <= block + band + small
+    # a block's position add holds its (b, T+b-1) band beside its (b, T)
+    # scores; any other line holding two block-sized arrays (an exp out of
+    # place, or a block kept without a graph) would raise a step's memory
+    # where many chunks run at once
+    assert sum(p > block + small for p in peaks.values()) == 1
+
+    # backward, above the kept exponentials: one block's logit gradient and
+    # position gradient at a time
+    out = ad.rel_attention(*ins, 1.0 / np.sqrt(dh))
+    peaks = _peak_bytes_per_line(out._vjp, np.ones(out.shape, np.float32))
+    small = 6 * qsize  # the gradients of q (as u's and vb's), k and v, and temporaries
+    assert max(peaks.values()) <= block + band + small
 
 
 # -- the channel-major layers against the batch-major forms they replaced -------
