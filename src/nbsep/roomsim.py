@@ -12,12 +12,12 @@ Sabine's formula and sums image sources with amplitude ``1 / (4 pi d)`` at
 fractional delay ``d / c``, realized with an 81-tap Hann-windowed sinc.
 The kernel at tap offset r from an image's integer delay, ``h(r - f)`` for
 fractional part f in [0, 1), is entire in f, so its Chebyshev series in
-``x = 2f - 1`` reaches round-off at degree `SINC_CHEB_DEGREE` = 17 (within
-4e-15 of np.sinc times the Hann cosine for all 80 offsets).  A pair sums
-per integer delay the moments ``amp * T_d(x)`` of its images, one
-`bincount` per degree, then turns them into taps with one small matrix
-product; on 65,536 random images that is within 1.3e-15 of the peak tap
-of the direct per-offset sum.
+``x = 2f - 1`` reaches round-off at degree `SINC_CHEB_DEGREE` = 14, the
+least within 1e-14 of np.sinc times the Hann cosine on all 80 offsets
+(3.9e-15).  A pair sums per integer delay the moments ``amp * T_d(x)`` of
+its images, one `bincount` per degree, then turns them into taps with one
+small matrix product; on 65,536 random images that is within 2.5e-15 of
+the peak tap of the direct per-offset sum.
 
 `simulate_rir` runs its mic-speaker pairs on `parallel.worker_count()`
 threads once a pair has `PAIR_THREADS_MIN_IMAGES` images (from an RT60 of
@@ -27,7 +27,7 @@ pool worker (a corpus making several mixtures at once); either way
 OpenBLAS runs at one thread.  Each pair writes only its own row of the
 taps, so the result does not depend on the thread count.  A pair adds its images to its moments in blocks of whole x-cells
 of about `IMAGE_BLOCK` images, so a worker's temporaries stay near eight
-arrays of that size plus 18 moment rows as long as the taps, whatever the
+arrays of that size plus 15 moment rows as long as the taps, whatever the
 RT60 and room size; the block edges follow from the image orders alone.
 
 `spatialize` convolves a dry signal with one speaker's RIRs through
@@ -48,13 +48,13 @@ from .audio import WaveBuffer
 
 SPEED_OF_SOUND = 343.0
 SINC_HALF_WIDTH = 40  # 81-tap interpolation kernel
-SINC_CHEB_DEGREE = 17  # kernel expanded in Chebyshev polynomials of the fractional delay
+SINC_CHEB_DEGREE = 14  # kernel expanded in Chebyshev polynomials of the fractional delay
 _TAP_ROWS = 8  # tap offsets per moment-to-tap product
 IMAGE_BLOCK = 2**16  # images per moment update, rounded to whole x-cells
 # Pairs with fewer images run in order: their numpy calls are too short for two
 # threads to share the interpreter lock (2 vCPUs, 16-pair recipe scenes, two
-# threads against one: -31 to -41 % at 4k-9k images a pair, up to -18 % at
-# 14k-18k, about even at 20k, +13 to +39 % from 26k on).
+# threads against one: -29 to -39 % at 4k-8k images a pair, -7 to -30 % at
+# 8k-14k, -16 to +17 % at 14k-20k, -1 to +24 % from 20k on).
 PAIR_THREADS_MIN_IMAGES = 20_000
 # `spatialize` transforms the mics' taps and inverts their spectra in blocks of
 # up to this many bytes (at least one mic): numpy's inverse real FFT costs about
@@ -376,10 +376,10 @@ def _windowed_sinc(u: np.ndarray) -> np.ndarray:
     return np.sinc(u) * (0.5 * (1.0 + np.cos(np.pi * u / SINC_HALF_WIDTH)))
 
 
-# Row r + W - 1 holds the Chebyshev coefficients, in x = 2f - 1, of the kernel
-# at tap offset r from an image's integer delay, h(r - f) for 0 <= f < 1.  Every
-# offset in [-W + 1, W] lies inside the kernel; r = -W does only at f = 0, where
-# the window is exactly 0, and r = W + 1 never does.
+# Row r + W - 1 of these 80 x 15 coefficients is the Chebyshev series, in
+# x = 2f - 1, of the kernel at tap offset r from an image's integer delay, h(r - f)
+# for 0 <= f < 1.  Every offset in [-W + 1, W] lies inside the kernel; r = -W does
+# only at f = 0, where the window is exactly 0, and r = W + 1 never does.
 _SINC_CHEB = np.array([
     np.polynomial.chebyshev.chebinterpolate(
         lambda x, r=r: _windowed_sinc(r - 0.5 * (x + 1.0)), SINC_CHEB_DEGREE

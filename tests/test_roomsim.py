@@ -255,16 +255,55 @@ def test_scatter_matches_reference(case):
         assert peak > 0.0
 
 
-def test_sinc_chebyshev_table_matches_the_kernel():
-    table = roomsim._SINC_CHEB
-    assert table.shape == (2 * SINC_HALF_WIDTH, roomsim.SINC_CHEB_DEGREE + 1)
-    assert not table.flags.writeable
+def sinc_table_error(table):
+    """Worst error of a Chebyshev kernel table, rows as in `roomsim._SINC_CHEB`,
+    over 10,000 fractional delays."""
     f = np.linspace(0.0, 1.0, 10_000, endpoint=False)
+    worst = 0.0
     for r, coeffs in zip(range(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1), table):
         u = r - f
         want = np.sinc(u) * 0.5 * (1.0 + np.cos(np.pi * u / SINC_HALF_WIDTH))
         got = np.polynomial.chebyshev.chebval(2.0 * f - 1.0, coeffs)
-        assert np.max(np.abs(got - want)) <= 1e-14, r
+        worst = max(worst, np.max(np.abs(got - want)))
+    return worst
+
+
+def test_sinc_chebyshev_table_matches_the_kernel():
+    table = roomsim._SINC_CHEB
+    assert table.shape == (2 * SINC_HALF_WIDTH, roomsim.SINC_CHEB_DEGREE + 1)
+    assert not table.flags.writeable
+    assert sinc_table_error(table) <= 1e-14
+
+
+def test_sinc_chebyshev_degree_is_the_least_that_meets_the_bound():
+    for degree in range(roomsim.SINC_CHEB_DEGREE):
+        table = [
+            np.polynomial.chebyshev.chebinterpolate(
+                lambda x, r=r: roomsim._windowed_sinc(r - 0.5 * (x + 1.0)), degree
+            )
+            for r in range(-SINC_HALF_WIDTH + 1, SINC_HALF_WIDTH + 1)
+        ]
+        assert sinc_table_error(table) > 1e-14, degree
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_images_scatter_within_round_off_of_the_reference(seed, monkeypatch):
+    # 65,536 images at random delays inside 2,000 taps, put through the moment
+    # path of one simulate_rir pair in place of its single image
+    rng = np.random.default_rng(seed)
+    n_taps = 2000
+    centers = rng.uniform(0.0, n_taps, size=2**16)
+    amps = rng.uniform(0.0, 1.0, size=2**16)
+    real = roomsim._scatter_moments
+    monkeypatch.setattr(
+        roomsim, "_scatter_moments",
+        lambda moments, c, a: real(moments, centers.copy(), amps.copy()),
+    )
+    got = simulate_rir(_one_pair([1.0, 2.0, 1.5], [3.0, 2.0, 1.5]), max_order=0, n_taps=n_taps)
+    want = np.zeros(n_taps)
+    reference_scatter_sinc(want, centers, amps)
+    peak = np.max(np.abs(want))
+    assert np.max(np.abs(got.taps[0, 0] - want)) <= 2e-14 * peak
 
 
 @pytest.mark.parametrize("max_order", [None, 2, (1, 3, 0)])
