@@ -20,7 +20,7 @@ from .model import ModelConfig, NarrowBandModel, SeparatedSpectra
 from .objective import PermutationAssignment, evaluate, fpit, si_sdr
 from .roomsim import Rir, SceneConfig, sample_scene, simulate_rir, spatialize
 from .stft import StftConfig, istft
-from .trainer import AdamState, TrainConfig, adam_step, overfit_probe, schedule_lr
+from .trainer import AdamState, TrainConfig, adam_step, schedule_lr
 
 # glibc's mallopt parameters
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
@@ -67,6 +67,6 @@ __all__ = [
     "PermutationAssignment", "evaluate", "fpit", "si_sdr",
     "Rir", "SceneConfig", "sample_scene", "simulate_rir", "spatialize",
     "StftConfig", "istft",
-    "AdamState", "TrainConfig", "adam_step", "overfit_probe", "schedule_lr",
+    "AdamState", "TrainConfig", "adam_step", "schedule_lr",
     "__version__",
 ]

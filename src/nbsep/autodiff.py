@@ -600,12 +600,12 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     1/sqrt(tiny)] of the dtype, so that exp overflowed, the whole row
     underflowed or E v could overflow, is rebuilt alone from its logits
     shifted by their max, so no row's result depends on the other rows in
-    the call; only the block rows of the matrices holding such a row
-    recompute their logits.  With a graph, backward keeps each block's E
-    and r, the bytes of P, and forms its (b, T) logit gradient and
-    (b, T+b-1) position gradient one block at a time; without one, each
-    block's E is dropped once its output rows are written.  With
-    `probs_sink`, P = E r (read-only) is appended to it.
+    the call; a block holding such a row recomputes all its logits.  With
+    a graph, backward keeps each block's E and r, the bytes of P, and
+    forms its (b, T) logit gradient and (b, T+b-1) position gradient one
+    block at a time; without one, each block's E is dropped once its
+    output rows are written.  With `probs_sink`, P = E r (read-only) is
+    appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
     qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
@@ -621,16 +621,11 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     keep = _records((q, k, v, u, vb, rel))
     exps = []
 
-    def logits(q0, q1, mats=None):
-        """Logits of rows q0..q1-1 of every (T, T) matrix, or of those a mask over
-        the leading axes picks."""
-        def pick(x):
-            return x if mats is None else np.broadcast_to(x, mats.shape + x.shape[-2:])[mats]
-
+    def logits(q0, q1):
+        """Logits of rows q0..q1-1 of every (T, T) matrix."""
         rows = qd[..., q0:q1, :]
-        z = np.matmul(pick((rows + ud) * s), pick(kd))
-        window = reld[..., t - q1 : 2 * t - 1 - q0]
-        z += _band_view(np.matmul(pick((rows + vbd) * s), pick(window)))
+        z = np.matmul((rows + ud) * s, kd)
+        z += _band_view(np.matmul((rows + vbd) * s, reld[..., t - q1 : 2 * t - 1 - q0]))
         return z
 
     for q0, q1 in blocks:
@@ -640,8 +635,7 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         sums = np.matmul(e, ones)
         redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
         if redo.any():
-            mats = redo.any(axis=-1)
-            z = logits(q0, q1, mats)[redo[mats]]
+            z = logits(q0, q1)[redo]
             z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
             e[redo] = z

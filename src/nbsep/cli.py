@@ -192,10 +192,10 @@ def _duration_samples(args, cfg: stft.StftConfig) -> int:
     return n_samples
 
 
-def _model_config(args, n_mics: int) -> model_mod.ModelConfig:
-    fields = ("speakers", "width", "inner_width", "blocks", "conv_blocks", "heads", "dropout")
+def _model_config(args, n_mics: int, n_speakers: int) -> model_mod.ModelConfig:
+    fields = ("width", "inner_width", "blocks", "conv_blocks", "heads", "dropout")
     kwargs = {f: v for f in fields if (v := getattr(args, f, None)) is not None}
-    return model_mod.ModelConfig(in_channels=n_mics, **kwargs)
+    return model_mod.ModelConfig(in_channels=n_mics, speakers=n_speakers, **kwargs)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -242,17 +242,25 @@ def _load_examples(manifest_path, cfg):
 def _cmd_train(args) -> int:
     cfg = _stft_config(args)
     tcfg = _train_config(args)
-    _model_config(args, n_mics=1)  # reject bad model flags before any data is read
+    _model_config(args, 1, 1)  # reject bad model flags before any data is read
     train_examples = _load_examples(args.manifest, cfg)
     val_examples = _load_examples(args.val_manifest, cfg) if args.val_manifest else []
-    n_mics = train_examples[0].mixture_wave.n_channels
-    if args.mics is not None and args.mics != n_mics:
-        raise UsageError(f"--mics {args.mics} does not match the {n_mics} channels "
-                         f"of the corpus {args.manifest}")
-    if val_examples and (val_mics := val_examples[0].mixture_wave.n_channels) != n_mics:
-        raise ValueError(f"validation corpus {args.val_manifest} has {val_mics} channels, "
-                         f"training corpus {args.manifest} has {n_mics}")
-    mcfg = _model_config(args, n_mics)
+
+    def counts(ex):
+        return {"channels": ex.mixture_wave.n_channels, "targets": ex.n_speakers}
+
+    corpus = counts(train_examples[0])
+    for flag, given, unit in (("--mics", args.mics, "channels"),
+                              ("--speakers", args.speakers, "targets")):
+        if given is not None and given != corpus[unit]:
+            raise UsageError(f"{flag} {given} does not match the {corpus[unit]} {unit} "
+                             f"of the corpus {args.manifest}")
+    for val in val_examples[:1]:
+        for unit, n in counts(val).items():
+            if n != corpus[unit]:
+                raise ValueError(f"validation corpus {args.val_manifest} has {n} {unit}, "
+                                 f"training corpus {args.manifest} has {corpus[unit]}")
+    mcfg = _model_config(args, corpus["channels"], corpus["targets"])
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
     print(f"model parameters: {model_mod.parameter_count(net.cfg)} ({_workers_note(net)})")
     result = trainer.train(net, train_examples, val_examples, tcfg, cfg, args.out)
@@ -281,12 +289,12 @@ def _cmd_separate(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _stft_config(args)
-    examples = _load_examples(args.manifest, cfg)
     modes = sum(bool(x) for x in
                 (args.checkpoint, args.estimates_dir, args.estimates_from_targets))
     if modes != 1:
         raise UsageError("eval needs exactly one of --checkpoint, --estimates-dir, "
                          "--estimates-from-targets")
+    examples = _load_examples(args.manifest, cfg)
     net = None
     if args.checkpoint:
         net, _, _ = model_mod.load_checkpoint(args.checkpoint)

@@ -268,9 +268,7 @@ def default_rir_length(scene: SceneConfig, sample_rate: int) -> int:
     return int(np.ceil((scene.rt60 + margin) * sample_rate)) + 2 * SINC_HALF_WIDTH + 2
 
 
-def image_orders(
-    scene: SceneConfig, max_order: int | tuple[int, int, int] | None = None
-) -> tuple[int, int, int]:
+def image_orders(scene: SceneConfig, max_order: int | None = None) -> tuple[int, int, int]:
     """Per-axis image orders `simulate_rir` uses for `max_order`.
 
     None derives them from the RT60 (`default_image_order`); an int applies
@@ -278,16 +276,12 @@ def image_orders(
     """
     if max_order is None:
         return default_image_order(scene)
-    if np.isscalar(max_order):
-        if max_order < 0:
-            raise ValueError("max_order must be >= 0")
-        return (int(max_order),) * 3
-    return tuple(int(o) for o in max_order)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    return (int(max_order),) * 3
 
 
-def image_count(
-    scene: SceneConfig, max_order: int | tuple[int, int, int] | None = None
-) -> int:
+def image_count(scene: SceneConfig, max_order: int | None = None) -> int:
     """Image sources `simulate_rir` sums per mic-speaker pair."""
     return int(np.prod([2 * o + 1 for o in image_orders(scene, max_order)]))
 
@@ -303,7 +297,7 @@ def rir_threads(images: int) -> int:
 
 def simulate_rir(
     scene: SceneConfig,
-    max_order: int | tuple[int, int, int] | None = None,
+    max_order: int | None = None,
     n_taps: int | None = None,
     sample_rate: int = 16000,
 ) -> Rir:

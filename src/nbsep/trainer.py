@@ -309,7 +309,7 @@ def train(model, train_examples, val_examples, cfg: TrainConfig,
                        log_path=log_path, step_seconds=step_seconds)
 
 
-# -- overfit probe ------------------------------------------------------------------
+# -- probe mixtures -----------------------------------------------------------------
 
 
 def synthetic_dry_source(rng, n_samples: int, sample_rate: int) -> WaveBuffer:
@@ -348,37 +348,3 @@ def build_probe_examples(n_examples: int, stft_cfg: stft.StftConfig, seed: int,
                              stft_cfg=stft_cfg, example_id=f"probe{i}")
         )
     return examples
-
-
-def overfit_probe(model_cfg: model_mod.ModelConfig, examples, steps: int,
-                  stft_cfg: stft.StftConfig, seed: int = 0, eval_every: int = 200):
-    """Train on a fixed set of mixtures and track SI-SDR improvement on them.
-
-    Each Adam step trains on one mixture, in a fixed round-robin order and
-    without dropout, at `TrainConfig()`'s learning rate, clipping norm and
-    precision; the learning rate stays fixed.  Returns (model, curve) where
-    curve lists (step, mean improvement in dB) pairs including step 0 and
-    every `eval_every` steps.  Raises NumericError if the loss diverges.
-    """
-    cfg = TrainConfig()
-    model = model_mod.NarrowBandModel(model_cfg, seed=seed, dtype=cfg.dtype)
-    state = AdamState.init(model.params)
-    utterances = [prepare_utterance(ex, stft_cfg, cfg.dtype) for ex in examples]
-
-    def improvement() -> float:
-        vals = []
-        for ex in examples:
-            est, _, _ = model.separate(ex.mixture_wave, stft_cfg)
-            vals.append(objective.evaluate(ex, est).improvement)
-        return float(np.mean(vals))
-
-    curve = [(0, improvement())]
-    for step in range(1, steps + 1):
-        u = utterances[(step - 1) % len(utterances)]
-        loss, grads = batch_loss(model, [u], stft_cfg, accumulate_grads=True)
-        if not np.isfinite(loss):
-            raise NumericError(f"training diverged at step {step}")
-        adam_step(model.params, grads, state, cfg.lr_init, cfg.clip_norm)
-        if step % eval_every == 0 or step == steps:
-            curve.append((step, improvement()))
-    return model, curve

@@ -462,6 +462,50 @@ def test_train_rejects_a_validation_corpus_with_other_channels(tmp_path, capsys,
     assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
 
 
+def test_train_rejects_speakers_that_differ_from_the_corpus(tmp_path, capsys, monkeypatch):
+    out = simulate(tmp_path)  # 2 targets
+    monkeypatch.setattr(model_mod, "NarrowBandModel", None)  # building one would fail
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(out / "manifest.jsonl"), "--out", str(tmp_path / "run"),
+               "--speakers", "3", *CFG8K_ARGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--speakers 3 does not match the 2 targets of the corpus" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
+def test_train_rejects_a_validation_corpus_with_other_targets(tmp_path, capsys, monkeypatch):
+    train_dir = simulate(tmp_path, "train")  # 2 targets
+    val_dir = simulate(tmp_path, "val")
+    val_manifest = val_dir / "manifest.jsonl"
+    entries = dataset.read_manifest(val_manifest)
+    for e in entries:
+        e["targets"] = e["targets"] + e["targets"][:1]  # a third target
+    val_manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    monkeypatch.setattr(model_mod, "NarrowBandModel", None)  # building one would fail
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(train_dir / "manifest.jsonl"),
+               "--val-manifest", str(val_manifest), "--out", str(tmp_path / "run"),
+               *CFG8K_ARGS])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert (f"validation corpus {val_manifest} has 3 targets, "
+            f"training corpus {train_dir / 'manifest.jsonl'} has 2") in captured.err
+    assert "model parameters" not in captured.out
+    assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("modes", [[], ["--checkpoint", "ckpt", "--estimates-from-targets"]])
+def test_eval_checks_its_modes_before_reading_the_manifest(tmp_path, capsys, modes):
+    rc = main(["eval", "--manifest", str(tmp_path / "absent.jsonl"), *modes,
+               "--out", str(tmp_path / "run" / "metrics.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("usage error: eval needs exactly one of --checkpoint, --estimates-dir, "
+            "--estimates-from-targets") in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
 def test_small_lr_lowers_the_schedule_floor():
     args = _build_parser().parse_args(["train", "--manifest", "m.jsonl", "--out", "o",
                                        "--lr", "5e-5"])
@@ -563,7 +607,7 @@ def test_public_surface_resolves():
     import nbsep
 
     assert [name for name in nbsep.__all__ if not hasattr(nbsep, name)] == []
-    for gone in ("frequency_sequence", "normalize", "ComplexSpectrogram"):
+    for gone in ("frequency_sequence", "normalize", "ComplexSpectrogram", "overfit_probe"):
         assert gone not in nbsep.__all__ and not hasattr(nbsep, gone)
 
 

@@ -306,7 +306,7 @@ def test_random_images_scatter_within_round_off_of_the_reference(seed, monkeypat
     assert np.max(np.abs(got.taps[0, 0] - want)) <= 2e-14 * peak
 
 
-@pytest.mark.parametrize("max_order", [None, 2, (1, 3, 0)])
+@pytest.mark.parametrize("max_order", [None, 2])
 def test_image_count_is_what_simulate_rir_sums(max_order, monkeypatch):
     scene = sample_scene(4, n_mics=2)  # 3,135 default-order images: 11 blocks of one x-cell
     summed = Counter()  # images per (mic, speaker) pair, keyed by the pair's moments
