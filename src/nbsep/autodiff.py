@@ -30,8 +30,8 @@ clip's mask, log10's reciprocal, dropout's scaled mask, which it keeps as
 one bool per element) are computed inside that rule, so a forward pass
 computes only what its output needs and a graph holds only what backward
 cannot recompute.  `conv_norm_silu`, one conv sub-block of the network,
-keeps two arrays where the three ops it fuses keep six.  The mode is per
-thread.
+keeps one activation-size array beside its input (the centred conv output)
+where the three ops it fuses keep three.  The mode is per thread.
 
 A graph must stay on one thread between construction and backward; distinct
 graphs are independent.
@@ -355,9 +355,14 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _silu_grad(g, z, out):
-    """g times the derivative of ``out = silu(z)``, s + out*(1-s), s recomputed from z."""
+def _silu_grad(g, z, out=None):
+    """g times the derivative of ``out = silu(z)``, s + out*(1-s), s recomputed from z.
+
+    Without `out`, it is recomputed as z * s, the forward's own product.
+    """
     s = _sigmoid(z)
+    if out is None:
+        out = z * s
     # a named operand: numpy would multiply into an unnamed temporary in
     # place, and the gradient's memory layout (hence later sums) would change
     deriv = s + out * (1.0 - s)
@@ -600,12 +605,15 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     1/sqrt(tiny)] of the dtype, so that exp overflowed, the whole row
     underflowed or E v could overflow, is rebuilt alone from its logits
     shifted by their max, so no row's result depends on the other rows in
-    the call; a block holding such a row recomputes all its logits.  With
-    a graph, backward keeps each block's E and r, the bytes of P, and
-    forms its (b, T) logit gradient and (b, T+b-1) position gradient one
-    block at a time; without one, each block's E is dropped once its
-    output rows are written.  With `probs_sink`, P = E r (read-only) is
-    appended to it.
+    the call; a block holding such a row recomputes all its logits.  Each
+    block's E is dropped once its output rows are written.  A graph keeps
+    only r and each block's rebuilt-row flags, one bool per row, so no
+    (b, T) array outlives the forward: backward recomputes each block's E
+    with the forward's own code, the same bits, forms its (b, T) logit
+    gradient and (b, T+b-1) position gradient, and drops them before the
+    next block (the recomputation of Rabe & Staats 2021, arXiv:2112.05682,
+    and FlashAttention, arXiv:2205.14135).  With `probs_sink`, P = E r
+    (read-only) is appended to it.
     """
     s = float(scale)  # a numpy scalar would promote float32 inputs to float64
     qd, kd, vd, ud, vbd, reld = q.data, k.data, v.data, u.data, vb.data, rel.data
@@ -619,7 +627,7 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
     ones = np.ones((t, 1), dtype)
     lo = np.sqrt(np.finfo(dtype).tiny)
     keep = _records((q, k, v, u, vb, rel))
-    exps = []
+    flags = []  # per block with a graph, its rebuilt rows
 
     def logits(q0, q1):
         """Logits of rows q0..q1-1 of every (T, T) matrix."""
@@ -628,25 +636,38 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         z += _band_view(np.matmul((rows + vbd) * s, reld[..., t - q1 : 2 * t - 1 - q0]))
         return z
 
-    for q0, q1 in blocks:
+    def exps(q0, q1, redo=None):
+        """E of rows q0..q1-1, its rebuilt-row flags and its row sums.
+
+        The forward (`redo` None) flags the rows whose sums leave [lo, 1/lo];
+        the backward passes those flags and takes no sums.  Flagged rows are
+        rebuilt from their max-shifted logits, so both get the same E bits.
+        """
         e = logits(q0, q1)
         with np.errstate(over="ignore"):
             np.exp(e, out=e)
-        sums = np.matmul(e, ones)
-        redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
+        sums = None
+        if redo is None:
+            sums = np.matmul(e, ones)
+            redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
         if redo.any():
             z = logits(q0, q1)[redo]
             z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
             e[redo] = z
-            sums[redo] = np.matmul(z, ones)
+            if sums is not None:
+                sums[redo] = np.matmul(z, ones)
+        return e, redo, sums
+
+    for q0, q1 in blocks:
+        e, redo, sums = exps(q0, q1)
         rb = np.reciprocal(sums, out=r[..., q0:q1, :])
         np.matmul(e, vd, out=out[..., q0:q1, :])
         out[..., q0:q1, :] *= rb
         if probs is not None:
             np.multiply(e, rb, out=probs[..., q0:q1, :])
         if keep:
-            exps.append(e)
+            flags.append(redo)
         del e
     if probs is not None:
         probs.flags.writeable = False
@@ -657,8 +678,9 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         dqv = np.empty_like(dqu)
         drel = np.zeros(reld.shape, dtype)
         dk = dv = None  # the first block's parts, then their sums over the blocks
-        for (q0, q1), e in zip(blocks, exps):
+        for (q0, q1), redo in zip(blocks, flags):
             rows, window = np.s_[..., q0:q1, :], np.s_[..., t - q1 : 2 * t - 1 - q0]
+            e = exps(q0, q1, redo)[0]
             gr = g[rows] * r[rows]
             part = np.matmul(e.swapaxes(-1, -2), gr)
             dv = part if dv is None else np.add(dv, part, out=dv)
@@ -668,6 +690,7 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
             dl -= (gr * out[rows]).sum(axis=-1, keepdims=True)
             del gr
             dl *= e
+            del e
             part = np.matmul(((qd[rows] + ud) * s).swapaxes(-1, -2), dl)
             dk = part if dk is None else np.add(dk, part, out=dk)
             np.matmul(dl, kd.swapaxes(-1, -2), out=dqu[rows])
@@ -868,8 +891,8 @@ def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
 
     The same floating-point operations run in the same order as in the three
     ops, so output and gradients are the same bits, but backward keeps only
-    the centred conv output, the group factors 1/sigma and the output: it
-    recomputes the norm's output and the sigmoid from them and pads x again.
+    the centred conv output and the group factors 1/sigma: it recomputes the
+    norm's output, the sigmoid and the op's output from them and pads x again.
     Without a graph the conv output is centred, scaled and activated in place.
     """
     xd, wd, gd, bd = x.data, w.data, gamma.data, beta.data
@@ -881,18 +904,18 @@ def conv_norm_silu(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     xc, inv = _group_centre(yr, eps, out=yr)
     z = _group_affine(xc, inv, gd, bd, out=None if _records((x, w, b, gamma, beta)) else xc)
     z *= _sigmoid(z)
-    out = z.reshape(y.shape)
+    shape = y.shape
     needs = _needs_grad(x, w, b, gamma, beta)
 
     def vjp(g):
-        z = _group_affine(xc, inv, gd, bd).reshape(out.shape)
-        gz = _silu_grad(g, z, out).reshape(gshape)
+        z = _group_affine(xc, inv, gd, bd).reshape(shape)
+        gz = _silu_grad(g, z).reshape(gshape)
         dx, dgamma, dbeta = _group_norm_grad(gz, xc, inv, gd)
         del z, gz
-        conv = _conv_grad(dx.reshape(out.shape), xd, wd, padding, groups, needs[:3])
+        conv = _conv_grad(dx.reshape(shape), xd, wd, padding, groups, needs[:3])
         return (*conv, dgamma if needs[3] else None, dbeta if needs[4] else None)
 
-    return Tensor._from_op(out, (x, w, b, gamma, beta), vjp)
+    return Tensor._from_op(z.reshape(shape), (x, w, b, gamma, beta), vjp)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -249,17 +249,22 @@ def _cmd_train(args) -> int:
     def counts(ex):
         return {"channels": ex.mixture_wave.n_channels, "targets": ex.n_speakers}
 
-    corpus = counts(train_examples[0])
+    first = train_examples[0]
+    corpus = counts(first)
     for flag, given, unit in (("--mics", args.mics, "channels"),
                               ("--speakers", args.speakers, "targets")):
         if given is not None and given != corpus[unit]:
             raise UsageError(f"{flag} {given} does not match the {corpus[unit]} {unit} "
                              f"of the corpus {args.manifest}")
-    for val in val_examples[:1]:
-        for unit, n in counts(val).items():
-            if n != corpus[unit]:
-                raise ValueError(f"validation corpus {args.val_manifest} has {n} {unit}, "
-                                 f"training corpus {args.manifest} has {corpus[unit]}")
+    for kind, manifest, examples in (("training", args.manifest, train_examples),
+                                     ("validation", args.val_manifest, val_examples)):
+        for ex in examples:
+            for unit, n in counts(ex).items():
+                if n != corpus[unit]:
+                    raise ValueError(
+                        f"example {ex.example_id} of the {kind} corpus {manifest} has {n} "
+                        f"{unit}, example {first.example_id} of the training corpus "
+                        f"{args.manifest} has {corpus[unit]}")
     mcfg = _model_config(args, corpus["channels"], corpus["targets"])
     net = model_mod.NarrowBandModel(mcfg, seed=args.seed, dtype=tcfg.dtype)
     print(f"model parameters: {model_mod.parameter_count(net.cfg)} ({_workers_note(net)})")

@@ -115,6 +115,20 @@ def primitive_checks(seed: int = 0, step: float = 1e-5):
          lambda q, k, v, u, vb, r: head_s(ad.rel_attention(q, k, v, u, vb, r, 0.3)),
          _t(rng, 1, t_seam, 2), _t(rng, 1, 2, t_seam), _t(rng, 1, t_seam, 2),
          _t(rng, 1, 1, 2), _t(rng, 1, 1, 2), _t(rng, 1, 2, 2 * t_seam - 1))
+    # query row 4's logits lie above 710, where exp overflows, so both
+    # directions rebuild that row from its max-shifted logits: key axis 0
+    # carries a common 1000 that only row 4's query reads at full size, and
+    # the row keeps an O(1) spread, so its gradients stay clear of the noise
+    t_hot = 7
+    hot = [_t(rng, 1, t_hot, 2), _t(rng, 1, 2, t_hot), _t(rng, 1, t_hot, 2),
+           _t(rng, 1, 1, 2), _t(rng, 1, 1, 2), _t(rng, 1, 2, 2 * t_hot - 1)]
+    hot[0].data *= 0.1
+    hot[3].data *= 0.1
+    hot[0].data[0, 4, 0] = 2.7
+    hot[1].data[0, 0] += 1000.0
+    head_h = linear_head((1, t_hot, 2))
+    case("rel_attention with an overflowing row",
+         lambda q, k, v, u, vb, r: head_h(ad.rel_attention(q, k, v, u, vb, r, 0.3)), *hot)
     return checks
 
 

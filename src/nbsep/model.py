@@ -21,11 +21,12 @@ reads only the T+b-1 relative offsets its b rows need, so no (T, 2T-1)
 array is made.  It exponentiates the unshifted logits, scales the output
 rows by the reciprocal row sums instead of normalizing the scores, and
 rebuilds the logits shifted by their max only in the rows where exp
-overflows or the row underflows; its graph keeps the exponentials and the
-reciprocal sums, the bytes of the attention probabilities, and without a
-graph it holds one block of scores at a time.  Each conv sub-block is one fused op too,
-`autodiff.conv_norm_silu`, whose graph keeps only the centred conv output,
-the group factors and the SiLU output; its backward recomputes the rest.
+overflows or the row underflows.  It holds one block of scores at a time,
+and its graph keeps only the reciprocal sums and one rebuilt-row flag per
+query row: backward recomputes each block's exponentials.  Each conv
+sub-block is one fused op too, `autodiff.conv_norm_silu`, whose graph keeps
+only the centred conv output and the group factors; its backward recomputes
+the rest.
 
 `forward` takes (2M, T) or a batch (B, 2M, T) of frequencies and returns
 (2N, T) or (B, 2N, T).  Between its input and output convolutions the

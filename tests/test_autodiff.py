@@ -80,6 +80,24 @@ def test_every_primitive_grad_checks():
         assert err < 1e-6, f"{name}: {err}"
 
 
+def test_the_battery_checks_a_row_that_the_attention_rebuilds(monkeypatch):
+    real, rows_past_overflow = ad.rel_attention, []
+
+    def spy(q, k, v, u, vb, rel, scale, probs_sink=None):
+        with ad.no_graph():
+            logits = _unfused_logits(q, k, u, vb, rel, scale).data
+        rows_past_overflow.append(int(np.sum(logits.min(axis=-1) > 710)))
+        return real(q, k, v, u, vb, rel, scale, probs_sink)
+
+    monkeypatch.setattr(ad, "rel_attention", spy)
+    report = dict(primitive_checks(seed=0))
+    # every call of the last case: its forward and two probes per coordinate
+    # of q, k, v (14 each), u, vb (2 each) and rel (26)
+    calls = 1 + 2 * (3 * 14 + 2 + 2 + 26)
+    assert rows_past_overflow[-calls:] == [1] * calls
+    assert report["rel_attention with an overflowing row"] < 1e-6
+
+
 def _randn(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
@@ -220,7 +238,7 @@ GRAPH_OPS = {
                [(4, 2, 6), (6, 2, 3), (6,)], (True, True, False), False),
     "conv_norm_silu": (lambda x, w, b, gamma, beta: ad.conv_norm_silu(x, w, b, gamma, beta, 2),
                        [(4, 2, 6), (4, 2, 3), (4,), (4,), (4,)],
-                       (True, True, False, True, True), True),
+                       (True, True, False, True, True), False),
     # the kernel is flipped into a copy of its own, which conv1d then reads
     "conv_transpose1d": (ad.conv_transpose1d, [(3, 2, 5), (3, 4, 2), (4,)],
                          (True, False, False), False),
@@ -518,10 +536,14 @@ def test_conv_norm_silu_equals_conv_group_norm_silu_bit_for_bit(dtype, lead, t_l
     np.testing.assert_array_equal(free.data, results[0][0])
 
 
-def _unfused_probs(q, k, u, vb, rel, scale):
+def _unfused_logits(q, k, u, vb, rel, scale):
     content = ad.matmul(ad.add(q, u), k)
     position = ad.relative_shift(ad.matmul(ad.add(q, vb), rel))
-    return ad.softmax(ad.scale(ad.add(content, position), scale))
+    return ad.scale(ad.add(content, position), scale)
+
+
+def _unfused_probs(q, k, u, vb, rel, scale):
+    return ad.softmax(_unfused_logits(q, k, u, vb, rel, scale))
 
 
 def _unfused_rel_attention(q, k, v, u, vb, rel, scale):
@@ -642,6 +664,30 @@ def test_rel_attention_rebuilds_only_the_rows_that_overflow(t_len, row):
     np.testing.assert_allclose(hot[0, 1, row], want[0, 1, row], rtol=1e-6)
 
 
+def test_rel_attention_backward_rebuilds_the_rows_that_overflow():
+    # float64, a query row of the third of three blocks whose logits pass
+    # exp's overflow (about 709.8): the backward rebuilds that row's
+    # exponentials as the forward did
+    t_len, row = 97, 90
+    results = []
+    for op in (ad.rel_attention, _unfused_rel_attention):
+        ins = _rel_attention_inputs(np.random.default_rng(8), (3,), 2, t_len, 4, np.float64)
+        ins[0].data[0, 1, row] *= 1000  # bin 0, head 1
+        with ad.no_graph():
+            logits = _unfused_logits(*[ins[i] for i in (0, 1, 3, 4, 5)], 0.5).data
+        assert logits[0, 1, row].max() > 710
+        assert np.abs(np.delete(logits[0, 1], row, 0)).max() < 20
+        head = np.random.default_rng(9).standard_normal((3, 2, t_len, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = op(*ins, 0.5)
+            ad.backward(ad.tsum(ad.mul(out, Tensor(head))))
+        results.append([out.data] + [t.grad for t in ins])
+    for fused, unfused in zip(*results):
+        assert np.all(np.isfinite(fused))
+        assert np.max(np.abs(fused - unfused)) <= 1e-12 * np.max(np.abs(unfused))
+
+
 def _peak_bytes_per_line(fn, *args):
     """{line of fn: peak traced bytes, above those at the call, while that line ran}."""
     peaks, line = {}, [None]
@@ -681,9 +727,20 @@ def test_rel_attention_holds_a_second_score_array_only_where_it_adds_positions()
     # where many chunks run at once
     assert sum(p > block + small for p in peaks.values()) == 1
 
-    # backward, above the kept exponentials: one block's logit gradient and
-    # position gradient at a time
-    out = ad.rel_attention(*ins, 1.0 / np.sqrt(dh))
+    # a graph keeps the output, r and the rebuilt-row flags: less than one
+    # block, where keeping every block's exponentials would hold T rows
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.rel_attention(*ins, 1.0 / np.sqrt(dh))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    r_size = entry * t_len
+    assert held <= out.data.nbytes + r_size + 2 * qsize < block
+
+    # backward, with no exponentials kept: one block's rebuilt E, logit
+    # gradient and position gradient at a time
     peaks = _peak_bytes_per_line(out._vjp, np.ones(out.shape, np.float32))
     small = 6 * qsize  # the gradients of q (as u's and vb's), k and v, and temporaries
     assert max(peaks.values()) <= block + band + small

@@ -456,8 +456,11 @@ def test_train_rejects_a_validation_corpus_with_other_channels(tmp_path, capsys,
                "--out", str(tmp_path / "run"), *CFG8K_ARGS])
     assert rc == 2
     captured = capsys.readouterr()
-    assert (f"validation corpus {val_dir / 'manifest.jsonl'} has 3 channels, "
-            f"training corpus {train_dir / 'manifest.jsonl'} has 2") in captured.err
+    first_train, first_val = (dataset.read_manifest(d / "manifest.jsonl")[0]["id"]
+                              for d in (train_dir, val_dir))
+    assert (f"example {first_val} of the validation corpus {val_dir / 'manifest.jsonl'} "
+            f"has 3 channels, example {first_train} of the training corpus "
+            f"{train_dir / 'manifest.jsonl'} has 2") in captured.err
     assert "model parameters" not in captured.out
     assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
 
@@ -489,8 +492,28 @@ def test_train_rejects_a_validation_corpus_with_other_targets(tmp_path, capsys, 
                *CFG8K_ARGS])
     assert rc == 2
     captured = capsys.readouterr()
-    assert (f"validation corpus {val_manifest} has 3 targets, "
-            f"training corpus {train_dir / 'manifest.jsonl'} has 2") in captured.err
+    first_train = dataset.read_manifest(train_dir / "manifest.jsonl")[0]["id"]
+    assert (f"example {entries[0]['id']} of the validation corpus {val_manifest} has 3 "
+            f"targets, example {first_train} of the training corpus "
+            f"{train_dir / 'manifest.jsonl'} has 2") in captured.err
+    assert "model parameters" not in captured.out
+    assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
+
+
+def test_train_checks_every_example_before_building_the_model(tmp_path, capsys, monkeypatch):
+    out = simulate(tmp_path)  # 2 examples, 2 targets each
+    manifest = out / "manifest.jsonl"
+    entries = dataset.read_manifest(manifest)
+    entries[1]["targets"] = entries[1]["targets"] + entries[1]["targets"][:1]  # a third target
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    monkeypatch.setattr(model_mod, "NarrowBandModel", None)  # building one would fail
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run"),
+               *CFG8K_ARGS])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert (f"example {entries[1]['id']} of the training corpus {manifest} has 3 targets, "
+            f"example {entries[0]['id']} of the training corpus {manifest} has 2") in captured.err
     assert "model parameters" not in captured.out
     assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
 
