@@ -644,11 +644,10 @@ def rel_attention(q: Tensor, k: Tensor, v: Tensor, u: Tensor, vb: Tensor, rel: T
         rebuilt from their max-shifted logits, so both get the same E bits.
         """
         e = logits(q0, q1)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a row that overflows is rebuilt below
             np.exp(e, out=e)
-        sums = None
+            sums = np.matmul(e, ones) if redo is None else None
         if redo is None:
-            sums = np.matmul(e, ones)
             redo = ~((lo <= sums) & (sums <= 1 / lo))[..., 0]  # a NaN fails too
         if redo.any():
             z = logits(q0, q1)[redo]

@@ -262,12 +262,17 @@ def read_manifest(path) -> list[dict]:
 
 
 def load_example(entry: dict, base_dir, stft_cfg: stft.StftConfig | None = None) -> MixtureExample:
-    """Read a MixtureExample's waveforms from its manifest entry."""
+    """Read a MixtureExample's waveforms from its manifest entry.
+
+    Every target must have the mixture's length, the length of the estimates
+    that training and evaluation score against it.
+    """
     rate = (stft_cfg or stft.StftConfig()).sample_rate
     base = Path(base_dir)
+    mixture = read_wav(base / entry["mixture"], expect_rate=rate)
     targets = [read_wav(base / t, expect_rate=rate).data[0] for t in entry["targets"]]
-    return MixtureExample(
-        mixture_wave=read_wav(base / entry["mixture"], expect_rate=rate),
-        target_waves=WaveBuffer(np.stack(targets), rate),
-        example_id=entry.get("id", ""),
-    )
+    for name, target in zip(entry["targets"], targets):
+        if target.shape[0] != mixture.n_samples:
+            raise ValueError(f"example {entry.get('id', '')}: target {base / name} has "
+                             f"{target.shape[0]} samples, the mixture {mixture.n_samples}")
+    return MixtureExample(mixture, WaveBuffer(np.stack(targets), rate), entry.get("id", ""))

@@ -12,7 +12,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from . import objective, stft
-from .audio import WaveBuffer
 from .autodiff import Tensor
 
 TINY_STFT = stft.StftConfig(window_len=8, hop=4, sample_rate=16000)
@@ -151,7 +150,7 @@ def full_pipeline_check(seed: int = 0, step: float = 1e-5, wrt: str = "input"):
     cfg = model_mod.ModelConfig(**TINY_MODEL)
     scfg = TINY_STFT
     n_frequencies, n_frames = scfg.n_bins, 8
-    out_len = scfg.covered_len(n_frames)
+    out_len = scfg.covered_len(n_frames) + 3  # past the synthesis, as off-grid clips reach
 
     rng = np.random.default_rng(seed)
     net = model_mod.NarrowBandModel(cfg, seed=seed, dtype=np.float64)
@@ -160,13 +159,12 @@ def full_pipeline_check(seed: int = 0, step: float = 1e-5, wrt: str = "input"):
     x = Tensor(rng.standard_normal((n_frequencies, 2 * cfg.in_channels, n_frames)),
                requires_grad=True)
     scales = rng.uniform(0.5, 2.0, size=n_frequencies)
-    target_waves = rng.standard_normal((cfg.speakers, out_len))
-    targets = stft.stft(WaveBuffer(target_waves, scfg.sample_rate), scfg)
+    targets = rng.standard_normal((cfg.speakers, out_len))
 
     def loss_fn(*_tensors):
         out = net.forward(x)
         pred = ad.mul(out, Tensor(scales[:, None, None]))
-        loss, _ = objective.fpit(pred, targets, scfg, out_len)
+        loss, _ = objective.fpit(pred, targets, scfg)
         return loss
 
     if wrt == "input":

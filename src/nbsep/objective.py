@@ -2,10 +2,13 @@
 
 The training loss compares time-domain signals: an iSTFT graph node turns
 the predicted spectra into waves, `si_sdr_table` scores every speaker pair
-in numpy, one permutation is chosen jointly for all frequencies over all N!
-assignments, and the loss is one node holding the closed-form gradient of
-the chosen pairs.  The +/-60 dB clamp bounds every score, an exact
-reconstruction's too; an eps in each energy keeps gradients finite at silence.
+against the target waveforms in numpy, one permutation is chosen jointly
+for all frequencies over all N! assignments, and the loss is one node
+holding the closed-form gradient of the chosen pairs.  Training and
+`evaluate` read the same table, so the loss is minus the summed SI-SDR that
+evaluation reports.  The +/-60 dB clamp bounds every score, an exact
+reconstruction's too, and a silent estimate scores -60 dB; an eps in each
+energy keeps gradients finite near silence.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ class PermutationAssignment:
 # -- scale-invariant SDR --------------------------------------------------------
 
 
-def si_sdr_table(references: np.ndarray, estimates: np.ndarray, silent_db=None):
+def si_sdr_table(references: np.ndarray, estimates: np.ndarray):
     """Clamped SI-SDR in dB of every (reference i, estimate j) pair, and its gradient.
 
     (n, L) references against (m, L) estimates, in the estimates' dtype: with
     ``t = (<est, ref> / ||ref||^2) ref`` and ``e = t - est``, the score is
     ``10 log10((||t||^2 + eps) / (||e||^2 + eps))`` clamped to +/-60 dB; a
-    zero-energy estimate scores eps/eps, 0 dB, or `silent_db` if given.
+    zero-energy estimate scores -60 dB, so silence never ranks above a
+    real estimate.
     ``grad(perm)`` of the returned (table, grad) is the (m, L) gradient of
     ``sum_i table[i, perm[i]]``: ``(20 / ln 10) (t / (||t||^2 + eps) + e /
     (||e||^2 + eps))`` for each chosen pair, 0 where its clamp holds (Le Roux
@@ -75,18 +79,17 @@ def si_sdr_table(references: np.ndarray, estimates: np.ndarray, silent_db=None):
         return out
 
     table = np.clip(raw, -SDR_CLAMP_DB, SDR_CLAMP_DB)
-    if silent_db is not None:
-        table[:, [e @ e == 0.0 for e in estimates]] = silent_db
+    table[:, [e @ e == 0.0 for e in estimates]] = -SDR_CLAMP_DB  # its t = e = 0: gradient 0
     return table, grad
 
 
 def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """One entry of the float64 `si_sdr_table`, silence at its -60 dB floor (below any signal)."""
+    """One entry of the float64 `si_sdr_table`."""
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape or reference.ndim != 1:
         raise ValueError(f"length mismatch: {reference.shape} vs {estimate.shape}")
-    return float(si_sdr_table(reference[None], estimate[None], -SDR_CLAMP_DB)[0][0, 0])
+    return float(si_sdr_table(reference[None], estimate[None])[0][0, 0])
 
 
 # -- differentiable inverse STFT --------------------------------------------------
@@ -124,23 +127,22 @@ def istft_graph(pred: Tensor, cfg: stft.StftConfig, out_len: int) -> Tensor:
 # -- full-band PIT -----------------------------------------------------------------
 
 
-def fpit(predictions: Tensor, targets: np.ndarray, cfg: stft.StftConfig, out_len: int):
+def fpit(predictions: Tensor, targets: np.ndarray, cfg: stft.StftConfig):
     """Permutation-invariant loss over full-band bindings.
 
     `predictions` is the Tensor of denormalized per-frequency outputs
-    (F, 2N, T); `targets` are the complex target spectra (N, F, T), as
-    `stft.stft` returns them.
+    (F, 2N, T); `targets` are the (N, L) target waveforms, the references
+    `evaluate` scores against, and their length L is that of the estimates.
     Returns (loss Tensor, PermutationAssignment); the assignment maps
     ground-truth speaker n to prediction mapping[n], chosen as the
     lexicographically smallest minimizer.  The loss is one node on
     `istft_graph`'s output that keeps only G, the gradient of the chosen
     pairs' negated SI-SDR, and whose backward rule is ``g * G``.
     """
-    signals = istft_graph(predictions, cfg, out_len)
-    references = stft.istft(targets, cfg, out_len).data
-    if signals.shape[0] != references.shape[0]:
-        raise ValueError(f"{signals.shape[0]} estimates vs {references.shape[0]} targets")
-    table, grad = si_sdr_table(references, signals.data)
+    signals = istft_graph(predictions, cfg, targets.shape[-1])
+    if signals.shape[0] != targets.shape[0]:
+        raise ValueError(f"{signals.shape[0]} estimates vs {targets.shape[0]} targets")
+    table, grad = si_sdr_table(targets, signals.data)
     perm, value = best_permutation(-table)
     G = -grad(perm) if signals.requires_grad else None
     loss = Tensor._from_op(np.asarray(value, dtype=signals.dtype), (signals,), lambda g: (g * G,))
@@ -191,11 +193,10 @@ def evaluate(example: dataset.MixtureExample, estimates: np.ndarray,
     estimates = np.asarray(estimates, dtype=np.float64)
     if estimates.shape != refs.shape:
         raise ValueError(f"estimates {estimates.shape} vs targets {refs.shape}")
-    table, _ = si_sdr_table(refs, estimates, -SDR_CLAMP_DB)
+    table, _ = si_sdr_table(refs, estimates)
     perm, _ = best_permutation(-table)
     per_spk = [float(table[i, j]) for i, j in enumerate(perm)]
-    mixture_ref = example.mixture_wave.data[dataset.REFERENCE_CHANNEL]
-    baseline = [si_sdr(ref, mixture_ref) for ref in refs]
+    baseline, _ = si_sdr_table(refs, example.mixture_wave.data[dataset.REFERENCE_CHANNEL][None])
     mean_sdr = float(np.mean(per_spk))
     improvement = mean_sdr - float(np.mean(baseline))
     rtf = None if processing_seconds is None else processing_seconds / example.mixture_wave.duration

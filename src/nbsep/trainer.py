@@ -15,8 +15,9 @@ depend on F alone, OpenBLAS runs at one thread, and gradients are summed in
 chunk order: a seed gives the same bits on every run at every `NBC_THREADS`.
 
 Examples wait as waveforms.  `train` prepares a batch's utterances (the
-mixture and target STFTs) just before its step and validates one
-utterance at a time, so at most one batch is held in prepared form.
+mixture's STFT) just before its step and validates one utterance at a
+time, so at most one batch is held in prepared form.  fPIT scores against
+the example's target waveforms, as `objective.evaluate` does.
 """
 
 from __future__ import annotations
@@ -166,24 +167,18 @@ def schedule_lr(history, lr_init: float = 1e-3,
 
 @dataclass
 class Utterance:
-    """One example prepared for the network: normalized sequences + targets."""
+    """One example prepared for the network: normalized sequences + target waveforms."""
 
     sequences: np.ndarray  # (F, 2M, T) normalized, in the model's dtype
     norm: dataset.NormState
-    target_spectra: np.ndarray  # complex (N, F, T)
-    out_len: int
+    target_waves: np.ndarray  # (N, L), a view of the example's
 
 
 def prepare_utterance(example: dataset.MixtureExample, stft_cfg: stft.StftConfig,
                       dtype=np.float64) -> Utterance:
-    """Take the mixture's and the targets' STFTs and normalize the mixture's into `dtype`."""
+    """Take the mixture's STFT and normalize it into `dtype`; the targets stay waveforms."""
     seqs, norm = dataset.normalize_spectrogram(stft.stft(example.mixture_wave, stft_cfg))
-    return Utterance(
-        sequences=seqs.astype(dtype, copy=False),
-        norm=norm,
-        target_spectra=stft.stft(example.target_waves, stft_cfg),
-        out_len=example.mixture_wave.n_samples,
-    )
+    return Utterance(seqs.astype(dtype, copy=False), norm, example.target_waves.data)
 
 
 def batch_loss(model, utterances, cfg_stft, train=False, rng=None,
@@ -226,7 +221,7 @@ def batch_loss(model, utterances, cfg_stft, train=False, rng=None,
         out = Tensor(np.concatenate(list(model.map_bin_chunks(free_forward, len(seqs)))),
                      requires_grad=accumulate_grads)
         pred = ad.mul(out, Tensor(u.norm.scale.astype(dtype)[:, None, None]))
-        loss, _ = objective.fpit(pred, u.target_spectra, cfg_stft, u.out_len)
+        loss, _ = objective.fpit(pred, u.target_waves, cfg_stft)
         total += loss.item()
         if not accumulate_grads:
             continue
@@ -328,8 +323,8 @@ def build_probe_examples(n_examples: int, stft_cfg: stft.StftConfig, seed: int,
                          rt60: float = 0.2):
     """Small simulated two-speaker mixtures for learning-loop verification.
 
-    The segment length is snapped to the frame grid so the inverse STFT in
-    the loss covers every sample.
+    The segment length is snapped to the frame grid, so the estimates'
+    inverse STFT covers every sample of the target waveforms.
     """
     if duration_samples is None:
         duration_samples = stft_cfg.sample_rate

@@ -207,9 +207,8 @@ def _fpit_loss(pred):
     from nbsep import objective, stft
 
     cfg = stft.StftConfig(window_len=8, hop=4, sample_rate=8000)
-    rng = np.random.default_rng(26)
-    targets = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
-    loss, _ = objective.fpit(pred, targets, cfg, cfg.covered_len(pred.shape[-1]))
+    targets = np.random.default_rng(26).standard_normal((2, cfg.covered_len(pred.shape[-1])))
+    loss, _ = objective.fpit(pred, targets, cfg)
     return loss  # its node keeps G alone, and the iSTFT node nothing
 
 
@@ -686,6 +685,26 @@ def test_rel_attention_backward_rebuilds_the_rows_that_overflow():
     for fused, unfused in zip(*results):
         assert np.all(np.isfinite(fused))
         assert np.max(np.abs(fused - unfused)) <= 1e-12 * np.max(np.abs(unfused))
+
+
+def test_rel_attention_row_sums_past_the_float32_range_do_not_warn():
+    # the paper's shape in float32, one bin's queries scaled up: its rows'
+    # exponentials can each be finite while their sum passes 3.4e38, and the
+    # row is then rebuilt from its max-shifted logits without a warning
+    rng = np.random.default_rng(31)
+    ins = _rel_attention_inputs(rng, (2,), 8, 249, 24, np.float32)
+    ins[0].data[0] *= 30
+    with ad.no_graph():
+        sink = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.rel_attention(*ins, 1 / np.sqrt(24), probs_sink=sink).data
+        logits = _unfused_logits(*[ins[i] for i in (0, 1, 3, 4, 5)], 1 / np.sqrt(24)).data
+    big = np.finfo(np.float32).max
+    sums = np.exp(logits.astype(np.float64)).sum(axis=-1)
+    assert np.any((logits.max(axis=-1) < np.log(big)) & (sums > big))  # finite exps, sum past
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-5)
 
 
 def _peak_bytes_per_line(fn, *args):

@@ -51,7 +51,7 @@ def test_a_benchmark_example_trains_separates_and_scores():
     n_frames = cfg.n_frames(example.mixture_wave.n_samples)
     u = trainer.prepare_utterance(example, cfg)
     assert u.sequences.shape == (cfg.n_bins, 2 * workloads.SIM_MICS, n_frames)
-    assert u.target_spectra.shape == (2, cfg.n_bins, n_frames)
+    assert np.shares_memory(u.target_waves, example.target_waves.data)
     net = model.NarrowBandModel(
         model.ModelConfig(in_channels=workloads.SIM_MICS, speakers=2, width=8, inner_width=16,
                           blocks=1, conv_blocks=1, heads=2, dropout=0.0), seed=0)

@@ -518,6 +518,27 @@ def test_train_checks_every_example_before_building_the_model(tmp_path, capsys, 
     assert "Traceback" not in captured.err and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("cut", [[0, 1], [1]])
+def test_a_target_shorter_than_its_mixture_is_a_data_error_naming_it(tmp_path, capsys,
+                                                                     monkeypatch, cut):
+    out = simulate(tmp_path)  # 8192 samples an example
+    entry = dataset.read_manifest(out / "manifest.jsonl")[0]
+    for n in cut:
+        path = out / entry["targets"][n]
+        write_wav(path, WaveBuffer(read_wav(path).data[:, :5000], 8000))
+    monkeypatch.setattr(model_mod, "NarrowBandModel", None)  # building one would fail
+    message = (f"example {entry['id']}: target {out / entry['targets'][cut[0]]} has 5000 "
+               f"samples, the mixture 8192")
+    for command in (["train", "--out", str(tmp_path / "run")],
+                    ["eval", "--estimates-from-targets", "--out", str(tmp_path / "m.csv")]):
+        capsys.readouterr()
+        rc = main([*command, "--manifest", str(out / "manifest.jsonl"), *CFG8K_ARGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("modes", [[], ["--checkpoint", "ckpt", "--estimates-from-targets"]])
 def test_eval_checks_its_modes_before_reading_the_manifest(tmp_path, capsys, modes):
     rc = main(["eval", "--manifest", str(tmp_path / "absent.jsonl"), *modes,

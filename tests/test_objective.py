@@ -28,7 +28,12 @@ def si_sdr_loss(reference, estimate):
 
     With ``alpha = (estimate . reference) / ||reference||^2``, SI-SDR is
     ``10 log10(||alpha ref||^2 / ||alpha ref - estimate||^2)``, clamped to +/-60 dB.
+    A silent estimate scores the -60 dB floor, a constant: a node of zero
+    weight on the estimate keeps it in the graph with gradient 0.
     """
+    if not estimate.data.any():
+        return ad.add(ad.scale(ad.tsum(estimate), 0.0),
+                      Tensor(np.asarray(SDR_CLAMP_DB, dtype=estimate.dtype)))
     eps = Tensor(np.asarray(1e-30, dtype=estimate.dtype))
     ref = Tensor(np.asarray(reference, dtype=estimate.dtype))
     alpha = ad.scale(ad.tsum(ad.mul(estimate, ref)), 1.0 / float(ref.data @ ref.data))
@@ -39,13 +44,12 @@ def si_sdr_loss(reference, estimate):
     return ad.neg(ad.clip(ad.scale(ad.log10(ratio), 10.0), -SDR_CLAMP_DB, SDR_CLAMP_DB))
 
 
-def tape_fpit(predictions, targets, cfg, out_len):
+def tape_fpit(predictions, targets, cfg):
     """Tape reference of `fpit`: one `si_sdr_loss` graph per pair, the chosen ones summed."""
+    n, out_len = targets.shape
     signals = istft_graph(predictions, cfg, out_len)
-    references = stft.istft(targets, cfg, out_len).data
-    n = references.shape[0]
     estimates = [ad.reshape(ad.narrow(signals, 0, j, 1), (out_len,)) for j in range(n)]
-    pair = [[si_sdr_loss(references[i], estimates[j]) for j in range(n)] for i in range(n)]
+    pair = [[si_sdr_loss(targets[i], estimates[j]) for j in range(n)] for i in range(n)]
     perm, value = best_permutation(np.array([[t.data for t in row] for row in pair]))
     return functools.reduce(ad.add, [pair[i][perm[i]] for i in range(n)]), perm, value
 
@@ -112,9 +116,9 @@ def test_silent_estimate_ranks_below_poor_estimate():
     poor = 0.05 * y + rng.standard_normal(200)
     assert si_sdr(y, np.zeros(200)) == -60.0
     assert -60.0 < si_sdr(y, poor) < -10.0
-    # the training loss keeps its eps/eps value for silence
+    # the training loss reads the same table: silence at the floor, gradient 0
     table, grad = si_sdr_table(y[None], np.zeros((1, 200)))
-    assert table[0, 0] == 0.0
+    assert table[0, 0] == -60.0
     np.testing.assert_array_equal(grad((0,)), np.zeros((1, 200)))
 
 
@@ -265,11 +269,10 @@ def test_single_speaker_identity_permutation():
     out_len = CFG.covered_len(5)
     target = rng.standard_normal((1, out_len))
     est = rng.standard_normal((1, out_len))
-    loss, assignment = fpit(interleaved(spectra_of(est)), spectra_of(target), CFG, out_len)
+    loss, assignment = fpit(interleaved(spectra_of(est)), target, CFG)
     assert assignment.mapping == (0,)
-    y = stft.istft(spectra_of(target), CFG, out_len).data[0]
     e = stft.istft(spectra_of(est), CFG, out_len).data[0]
-    assert loss.item() == pytest.approx(-si_sdr(y, e), abs=1e-9)
+    assert loss.item() == pytest.approx(-si_sdr(target[0], e), abs=1e-9)
 
 
 def test_swap_symmetry():
@@ -277,9 +280,8 @@ def test_swap_symmetry():
     out_len = CFG.covered_len(4)
     targets = rng.standard_normal((2, out_len))
     ests = rng.standard_normal((2, out_len))
-    loss_a, assign_a = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
-    loss_b, assign_b = fpit(interleaved(spectra_of(ests[::-1])), spectra_of(targets), CFG,
-                            out_len)
+    loss_a, assign_a = fpit(interleaved(spectra_of(ests)), targets, CFG)
+    loss_b, assign_b = fpit(interleaved(spectra_of(ests[::-1])), targets, CFG)
     assert loss_a.item() == pytest.approx(loss_b.item(), abs=1e-12)
     assert assign_b.mapping == tuple(1 - p for p in assign_a.mapping)
 
@@ -290,12 +292,11 @@ def test_matches_brute_force_enumeration(n):
     out_len = CFG.covered_len(3)
     targets = rng.standard_normal((n, out_len))
     ests = rng.standard_normal((n, out_len))
-    loss, assignment = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
+    loss, assignment = fpit(interleaved(spectra_of(ests)), targets, CFG)
 
-    ys = stft.istft(spectra_of(targets), CFG, out_len).data
     es = stft.istft(spectra_of(ests), CFG, out_len).data
     best = min(
-        (sum(-si_sdr(ys[i], es[p[i]]) for i in range(n)), p)
+        (sum(-si_sdr(targets[i], es[p[i]]) for i in range(n)), p)
         for p in itertools.permutations(range(n))
     )
     assert loss.item() == pytest.approx(best[0], abs=1e-9)
@@ -307,28 +308,26 @@ def test_permutation_of_predictions_keeps_min_loss():
     out_len = CFG.covered_len(4)
     targets = rng.standard_normal((3, out_len))
     ests = rng.standard_normal((3, out_len))
-    base, _ = fpit(interleaved(spectra_of(ests)), spectra_of(targets), CFG, out_len)
+    base, _ = fpit(interleaved(spectra_of(ests)), targets, CFG)
     for p in itertools.permutations(range(3)):
         shuffled = interleaved(spectra_of(ests)[list(p)])
-        loss, _ = fpit(shuffled, spectra_of(targets), CFG, out_len)
+        loss, _ = fpit(shuffled, targets, CFG)
         assert loss.item() == pytest.approx(base.item(), abs=1e-12)
 
 
 def test_speaker_limit():
     with pytest.raises(ValueError, match="exhaustive PIT limit"):
-        fpit(Tensor(np.zeros((CFG.n_bins, 14, 3))),
-             np.ones((7, CFG.n_bins, 3), dtype=complex), CFG, CFG.covered_len(3))
+        fpit(Tensor(np.zeros((CFG.n_bins, 14, 3))), np.ones((7, CFG.covered_len(3))), CFG)
 
 
 def test_fpit_differentiable_through_chosen_branch():
     rng = np.random.default_rng(16)
     n_frames = 4
-    out_len = CFG.covered_len(n_frames)
-    targets = spectra_of(rng.standard_normal((2, out_len)))
+    targets = rng.standard_normal((2, CFG.covered_len(n_frames)))
     pred = Tensor(rng.standard_normal((CFG.n_bins, 4, n_frames)), requires_grad=True)
 
     def f(p):
-        loss, _ = fpit(p, targets, CFG, out_len)
+        loss, _ = fpit(p, targets, CFG)
         return loss
 
     assert ad.grad_check(f, pred) < 1e-5
@@ -341,7 +340,7 @@ def _fpit_case(rng, n, case, out_len):
     if case == "tie":  # every permutation of two equal estimates ties
         ests[-1] = ests[0]
     elif case == "clamped":  # a scaled target: the pair sits at the +60 dB clamp
-        ests[0] = 3.0 * stft.istft(spectra_of(targets), CFG, out_len).data[0]
+        ests[0] = 3.0 * targets[0]
     elif case == "silent":
         ests[-1] = 0.0
     return targets, ests
@@ -356,10 +355,10 @@ def test_fpit_matches_the_tape_reference(n, case, dtype):
     targets, ests = _fpit_case(rng, n, case, out_len)
     x = stft.all_frequency_sequences(spectra_of(ests)).astype(dtype)
     pred = Tensor(x, requires_grad=True)
-    loss, assignment = fpit(pred, spectra_of(targets), CFG, out_len)
+    loss, assignment = fpit(pred, targets, CFG)
     ad.backward(loss)
     ref_pred = Tensor(x.copy(), requires_grad=True)
-    ref_loss, ref_perm, ref_value = tape_fpit(ref_pred, spectra_of(targets), CFG, out_len)
+    ref_loss, ref_perm, ref_value = tape_fpit(ref_pred, targets, CFG)
     assert loss.dtype == dtype and loss.data.tobytes() == ref_loss.data.tobytes()
     assert assignment.mapping == ref_perm and assignment.loss == ref_value
     assert pred.grad.dtype == dtype and np.all(np.isfinite(pred.grad))
@@ -374,18 +373,18 @@ def test_float32_fpit_gradient_is_finite_for_silent_and_near_silent_estimates():
     # in float32, so its gradient here was non-finite and adam_step refused it
     rng = np.random.default_rng(21)
     out_len = CFG.covered_len(6)
-    targets = spectra_of(rng.standard_normal((2, out_len)))
+    targets = rng.standard_normal((2, out_len))
     ests = rng.standard_normal((2, out_len))
     ests[0] = 0.0
     ests[1] *= 1e-20
     pred = Tensor(stft.all_frequency_sequences(spectra_of(ests)).astype(np.float32),
                   requires_grad=True)
-    loss, assignment = fpit(pred, targets, CFG, out_len)
+    loss, assignment = fpit(pred, targets, CFG)
     ad.backward(loss)
     assert pred.grad.dtype == np.float32 and np.all(np.isfinite(pred.grad))
     signals = istft_graph(Tensor(pred.data), CFG, out_len).data
-    table, _ = si_sdr_table(stft.istft(targets, CFG, out_len).data, signals)
-    np.testing.assert_array_equal(table[:, 0], 0.0)  # the silent pairs' eps/eps
+    table, _ = si_sdr_table(targets, signals)
+    np.testing.assert_array_equal(table[:, 0], -SDR_CLAMP_DB)  # the silent pairs' floor
     assert loss.item() == -sum(table[i, j] for i, j in enumerate(assignment.mapping))
     params = {"p": pred}
     adam_step(params, {"p": pred.grad}, AdamState.init(params), 1e-3)
@@ -396,15 +395,15 @@ def test_fpit_loss_is_one_node_on_the_istft_output():
     cfg = stft.StftConfig(window_len=512, hop=256, sample_rate=16000)
     out_len = 4 * cfg.sample_rate
     rng = np.random.default_rng(22)
-    targets = stft.stft(WaveBuffer(rng.standard_normal((2, out_len)), cfg.sample_rate), cfg)
+    targets = rng.standard_normal((2, out_len))
     x = rng.standard_normal((cfg.n_bins, 4, cfg.n_frames(out_len))).astype(np.float32)
     pred = Tensor(x, requires_grad=True)
-    loss, _ = fpit(pred, targets, cfg, out_len)
+    loss, _ = fpit(pred, targets, cfg)
     (signals,) = loss._parents
     assert signals._parents == (pred,)
     assert signals.data.size == 0  # the loss keeps G, not the signals it scored
     with ad.no_graph():
-        free, _ = fpit(Tensor(x), targets, cfg, out_len)
+        free, _ = fpit(Tensor(x), targets, cfg)
     assert free._parents == () and free.data.tobytes() == loss.data.tobytes()
 
 
@@ -452,12 +451,26 @@ def test_evaluate_matches_composition_oracle():
     assert row[0] == "t0" and len(row) == 6
 
 
+def test_a_silent_estimate_costs_the_loss_60_db_as_evaluate_scores_it():
+    # fpit and evaluate score against the same target waveforms by the same
+    # table, silence at its -60 dB floor, so the loss is minus the metric's sum
+    rng = np.random.default_rng(23)
+    ex = make_example(rng)
+    ests = rng.standard_normal(ex.target_waves.data.shape)
+    ests[1] = 0.0
+    loss, assignment = fpit(interleaved(spectra_of(ests)), ex.target_waves.data, CFG)
+    rec = evaluate(ex, stft.istft(spectra_of(ests), CFG, ex.target_waves.n_samples).data)
+    assert loss.item() == -sum(rec.per_speaker_sdr)
+    silent_ref = assignment.mapping.index(1)
+    assert rec.per_speaker_sdr[silent_ref] == -SDR_CLAMP_DB
+    assert loss.item() - (-rec.per_speaker_sdr[1 - silent_ref]) == SDR_CLAMP_DB
+
+
 def test_tie_breaks_toward_lexicographically_smallest():
     # two identical estimates: every permutation ties, the first must win
     rng = np.random.default_rng(20)
     out_len = CFG.covered_len(3)
     targets = rng.standard_normal((2, out_len))
     est = rng.standard_normal(out_len)
-    _, assignment = fpit(interleaved(spectra_of([est, est])), spectra_of(targets), CFG,
-                         out_len)
+    _, assignment = fpit(interleaved(spectra_of([est, est])), targets, CFG)
     assert assignment.mapping == (0, 1)

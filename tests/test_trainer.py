@@ -209,7 +209,7 @@ def test_chunking_does_not_change_gradients(probe_examples):
     for u in batch:
         out = net.forward(Tensor(u.sequences.astype(np.float64)))
         pred = ad.mul(out, Tensor(u.norm.scale.astype(np.float64)[:, None, None]))
-        losses.append(objective.fpit(pred, u.target_spectra, CFG8K, u.out_len)[0])
+        losses.append(objective.fpit(pred, u.target_waves, CFG8K)[0])
     total = losses[0]
     for loss in losses[1:]:
         total = ad.add(total, loss)
@@ -243,7 +243,7 @@ def _one_graph_gradients(net, batch):
     for u in batch:
         out = net.forward(Tensor(u.sequences.astype(net.dtype)))
         pred = ad.mul(out, Tensor(u.norm.scale.astype(net.dtype)[:, None, None]))
-        loss, _ = objective.fpit(pred, u.target_spectra, CFG8K, u.out_len)
+        loss, _ = objective.fpit(pred, u.target_waves, CFG8K)
         ad.backward(ad.scale(loss, 1.0 / len(batch)))
     grads = {name: t.grad for name, t in net.params.items()}
     ad.zero_grad(net.params)
@@ -358,13 +358,10 @@ def test_training_step_memory_does_not_grow_with_the_bin_count(monkeypatch):
     for window in (64, 256):
         cfg = stft.StftConfig(window_len=window, hop=window // 2, sample_rate=8000)
         t_frames, n_bins = 40, cfg.n_bins
-        out_len = cfg.covered_len(t_frames)
         u = Utterance(
             sequences=rng.standard_normal((n_bins, 4, t_frames)),
             norm=dataset.NormState(scale=rng.uniform(0.5, 2.0, n_bins)),
-            target_spectra=(rng.standard_normal((2, n_bins, t_frames))
-                            + 1j * rng.standard_normal((2, n_bins, t_frames))),
-            out_len=out_len)
+            target_waves=rng.standard_normal((2, cfg.covered_len(t_frames))))
         tracemalloc.start()
         try:
             batch_loss(net, [u], cfg, accumulate_grads=True)
@@ -376,15 +373,18 @@ def test_training_step_memory_does_not_grow_with_the_bin_count(monkeypatch):
 
 def test_train_holds_one_prepared_batch_whatever_the_corpus_size(tmp_path, monkeypatch):
     # examples wait as waveforms and each batch is prepared just before its
-    # step, so eight examples peak no higher than two, within one utterance
+    # step, so eight examples peak no higher than two, within one utterance;
+    # an untraced warm-up run first, so neither traced run pays first-call costs
     import tracemalloc
 
     _workers(monkeypatch, 1)
     examples = build_probe_examples(8, CFG8K, seed=2, n_mics=2)
     cfg = TrainConfig(utterances_per_batch=1, max_epochs=1, seed=0)
     u = prepare_utterance(examples[0], CFG8K, cfg.dtype)  # as train prepares it
-    utterance_bytes = u.sequences.nbytes + u.target_spectra.nbytes + u.norm.scale.nbytes
+    utterance_bytes = u.sequences.nbytes + u.target_waves.nbytes + u.norm.scale.nbytes
     del u
+    train(NarrowBandModel(PROBE_MODEL, seed=18, dtype=cfg.dtype), examples, [], cfg, CFG8K,
+          tmp_path / "warm-up")
     peaks = []
     for n in (8, 2):
         net = NarrowBandModel(PROBE_MODEL, seed=18, dtype=cfg.dtype)
@@ -490,6 +490,26 @@ def test_validation_loss_is_graph_free_and_bit_identical(probe_examples, monkeyp
     assert len(recorded) == len(batch) * _chunk_count(net, 257)
     assert not any(out.requires_grad for out in recorded)
     assert free_loss == graph_loss
+
+
+def test_the_loss_is_minus_the_summed_si_sdr_that_evaluate_reports(probe_examples):
+    # fpit scores what separate writes against the target waveforms that
+    # evaluate reads, on the frame grid and off it: 8000 samples at 8 kHz
+    # leave 64 past the last frame
+    from nbsep import dataset, roomsim
+
+    rng = np.random.default_rng(19)
+    scene = roomsim.sample_scene(rng, n_mics=2)
+    scene.rt60 = 0.2
+    s1, s2 = (synthetic_dry_source(rng, 8000, CFG8K.sample_rate) for _ in range(2))
+    off_grid = dataset.mix_pair(s1, s2, 0.7, scene, out_len=8000, stft_cfg=CFG8K)
+    assert CFG8K.covered_len(CFG8K.n_frames(8000)) < 8000
+    net = NarrowBandModel(PROBE_MODEL, seed=19, dtype=np.float64)
+    for ex in [*probe_examples, off_grid]:
+        u = prepare_utterance(ex, CFG8K)
+        assert np.shares_memory(u.target_waves, ex.target_waves.data)  # a view, not a copy
+        loss, _ = batch_loss(net, [u], CFG8K)
+        assert loss == -sum(evaluate(ex, net.separate(ex.mixture_wave, CFG8K)[0]).per_speaker_sdr)
 
 
 @pytest.mark.parametrize("field,value", [("utterances_per_batch", 0), ("graph_chunk", 0),
